@@ -36,17 +36,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Expr:
-    """Base node of the expression tree."""
+    """Base node of the expression tree.
+
+    Each node class evaluates itself through _eval(t), which raises
+    DomainError at the first node that leaves the real domain or overflows.
+    NaN is not checked per node; evaluate() rejects it at the root.
+    """
+
+    def _eval(self, t: float) -> float:
+        raise TypeError(f"not an expression node: {self!r}")
 
 
 @dataclass(frozen=True)
 class Const(Expr):
     value: float
 
+    def _eval(self, t: float) -> float:
+        return self.value
+
 
 @dataclass(frozen=True)
 class Var(Expr):
     """The sole free variable t."""
+
+    def _eval(self, t: float) -> float:
+        return float(t)
 
 
 @dataclass(frozen=True)
@@ -54,11 +68,23 @@ class Add(Expr):
     left: Expr
     right: Expr
 
+    def _eval(self, t: float) -> float:
+        v = self.left._eval(t) + self.right._eval(t)
+        if math.isinf(v):
+            raise DomainError("overflow", self, t)
+        return v
+
 
 @dataclass(frozen=True)
 class Sub(Expr):
     left: Expr
     right: Expr
+
+    def _eval(self, t: float) -> float:
+        v = self.left._eval(t) - self.right._eval(t)
+        if math.isinf(v):
+            raise DomainError("overflow", self, t)
+        return v
 
 
 @dataclass(frozen=True)
@@ -66,11 +92,26 @@ class Mul(Expr):
     left: Expr
     right: Expr
 
+    def _eval(self, t: float) -> float:
+        v = self.left._eval(t) * self.right._eval(t)
+        if math.isinf(v):
+            raise DomainError("overflow", self, t)
+        return v
+
 
 @dataclass(frozen=True)
 class Div(Expr):
     left: Expr
     right: Expr
+
+    def _eval(self, t: float) -> float:
+        den = self.right._eval(t)
+        if den == 0.0:
+            raise DomainError("division by zero", self, t)
+        v = self.left._eval(t) / den
+        if math.isinf(v):
+            raise DomainError("overflow", self, t)
+        return v
 
 
 @dataclass(frozen=True)
@@ -78,11 +119,50 @@ class Pow(Expr):
     base: Expr
     exponent: Expr  # folds to Const for every parsed expression
 
+    def _eval(self, t: float) -> float:
+        base = self.base._eval(t)
+        exp = self.exponent._eval(t)
+        if base < 0.0 and exp != round(exp):
+            raise DomainError("negative base with fractional exponent", self, t)
+        if base == 0.0 and exp < 0.0:
+            raise DomainError("zero base with negative exponent", self, t)
+        try:
+            v = base ** exp
+        except OverflowError:
+            raise DomainError("power overflow", self, t) from None
+        if math.isinf(v):
+            raise DomainError("overflow", self, t)
+        return v
+
 
 @dataclass(frozen=True)
 class Apply(Expr):
     func: str
     arg: Expr
+
+    def _eval(self, t: float) -> float:
+        x = self.arg._eval(t)
+        func = self.func
+        if func == "log":
+            if x <= 0.0:
+                raise DomainError("log of a non-positive value", self, t)
+            return math.log(x)
+        if func == "exp":
+            try:
+                return math.exp(x)
+            except OverflowError:
+                raise DomainError("exp overflow", self, t) from None
+        if func == "sin":
+            return math.sin(x)
+        if func == "cos":
+            return math.cos(x)
+        if func == "sqrt":
+            if x < 0.0:
+                raise DomainError("sqrt of a negative value", self, t)
+            return math.sqrt(x)
+        if func == "abs":
+            return abs(x)
+        raise DomainError(f"unknown function {func!r}", self, t)
 
 
 _FUNCS = ("log", "exp", "sin", "cos", "sqrt", "abs")
@@ -215,67 +295,9 @@ def parse(source: str) -> Expr:
 
 def evaluate(e: Expr, t: float) -> float:
     """Evaluate e at t; raises DomainError rather than returning NaN or inf."""
-    v = _eval(e, t)
+    v = e._eval(t)
     if math.isnan(v):
         raise DomainError("evaluation produced NaN", e, t)
-    return v
-
-
-def _eval(e: Expr, t: float) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return float(t)
-    if isinstance(e, Add):
-        return _finite(_eval(e.left, t) + _eval(e.right, t), e, t)
-    if isinstance(e, Sub):
-        return _finite(_eval(e.left, t) - _eval(e.right, t), e, t)
-    if isinstance(e, Mul):
-        return _finite(_eval(e.left, t) * _eval(e.right, t), e, t)
-    if isinstance(e, Div):
-        den = _eval(e.right, t)
-        if den == 0.0:
-            raise DomainError("division by zero", e, t)
-        return _finite(_eval(e.left, t) / den, e, t)
-    if isinstance(e, Pow):
-        base = _eval(e.base, t)
-        exp = _eval(e.exponent, t)
-        if base < 0.0 and exp != round(exp):
-            raise DomainError("negative base with fractional exponent", e, t)
-        if base == 0.0 and exp < 0.0:
-            raise DomainError("zero base with negative exponent", e, t)
-        try:
-            return _finite(base ** exp, e, t)
-        except OverflowError:
-            raise DomainError("power overflow", e, t) from None
-    if isinstance(e, Apply):
-        x = _eval(e.arg, t)
-        if e.func == "log":
-            if x <= 0.0:
-                raise DomainError("log of a non-positive value", e, t)
-            return math.log(x)
-        if e.func == "exp":
-            try:
-                return math.exp(x)
-            except OverflowError:
-                raise DomainError("exp overflow", e, t) from None
-        if e.func == "sin":
-            return math.sin(x)
-        if e.func == "cos":
-            return math.cos(x)
-        if e.func == "sqrt":
-            if x < 0.0:
-                raise DomainError("sqrt of a negative value", e, t)
-            return math.sqrt(x)
-        if e.func == "abs":
-            return abs(x)
-        raise DomainError(f"unknown function {e.func!r}", e, t)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _finite(v: float, e: Expr, t: float) -> float:
-    if math.isinf(v):
-        raise DomainError("overflow", e, t)
     return v
 
 

@@ -21,7 +21,7 @@ from .errors import (
     QuadratureBudgetExceeded,
     ReversedBounds,
 )
-from .derivative import DerivConfig, t_alpha
+from .derivative import _EPS, DerivConfig, _check_alpha, t_alpha
 from .expr import Expr, evaluate
 from .timescale import (
     Jump,
@@ -35,15 +35,14 @@ __all__ = [
     "ftc_check", "FtcReport", "monotonicity_check", "MonotonicityReport",
 ]
 
-_EPS = 2.220446049250313e-16
-
 
 @dataclass(frozen=True)
 class IntegralConfig:
     """Quadrature policy.
 
-    quad_tol is the target error per integral (used both absolutely and
-    relatively by the Simpson refinement); max_subdivisions bounds the total
+    quad_tol is the target error per integral, an absolute bound only: the
+    Simpson refinement does not scale it by the size of the integral, so large
+    integrands cost more panels; max_subdivisions bounds the total
     number of adaptive panels; q_tail_cutoff is the smallest geometric-lattice
     point enumerated near 0 (q**-64 when omitted).
     """
@@ -75,11 +74,6 @@ def _weight(t: float, alpha: float) -> float:
     return t ** (alpha - 1.0)
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-
-
 def _adaptive_simpson(h: Callable[[float], float], lo: float, hi: float,
                       tol: float, budget: list[int]) -> tuple[float, float]:
     """Adaptive Simpson on [lo, hi]; returns (value, error estimate)."""
@@ -104,8 +98,9 @@ def _adaptive_simpson(h: Callable[[float], float], lo: float, hi: float,
         s_l = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         s_r = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = s_l + s_r - s
-        too_narrow = (b - a) <= 8.0 * _EPS * max(abs(a), abs(b), 1.0)
-        if abs(delta) <= 15.0 * tol_k or too_narrow:
+        # accept within tolerance, or when the panel is too narrow to split
+        if abs(delta) <= 15.0 * tol_k or \
+                (b - a) <= 8.0 * _EPS * max(abs(a), abs(b), 1.0):
             values.append(s_l + s_r + delta / 15.0)
             errors.append(abs(delta) / 15.0)
         else:
@@ -160,8 +155,14 @@ def _improper_ladder(h: Callable[[float], float], hi: float, alpha: float,
 
 def _segment_piece(f: Expr, alpha: float, lo: float, hi: float,
                    cfg: IntegralConfig, budget: list[int]) -> tuple[float, float]:
-    def integrand(x: float) -> float:
-        return evaluate(f, x) * _weight(x, alpha)
+    if alpha == 1.0:
+        def integrand(x: float) -> float:
+            return evaluate(f, x)  # _weight is exactly 1.0
+    else:
+        power = alpha - 1.0
+
+        def integrand(x: float) -> float:
+            return evaluate(f, x) * x ** power
 
     if lo == 0.0 and alpha < 1.0:
         return _improper_ladder(integrand, hi, alpha, cfg.quad_tol, budget)

@@ -255,7 +255,9 @@ class QLatticeClosure(TimeScale):
         if t <= 0:
             return False
         k = _q_exponent(self.q, t)
-        return abs(t - self.q ** k) <= membership_tolerance(t)
+        # slack relative to t: points near the accumulation point 0 are close
+        # together, so an absolute floor would admit points between them
+        return abs(t - self.q ** k) <= MEMBERSHIP_RTOL * t
 
     def sigma(self, t: float) -> float:
         self._require(t)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from tscal.expr import (
     Apply,
     Const,
     Div,
+    Expr,
     Mul,
     Pow,
     Sub,
@@ -213,3 +215,93 @@ def test_render_examples():
     assert render(parse("t^2")) == "(t^2)"
     assert render(parse("log(t)")) == "log(t)"
     assert parse(render(parse("(t-1)^2"))) == parse("(t-1)^2")
+
+
+def _domain_error(e, t):
+    with pytest.raises(DomainError) as exc:
+        evaluate(e, t)
+    return exc.value
+
+
+def test_domain_errors_name_the_failing_node():
+    # (expression, t, message, the node that fails, as a path from the root)
+    cases = [
+        ("1 + log(t)", -1.0, "log of a non-positive value", "right"),
+        ("2 * sqrt(t)", -4.0, "sqrt of a negative value", "right"),
+        ("t^0.5 + 1", -4.0, "negative base with fractional exponent", "left"),
+        ("t^-1", 0.0, "zero base with negative exponent", ""),
+        ("3 * (1/(t-1))", 1.0, "division by zero", "right"),
+        ("exp(t) - 1", 1e9, "exp overflow", "left"),
+        ("1 + t^999", 1e9, "power overflow", "right"),
+        ("t + t", 1e308, "overflow", ""),
+        ("t^2", math.inf, "overflow", ""),
+        # an intermediate inf raises at its node, though 1/inf would be finite
+        ("1/(t*t)", 1e200, "overflow", "right"),
+    ]
+    for src, t, message, path in cases:
+        e = parse(src)
+        node = e
+        for attr in filter(None, path.split(".")):
+            node = getattr(node, attr)
+        err = _domain_error(e, t)
+        assert str(err) == f"{message} at t={t!r}", src
+        assert err.t == t and err.expr is node, src
+
+
+def test_nan_input_raises_at_the_root():
+    e = parse("t + 1")
+    err = _domain_error(e, math.nan)
+    assert str(err) == "evaluation produced NaN at t=nan"
+    assert err.expr is e and math.isnan(err.t)
+
+
+def test_malformed_nodes_are_rejected():
+    err = _domain_error(Apply("tan", Var()), 1.0)
+    assert str(err) == "unknown function 'tan' at t=1.0"
+    with pytest.raises(TypeError):
+        evaluate(Add(Var(), Expr()), 1.0)
+
+
+_NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d*)?(?:e[+-]?\d+)?")
+_MATH = {"log": math.log, "exp": math.exp, "sin": math.sin, "cos": math.cos,
+         "sqrt": math.sqrt, "abs": math.fabs}
+
+
+def _oracle(e, t):
+    """Python float arithmetic over the rendered source of e."""
+    # every literal becomes a parenthesised float, so "-3^2" stays (-3.0)**2.0
+    src = _NUMBER.sub(lambda m: f"({float(m.group())!r})", render(e))
+    return eval(src.replace("^", "**"), {"__builtins__": {}, "t": t, **_MATH})
+
+
+def _random_tree(rng, depth=0):
+    roll = rng.random()
+    if depth >= 4 or roll < 0.3:
+        if rng.random() < 0.5:
+            return Var()
+        return Const(rng.choice((-1.0, 1.0)) * round(rng.uniform(0.1, 5.0), 3))
+    if roll < 0.7:
+        op = rng.choice((Add, Sub, Mul, Div))
+        return op(_random_tree(rng, depth + 1), _random_tree(rng, depth + 1))
+    if roll < 0.85:
+        exponent = rng.choice((-2.0, -1.0, 0.5, 1.5, 2.0, 3.0))
+        return Pow(_random_tree(rng, depth + 1), Const(exponent))
+    return Apply(rng.choice(tuple(_MATH)), _random_tree(rng, depth + 1))
+
+
+def test_evaluate_matches_float_oracle_bit_for_bit():
+    rng = random.Random(20150512)
+    in_domain = 0
+    for _ in range(700):
+        e = _random_tree(rng)
+        t = rng.choice((0.0, 1.0, round(rng.uniform(-10.0, 10.0), 6)))
+        try:
+            expected = _oracle(e, t)
+        except (ArithmeticError, ValueError, TypeError):  # TypeError: math on complex
+            expected = None
+        if not isinstance(expected, float) or not math.isfinite(expected):
+            _domain_error(e, t)
+            continue
+        in_domain += 1
+        assert evaluate(e, t).hex() == expected.hex(), (render(e), t)
+    assert in_domain >= 500

@@ -208,6 +208,18 @@ def test_membership_tolerance_absorbs_rounding():
     assert not qz.contains(3.0 ** -7 * 1.01)
 
 
+def test_qlattice_membership_slack_is_relative_near_zero():
+    # 1e-13 lies between 2**-44 and 2**-43, far from both
+    qz = QLatticeClosure(2.0)
+    assert not qz.contains(1e-13)
+    with pytest.raises(NotInScale):
+        qz.sigma(1e-13)
+    for q in (1.5, 2.0, 3.0):
+        ts = QLatticeClosure(q)
+        assert ts.contains(0.0)
+        assert all(ts.contains(q ** k) for k in range(-64, 1))
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         UniformLattice(0.0)
