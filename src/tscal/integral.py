@@ -1,16 +1,20 @@
 """Cauchy and indefinite integrals of order alpha on time scales.
 
 The order-alpha integral of f is the delta integral of f(t) * t**(alpha-1).
-Over an isolated jump that is an exact product with the graininess; over a
-continuum segment it is adaptive Simpson quadrature. Endpoints at 0 with
-alpha < 1 are integrable singularities handled by geometric subdivision, and
-geometric lattices accumulating at 0 are summed as a series with a tail bound.
+Over an isolated jump that is an exact product with the graininess. Over a
+continuum segment it is globally adaptive Gauss-Kronrod G7K15 quadrature
+(QUADPACK) in the variable u = t**alpha, where the integrand becomes
+(1/alpha) * f(u**(1/alpha)): the weight, singular at a zero endpoint when
+alpha < 1, disappears exactly. Geometric lattices accumulating at 0 are summed
+as a series with a tail bound.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 from .errors import (
@@ -40,11 +44,13 @@ __all__ = [
 class IntegralConfig:
     """Quadrature policy.
 
-    quad_tol is the target error per integral, an absolute bound only: the
-    Simpson refinement does not scale it by the size of the integral, so large
-    integrands cost more panels; max_subdivisions bounds the total
-    number of adaptive panels; q_tail_cutoff is the smallest geometric-lattice
-    point enumerated near 0 (q**-64 when omitted).
+    quad_tol is the target for the summed error estimate of an integral, an
+    absolute bound: the panel with the largest G7K15 error is bisected until
+    the sum is within it. Each panel's estimate includes its roundoff floor
+    50*eps*int|g|, and panels at the floor are final, so est_error can exceed
+    quad_tol for integrands near 1e9. max_subdivisions bounds the total number
+    of G7K15 panels; q_tail_cutoff is the smallest geometric-lattice point
+    enumerated near 0 (q**-64 when omitted).
     """
     quad_tol: float = 1e-10
     max_subdivisions: int = 1 << 20
@@ -74,99 +80,91 @@ def _weight(t: float, alpha: float) -> float:
     return t ** (alpha - 1.0)
 
 
-def _adaptive_simpson(h: Callable[[float], float], lo: float, hi: float,
-                      tol: float, budget: list[int]) -> tuple[float, float]:
-    """Adaptive Simpson on [lo, hi]; returns (value, error estimate)."""
-    if lo == hi:
-        return 0.0, 0.0
-    f_lo, f_hi = h(lo), h(hi)
-    mid = 0.5 * (lo + hi)
-    f_mid = h(mid)
-    whole = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-    stack = [(lo, hi, f_lo, f_mid, f_hi, whole, tol)]
-    values: list[float] = []
-    errors: list[float] = []
-    while stack:
-        a, b, fa, fm, fb, s, tol_k = stack.pop()
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise QuadratureBudgetExceeded(
-                "adaptive quadrature exhausted its subdivision budget")
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = h(lm), h(rm)
-        s_l = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        s_r = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = s_l + s_r - s
-        # accept within tolerance, or when the panel is too narrow to split
-        if abs(delta) <= 15.0 * tol_k or \
-                (b - a) <= 8.0 * _EPS * max(abs(a), abs(b), 1.0):
-            values.append(s_l + s_r + delta / 15.0)
-            errors.append(abs(delta) / 15.0)
-        else:
-            half = 0.5 * tol_k
-            stack.append((m, b, fm, frm, fb, s_r, half))
-            stack.append((a, m, fa, flm, fm, s_l, half))
-    return math.fsum(values), math.fsum(errors)
+# Gauss-Kronrod 7/15 rule (QUADPACK qk15): the Kronrod abscissae in (0, 1) in
+# falling order, then the centre, with their Kronrod weights and their Gauss
+# weights (0.0 off the 7 Gauss abscissae).
+_XGK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+        0.7415311855993945, 0.5860872354676911, 0.4058451513773972, 0.20778495500789848)
+_WGK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+        0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
+_WG = (0.0, 0.1294849661688697, 0.0, 0.27970539148927664, 0.0, 0.3818300505051189,
+       0.0, 0.4179591836734694)
 
 
-def _improper_ladder(h: Callable[[float], float], hi: float, alpha: float,
-                     tol: float, budget: list[int]) -> tuple[float, float]:
-    """Integral over (0, hi] of an integrand behaving like t**(alpha-1) near 0.
+def _gk15(g: Callable[[float], float], a: float, b: float,
+          budget: list[int]) -> tuple[float, float, float]:
+    """G7K15 on [a, b]: value, QUADPACK error estimate, its floor 50*eps*int|g|."""
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise QuadratureBudgetExceeded(
+            "adaptive quadrature exhausted its subdivision budget")
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    fc = g(centre)
+    pairs = [(g(centre - half * x), g(centre + half * x)) for x in _XGK]
+    resk, resg, resabs = _WGK[7] * fc, _WG[7] * fc, _WGK[7] * abs(fc)
+    for wk, wg, (f1, f2) in zip(_WGK, _WG, pairs):
+        resk += wk * (f1 + f2)
+        resg += wg * (f1 + f2)
+        resabs += wk * (abs(f1) + abs(f2))
+    mean = 0.5 * resk
+    resasc = half * (_WGK[7] * abs(fc - mean) + sum(
+        wk * (abs(f1 - mean) + abs(f2 - mean)) for wk, (f1, f2) in zip(_WGK, pairs)))
+    err, floor = abs((resk - resg) * half), 50.0 * _EPS * resabs * half
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return resk * half, max(err, floor), floor
 
-    Sums geometric pieces [hi/2**(k+1), hi/2**k]; the piece magnitudes decay
-    like 2**(-alpha) per level, so the remaining tail is bounded by the last
-    piece times r/(1-r). Divergent integrands are detected and rejected.
+
+def _kronrod(g: Callable[[float], float], lo: float, hi: float,
+             tol: float, budget: list[int]) -> tuple[float, float]:
+    """Globally adaptive G7K15 on [lo, hi]; returns (value, error estimate).
+
+    The panel with the largest error is bisected until the summed error is
+    within tol. Panels at their roundoff floor are final: splitting cannot
+    lower it. A panel [0, w] that keeps 99 % of its value under bisection
+    eight times in a row means the integral diverges at 0.
     """
-    values: list[float] = []
-    errors: list[float] = []
-    r_theory = 0.5 ** alpha
-    top = hi
-    prev_mag = None
-    growth_streak = 0
-    for level in range(4000):
-        lo = 0.5 * top
-        piece_tol = tol * 0.5 ** (level + 3)
-        v, e = _adaptive_simpson(h, lo, top, piece_tol, budget)
-        values.append(v)
-        errors.append(e)
-        mag = abs(v)
-        if prev_mag is not None and mag > prev_mag * 1.02:
-            growth_streak += 1
-            if growth_streak >= 8:
+    heap: list[tuple[float, float, float, float, float]] = []
+    total, streak = 0.0, 0
+
+    def push(a: float, b: float, piece: tuple[float, float, float]) -> None:
+        nonlocal total
+        value, err, floor = piece
+        total += err
+        # final panels key 0.0 and sort after every panel still to split
+        heapq.heappush(heap, (-err if err > floor else 0.0, a, b, value, err))
+
+    push(lo, hi, _gk15(g, lo, hi, budget))
+    while total > tol and heap[0][0] < 0.0:
+        _, a, b, value, err = heapq.heappop(heap)
+        m = 0.5 * (a + b)
+        if not a < m < b:  # too narrow to split: final
+            heapq.heappush(heap, (0.0, a, b, value, err))
+            continue
+        total -= err
+        left = _gk15(g, a, m, budget)
+        if a == 0.0:
+            streak = streak + 1 if abs(left[0]) >= 0.99 * abs(value) else 0
+            if streak >= 8:
                 raise EndpointSingularity(
-                    "integrand pieces grow toward 0; integral diverges")
-        else:
-            growth_streak = 0
-        ratio = r_theory
-        if prev_mag is not None and prev_mag > 0.0:
-            ratio = min(max(mag / prev_mag, r_theory), 0.97)
-        tail = mag * ratio / (1.0 - ratio)
-        if tail <= 0.5 * tol or mag == 0.0:
-            errors.append(tail)
-            break
-        prev_mag = mag
-        top = lo
-    else:
-        raise EndpointSingularity(
-            "tail toward the 0 endpoint did not converge below quad_tol")
-    return math.fsum(values), math.fsum(errors)
+                    "integrand does not decay toward the 0 endpoint; integral diverges")
+        push(a, m, left)
+        push(m, b, _gk15(g, m, b, budget))
+    return math.fsum(p[3] for p in heap), math.fsum(p[4] for p in heap)
 
 
 def _segment_piece(f: Expr, alpha: float, lo: float, hi: float,
                    cfg: IntegralConfig, budget: list[int]) -> tuple[float, float]:
+    """Integral of f(t) t**(alpha-1) over [lo, hi]; below alpha = 1 it is
+    (1/alpha) f(u**(1/alpha)) over [lo**alpha, hi**alpha], with u = t**alpha."""
     if alpha == 1.0:
-        def integrand(x: float) -> float:
-            return evaluate(f, x)  # _weight is exactly 1.0
-    else:
-        power = alpha - 1.0
+        return _kronrod(partial(evaluate, f), lo, hi, cfg.quad_tol, budget)
+    inv = 1.0 / alpha
 
-        def integrand(x: float) -> float:
-            return evaluate(f, x) * x ** power
+    def integrand(u: float) -> float:
+        return evaluate(f, u ** inv) * inv
 
-    if lo == 0.0 and alpha < 1.0:
-        return _improper_ladder(integrand, hi, alpha, cfg.quad_tol, budget)
-    return _adaptive_simpson(integrand, lo, hi, cfg.quad_tol, budget)
+    return _kronrod(integrand, lo ** alpha, hi ** alpha, cfg.quad_tol, budget)
 
 
 def _q_series_from_zero(f: Expr, ts: QLatticeClosure, hi: float, alpha: float,

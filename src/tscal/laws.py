@@ -342,8 +342,8 @@ def _law_integral_linearity(rng, trials):
         int_sum = cauchy(Add(f, g), ts, a, b, alpha, _LAW_ICFG).value
         int_lam = cauchy(Mul(Const(lam), f), ts, a, b, alpha, _LAW_ICFG).value
         res = max(abs(int_sum - int_f - int_g), abs(int_lam - lam * int_f))
-        # quad_tol is absolute+relative, so the residual is judged against
-        # the magnitude of the integrals involved
+        # quad_tol is absolute, but roundoff grows with the integrals, so the
+        # residual is judged against the magnitude of the integrals involved
         scale = max(1.0, abs(int_sum), abs(int_f), abs(int_g), abs(int_lam))
         yield (_inputs(ts, a, alpha, b=b, f=render(f), g=render(g), lam=lam),
                res, res / scale)

@@ -202,11 +202,13 @@ class UniformLattice(TimeScale):
         if not math.isfinite(t):
             return False
         k = round(t / self.h)
-        return abs(t - k * self.h) <= membership_tolerance(t)
+        # slack relative to the step, so a tiny h admits no points between
+        return abs(t - k * self.h) <= MEMBERSHIP_RTOL * max(self.h, abs(t))
 
     def sigma(self, t: float) -> float:
         self._require(t)
-        return t + self.h
+        # (k+1)*h, the point decompose steps to; t + h can round elsewhere
+        return (round(t / self.h) + 1) * self.h
 
     def mu(self, t: float) -> float:
         self._require(t)

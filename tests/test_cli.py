@@ -4,6 +4,7 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +174,30 @@ def test_byte_identical_reruns():
     _, out1, _ = run_cli(args)
     _, out2, _ = run_cli(args)
     assert out1 == out2
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# README commands and the files in tests/golden holding their stdout
+README_COMMANDS = {
+    "readme_deriv": ["deriv", "--scale", "hZ(h=1)", "--expr", "t^2",
+                     "--alpha", "0.5", "--at", "2"],
+    "readme_deriv_higher": ["deriv", "--scale", "hZ(h=1)", "--expr", "t^3",
+                            "--alpha", "2.1", "--at", "1"],
+    "readme_integ": ["integ", "--scale", "R", "--expr", "t", "--alpha", "0.5",
+                     "--from", "1", "--to", "4.641588833612779"],
+    "readme_witness": ["witness", "--scale", "qN0(q=2)", "--f", "t^2", "--g", "t",
+                       "--alpha", "0.5", "--at", "4"],
+    "readme_verify_counterexample": ["verify", "--law", "naive_chain_counterexample"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_commands_match_golden_output(name):
+    # byte for byte, across versions; a deliberate change rewrites the file
+    code, out, _ = run_cli(README_COMMANDS[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_snap_is_echoed(tmp_path):

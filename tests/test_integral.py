@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import tscal.integral as integral_module
 from tscal.errors import (
     EndpointSingularity,
     NonPositivePoint,
@@ -145,8 +146,52 @@ def test_improper_endpoint_at_zero():
 
 
 def test_improper_endpoint_divergent_integrand():
-    with pytest.raises(EndpointSingularity):
-        cauchy(parse("1/t"), RealInterval(0.0, 2.0), 0.0, 1.0, 0.5)
+    for src in ("1/t", "t^(-0.6)"):
+        with pytest.raises(EndpointSingularity):
+            cauchy(parse(src), RealInterval(0.0, 2.0), 0.0, 1.0, 0.5)
+
+
+def test_zero_endpoint_meets_quad_tol():
+    # antiderivative of (t^2 + 1) t**(alpha-1) is t**(alpha+2)/(alpha+2) + t**alpha/alpha
+    for alpha in (0.5, 0.3):
+        res = cauchy(parse("t^2 + 1"), R, 0.0, 10.0, alpha)
+        exact = 10.0 ** (alpha + 2.0) / (alpha + 2.0) + 10.0 ** alpha / alpha
+        assert abs(res.value - exact) <= 1e-10
+        assert res.est_error <= IntegralConfig().quad_tol
+
+
+def test_log_singularity_at_zero():
+    # integral over [0, 1] of log(t) t**(-1/2) dt = -4
+    res = cauchy(parse("log(t)"), RealInterval(0.0, 2.0), 0.0, 1.0, 0.5)
+    assert abs(res.value + 4.0) <= 1e-10
+    assert res.est_error <= IntegralConfig().quad_tol
+
+
+def test_large_integrands_are_relatively_accurate():
+    for src, exact in (
+        ("1000000000*cos(0.7*t)", 1e9 / 0.7 * (math.sin(7.0) - math.sin(0.7))),
+        ("1000000000*sin(t)", 1e9 * (math.cos(1.0) - math.cos(10.0))),
+    ):
+        res = cauchy(parse(src), R, 1.0, 10.0, 1.0)
+        assert abs(res.value - exact) <= 1e-12 * abs(exact)
+
+
+def test_evaluation_counts(monkeypatch):
+    calls = [0]
+    inner = integral_module.evaluate
+
+    def counted(f, t):
+        calls[0] += 1
+        return inner(f, t)
+
+    monkeypatch.setattr(integral_module, "evaluate", counted)
+    res = cauchy(parse("t^3 - 2*t + log(t)*sin(t)"), R, 1.0, 10.0, 0.5)
+    # the reference value is mpmath.quad's at 30 digits
+    assert abs(res.value - 862.945086109856625) <= 1e-12 * 862.9
+    assert calls[0] < 200
+    calls[0] = 0
+    cauchy(parse("t^2 + 1"), R, 0.0, 10.0, 0.5)
+    assert calls[0] <= 13045
 
 
 def test_q_series_from_zero():

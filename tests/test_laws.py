@@ -52,6 +52,16 @@ def test_definition_scan_soundness(ts, src, t, alpha):
     assert not definition_scan(f, ts, t, alpha, value - 1e-3, 1e-9)
 
 
+@pytest.mark.parametrize("law,trials,seed", [
+    ("integral_additivity", 40, 6005),
+    ("integral_linearity", 24, 12002),
+])
+def test_integral_law_seeds_within_tolerance(law, trials, seed):
+    # seeds whose residuals once exceeded the law tolerance (8.3e-10 against
+    # 3e-10, 3.8e-10 against 2e-10) under an absolute-only Simpson rule
+    assert run_law_suite(law, trials, seed).passed
+
+
 def test_unknown_law():
     with pytest.raises(UnknownLaw):
         run_law_suite("no_such_law", trials=1, seed=0)

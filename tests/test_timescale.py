@@ -220,6 +220,26 @@ def test_qlattice_membership_slack_is_relative_near_zero():
         assert all(ts.contains(q ** k) for k in range(-64, 1))
 
 
+def test_uniform_lattice_membership_slack_is_relative_to_h():
+    # 0.37e-13 lies between the points 0 and 1e-13, far from both
+    hz = UniformLattice(1e-13)
+    assert not hz.contains(0.37e-13)
+    with pytest.raises(NotInScale):
+        hz.sigma(0.37e-13)
+    assert all(hz.contains(k * 1e-13) for k in range(-5, 6))
+    # large points keep a slack relative to t, which covers the rounding of k*h
+    assert UniformLattice(0.1).contains(123456.7)
+
+
+def test_uniform_lattice_sigma_agrees_with_decompose():
+    # cell ends are k*h; 0.5 + 0.1 would round to 0.6, not to 6*0.1
+    ts = UniformLattice(0.1)
+    cells = ts.decompose(0.0, 1.0)
+    assert len(cells) == 10
+    for c in cells:
+        assert ts.sigma(c.t) == c.sigma_t
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         UniformLattice(0.0)
