@@ -23,7 +23,7 @@ from .errors import (
     PoleAtPoint,
     ZeroNotInScale,
 )
-from .expr import Expr, derivative as d_dt, evaluate, substitute
+from .expr import Expr, derivative as d_dt, evaluate, nth_derivative, substitute
 from .timescale import TimeScale
 
 __all__ = [
@@ -251,8 +251,8 @@ def t_alpha_at_zero(f: Expr, ts: TimeScale, alpha: float,
     return limit
 
 
-def _delta_table(f: Expr, ts: TimeScale, t: float, n: int, cfg: DerivConfig,
-                 syms: list[Expr]) -> float:
+def _delta_table(f: Expr, ts: TimeScale, t: float, n: int,
+                 cfg: DerivConfig) -> float:
     """n-th delta derivative via the nested forward-quotient triangle.
 
     Right-dense points in the chain fall back to the exact classical
@@ -274,9 +274,7 @@ def _delta_table(f: Expr, ts: TimeScale, t: float, n: int, cfg: DerivConfig,
                 if lroom <= 0.0 and rroom <= 0.0:
                     raise NotInKappa(
                         f"{x!r} has no forward structure for a delta derivative")
-                while len(syms) <= k:  # symbolic orders built only when needed
-                    syms.append(d_dt(syms[-1]))
-                nxt.append(evaluate(syms[k], x))
+                nxt.append(evaluate(nth_derivative(f, k), x))
         level = nxt
     return level[0]
 
@@ -291,7 +289,7 @@ def delta_derivative_n(f: Expr, ts: TimeScale, t: float, n: int,
         raise NotInScale(f"{t!r} is not a point of {ts!r}")
     if n == 1:
         return _delta1(lambda x: evaluate(f, x), ts, t, cfg)
-    return _delta_table(f, ts, t, int(n), cfg, [f])
+    return _delta_table(f, ts, t, int(n), cfg)
 
 
 def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float, order: AlphaOrder,
@@ -313,10 +311,8 @@ def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float, order: AlphaOrder,
     factor = _power(t, beta)
     primary = factor * delta_derivative_n(f, ts, t, n + 1, cfg)
 
-    syms: list[Expr] = [f]
-
     def g_n(x: float) -> float:
-        return _delta_table(f, ts, x, n, cfg, syms)
+        return _delta_table(f, ts, x, n, cfg)
 
     mu = ts.mu(t)
     if mu > 0.0:

@@ -381,9 +381,18 @@ def _check_differentiable(e: Expr) -> None:
 
 
 def derivative(e: Expr) -> Expr:
-    """Exact classical derivative d/dt, constant-folded."""
-    _check_differentiable(e)
-    return fold(_d(e))
+    """Exact classical derivative d/dt, constant-folded.
+
+    Built once per node object and kept on it outside the dataclass fields,
+    so ==, hash and repr are unchanged. A NotDifferentiable failure is not
+    kept: every call raises it again.
+    """
+    d = e.__dict__.get("_derivative")
+    if d is None:
+        _check_differentiable(e)
+        d = fold(_d(e))
+        object.__setattr__(e, "_derivative", d)
+    return d
 
 
 def _d(e: Expr) -> Expr:

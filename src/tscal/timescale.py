@@ -154,8 +154,8 @@ class RealInterval(TimeScale):
             raise ValueError("interval requires lo < hi")
 
     def contains(self, t: float) -> bool:
-        tol = membership_tolerance(t)
-        return self.lo - tol <= t <= self.hi + tol
+        tol = membership_tolerance(t)  # infinite at +-inf, hence isfinite
+        return math.isfinite(t) and self.lo - tol <= t <= self.hi + tol
 
     def sigma(self, t: float) -> float:
         self._require(t)

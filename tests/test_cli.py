@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -169,6 +172,63 @@ def test_usage_error_exit_code():
     assert code == 1
 
 
+# numbers argparse accepts but the command cannot use
+UNUSABLE_NUMBERS = {
+    "alpha_nan": ["deriv", "--scale", "R", "--expr", "t^2", "--alpha", "nan",
+                  "--at", "1"],
+    "alpha_inf": ["deriv", "--scale", "R", "--expr", "t^2", "--alpha", "inf",
+                  "--at", "1"],
+    "tol_nan": ["deriv", "--scale", "R", "--expr", "t^2", "--alpha", "0.5",
+                "--at", "1", "--tol", "nan"],
+    "env_tol_nan": ["deriv", "--scale", "R", "--expr", "t^2", "--alpha", "0.5",
+                    "--at", "1"],
+    "trials_zero": ["verify", "--law", "sum", "--trials", "0"],
+    "hZ_at_nan": ["deriv", "--scale", "hZ(h=1)", "--expr", "t^2",
+                  "--alpha", "0.5", "--at", "nan"],
+    "R_at_inf": ["deriv", "--scale", "R", "--expr", "t^2", "--alpha", "0.5",
+                 "--at", "inf"],
+    "integ_to_inf": ["integ", "--scale", "R", "--expr", "t", "--alpha", "0.5",
+                     "--from", "1", "--to", "inf"],
+    "witness_at_nan": ["witness", "--scale", "qN0(q=2)", "--f", "t^2",
+                       "--g", "t", "--alpha", "0.5", "--at", "nan"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNUSABLE_NUMBERS))
+def test_unusable_numbers_are_usage_errors(name, monkeypatch):
+    env = {"TSCAL_TOL": "nan"} if name == "env_tol_nan" else None
+    code, out, err = run_cli(UNUSABLE_NUMBERS[name], env, monkeypatch)
+    assert (code, out) == (1, "")
+    assert err.startswith("tscal: usage error: ")
+
+
+def test_parser_reuse_starts_each_call_afresh():
+    # the parser is built once per process; appended --at values must not leak
+    base = ["deriv", "--scale", "hZ(h=1)", "--expr", "t^2", "--alpha", "0.5"]
+    _, out, _ = run_cli(base + ["--at", "2", "--at", "3"])
+    assert [r["t"] for r in json.loads(out)["results"]] == [2.0, 3.0]
+    _, out, _ = run_cli(base + ["--at", "4"])
+    assert [r["t"] for r in json.loads(out)["results"]] == [4.0]
+
+
+def test_parser_reuse_repeats_usage_errors():
+    args = ["deriv", "--scale", "R", "--alpha", "0.5", "--at", "1"]
+    first, second = run_cli(args), run_cli(args)
+    assert first == second
+    assert first[0] == 1 and "--expr" in first[2]
+
+
+def test_parser_reuse_reads_env_tolerance_per_call(monkeypatch):
+    args = ["deriv", "--scale", "R", "--expr", "t^2", "--alpha", "0.5",
+            "--at", "2"]
+    monkeypatch.delenv("TSCAL_TOL", raising=False)
+    _, out, _ = run_cli(args)
+    assert json.loads(out)["meta"]["tolerances"]["deriv_tol"] == 1e-9
+    monkeypatch.setenv("TSCAL_TOL", "1e-7")
+    _, out, _ = run_cli(args)
+    assert json.loads(out)["meta"]["tolerances"]["deriv_tol"] == 1e-7
+
+
 def test_byte_identical_reruns():
     args = ["verify", "--law", "product", "--trials", "20", "--seed", "3"]
     _, out1, _ = run_cli(args)
@@ -198,6 +258,39 @@ def test_readme_commands_match_golden_output(name):
     code, out, _ = run_cli(README_COMMANDS[name])
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_readme_command_in_fresh_interpreter():
+    # a new process builds the parser on its first call
+    root = GOLDEN.parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("TSCAL_TOL", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tscal.cli", *README_COMMANDS["readme_deriv_higher"]],
+        cwd=root, env=env, capture_output=True, check=True)
+    assert proc.stdout == (GOLDEN / "readme_deriv_higher.json").read_bytes()
+
+
+# derivative tables; on R every row of the order-2.1 table differentiates
+# the same parsed tree three times, on hZ the rows are forward quotients
+TABLE_COMMANDS = {
+    "table_R_t3_higher.json": ["deriv", "--scale", "R", "--expr", "t^3",
+                               "--alpha", "2.1", "--from", "1", "--to", "3",
+                               "--count", "20"],
+    "table_R_t3_higher.csv": ["deriv", "--scale", "R", "--expr", "t^3",
+                              "--alpha", "2.1", "--from", "1", "--to", "3",
+                              "--count", "20", "--output", "csv"],
+    "table_hZ_abs_higher.json": ["deriv", "--scale", "hZ(h=1)", "--expr",
+                                 "abs(t-3)", "--alpha", "2.5", "--from", "1",
+                                 "--to", "6", "--count", "6"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_COMMANDS))
+def test_tables_match_golden_output(name):
+    code, out, _ = run_cli(TABLE_COMMANDS[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
 
 
 def test_snap_is_echoed(tmp_path):

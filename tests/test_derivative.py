@@ -21,6 +21,7 @@ from tscal.derivative import (
 from tscal.errors import (
     LimitDiverged,
     NonPositivePoint,
+    NotDifferentiable,
     NotInKappa,
     NotInScale,
     PoleAtPoint,
@@ -172,6 +173,16 @@ def test_higher_order_paths_agree():
         for alpha in (1.3, 2.1, 2.9):
             primary, cross = t_alpha_higher_paths(f, ts, t, AlphaOrder(alpha))
             assert rel(primary, cross) <= 1e-9
+
+
+def test_higher_order_abs_fails_on_dense_points_only():
+    f = parse("abs(t-3)")
+    # a dense chain needs f', which does not exist; the failure is not kept
+    for _ in range(2):
+        with pytest.raises(NotDifferentiable):
+            t_alpha_higher(f, R, 1.0, AlphaOrder(2.5))
+    # on hZ the chain is all forward quotients: f = 2, 1, 0, 1 at t = 1..4
+    assert t_alpha_higher(f, HZ1, 1.0, AlphaOrder(2.5)) == 2.0
 
 
 def test_higher_order_rejects_low_alpha():

@@ -136,6 +136,20 @@ def test_nth_derivative():
     assert nth_derivative(parse("t^2"), 3) == Const(0.0)
 
 
+def test_derivative_is_built_once_per_node():
+    src = "sin(t) * t^3 + log(t) / (t + 1)"
+    e = parse(src)
+    before = (hash(e), repr(e))
+    d = derivative(e)
+    assert derivative(e) is d
+    assert nth_derivative(e, 2) is derivative(d)
+    # the kept derivative is no field: equality, hash and repr are unchanged
+    assert e == parse(src)
+    assert (hash(e), repr(e)) == before
+    # kept per object, not per structure: an equal tree builds its own
+    assert derivative(parse(src)) == d and derivative(parse(src)) is not d
+
+
 def test_substitute_composes():
     comp = substitute(parse("t^2"), parse("t+1"))
     assert evaluate(comp, 2.0) == 9.0

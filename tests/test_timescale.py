@@ -231,6 +231,16 @@ def test_uniform_lattice_membership_slack_is_relative_to_h():
     assert UniformLattice(0.1).contains(123456.7)
 
 
+@pytest.mark.parametrize("ts", [
+    RealInterval(), RealInterval(0.0, 4.0), UniformLattice(0.5),
+    QLatticeClosure(2.0), QPowers(2.0), PeriodicUnion(1.0, 1.0),
+    FiniteSet((1.0, 2.0)),
+], ids=repr)
+def test_non_finite_points_are_not_in_the_scale(ts):
+    # on R the slack 1e-12 * |t| is infinite at +-inf
+    assert not any(ts.contains(t) for t in (math.inf, -math.inf, math.nan))
+
+
 def test_uniform_lattice_sigma_agrees_with_decompose():
     # cell ends are k*h; 0.5 + 0.1 would round to 0.6, not to 6*0.1
     ts = UniformLattice(0.1)
