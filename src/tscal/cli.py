@@ -134,9 +134,9 @@ def _resolve_points(args) -> list[float]:
 
 
 def _point_row(ts: TimeScale, t: float, snap: float) -> dict:
-    cls = ts.classify(t)
-    return {"t": t, "sigma": ts.sigma(t), "mu": ts.mu(t),
-            "class": cls.label, "snap": snap}
+    site = ts.site(t)
+    return {"t": t, "sigma": site.sigma, "mu": site.mu,
+            "class": site.point_class.label, "snap": snap}
 
 
 def _emit(doc: dict, rows: list[dict], args) -> None:
@@ -164,9 +164,11 @@ def _cmd_deriv(args) -> int:
     alpha = args.alpha
     if not (alpha > 0 and math.isfinite(alpha)):
         raise _UsageError("--alpha must be positive and finite")
+    points = [_snap(ts, raw) for raw in _resolve_points(args)]
+    if alpha > 1.0 and any(t == 0.0 for t, _ in points):
+        raise _UsageError("--alpha above 1 needs t > 0; at 0 it must lie in (0, 1]")
     rows = []
-    for raw in _resolve_points(args):
-        t, snap = _snap(ts, raw)
+    for t, snap in points:
         row = _point_row(ts, t, snap)
         if t == 0.0:
             row["value"] = t_alpha_at_zero(f, ts, alpha, dcfg)

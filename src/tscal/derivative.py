@@ -18,13 +18,12 @@ from .errors import (
     LimitDiverged,
     NonPositivePoint,
     NotInKappa,
-    NotInScale,
     NoWitnessFound,
     PoleAtPoint,
     ZeroNotInScale,
 )
 from .expr import Expr, derivative as d_dt, evaluate, nth_derivative, substitute
-from .timescale import TimeScale
+from .timescale import Site, TimeScale
 
 __all__ = [
     "DerivConfig", "AlphaOrder", "t_alpha", "t_alpha_at_zero",
@@ -101,9 +100,9 @@ def _power(t: float, alpha: float) -> float:
     return t ** (1.0 - alpha)
 
 
-def _dense_limit(g: Callable[[float], float], ts: TimeScale, t: float,
+def _dense_limit(g: Callable[[float], float], site: Site,
                  cfg: DerivConfig) -> float:
-    """Limit of the difference quotient of g at a right-dense point t.
+    """Limit of the difference quotient of g at a right-dense point site.t.
 
     Uses central quotients when the scale is a continuum on both sides of t
     (equivalent to averaging the two one-sided quotients), one-sided quotients
@@ -111,7 +110,7 @@ def _dense_limit(g: Callable[[float], float], ts: TimeScale, t: float,
     convergence is declared against cfg.tol or against the cancellation noise
     floor of the sampled values, whichever is larger.
     """
-    left_room, right_room = ts.continuum_reach(t)
+    t, left_room, right_room = site.t, site.left_room, site.right_room
     if left_room <= 0.0 and right_room <= 0.0:
         raise LimitDiverged(f"no continuum neighborhood of {t!r} inside the scale")
     h0 = cfg.dense_h0 * max(1.0, abs(t))
@@ -164,33 +163,30 @@ def _dense_limit(g: Callable[[float], float], ts: TimeScale, t: float,
         f"difference quotient did not stabilize in {cfg.dense_steps} steps at t={t!r}")
 
 
-def _delta1(g: Callable[[float], float], ts: TimeScale, t: float,
-            cfg: DerivConfig) -> float:
-    """First delta derivative of a callable at t."""
-    mu = ts.mu(t)
-    if mu > 0.0:
-        return (g(ts.sigma(t)) - g(t)) / mu
-    return _dense_limit(g, ts, t, cfg)
+def _delta1(g: Callable[[float], float], site: Site, cfg: DerivConfig) -> float:
+    """First delta derivative of a callable at a scale point."""
+    if site.mu > 0.0:
+        return (g(site.sigma) - g(site.t)) / site.mu
+    return _dense_limit(g, site, cfg)
 
 
-def _require_point(ts: TimeScale, t: float) -> None:
-    if not ts.contains(t):
-        raise NotInScale(f"{t!r} is not a point of {ts!r}")
-    if not ts.in_kappa(t):
-        raise NotInKappa(f"{t!r} is a left-scattered maximum")
-
-
-def t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float,
-            cfg: DerivConfig | None = None) -> float:
-    """Conformable derivative of order alpha in (0, 1] at a point t > 0."""
+def _t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float,
+             cfg: DerivConfig | None) -> tuple[float, Site]:
+    """t_alpha's value and the site it was taken at."""
     cfg = cfg or DEFAULT_CONFIG
     _check_alpha(alpha)
     if t <= 0.0:
         raise NonPositivePoint(
             f"order-{alpha} derivative needs t > 0, got {t!r}; "
             "use t_alpha_at_zero for t = 0")
-    _require_point(ts, t)
-    return _delta1(lambda x: evaluate(f, x), ts, t, cfg) * _power(t, alpha)
+    site = ts.kappa_site(t)
+    return _delta1(lambda x: evaluate(f, x), site, cfg) * _power(t, alpha), site
+
+
+def t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float,
+            cfg: DerivConfig | None = None) -> float:
+    """Conformable derivative of order alpha in (0, 1] at a point t > 0."""
+    return _t_alpha(f, ts, t, alpha, cfg)[0]
 
 
 def _points_toward_zero(ts: TimeScale, count: int) -> list[float]:
@@ -236,8 +232,7 @@ def t_alpha_at_zero(f: Expr, ts: TimeScale, alpha: float,
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_alpha(alpha)
-    m = ts.minimum
-    if m is None or abs(m) > 1e-12 or not ts.contains(0.0):
+    if not (ts.contains(0.0) and ts.site(0.0).is_min):
         raise ZeroNotInScale(f"0 is not the minimum of {ts!r}")
     pts = _points_toward_zero(ts, cfg.zero_limit_points)
     if len(pts) < 3:
@@ -251,30 +246,29 @@ def t_alpha_at_zero(f: Expr, ts: TimeScale, alpha: float,
     return limit
 
 
-def _delta_table(f: Expr, ts: TimeScale, t: float, n: int,
-                 cfg: DerivConfig) -> float:
+def _delta_table(f: Expr, ts: TimeScale, site: Site, n: int) -> float:
     """n-th delta derivative via the nested forward-quotient triangle.
 
     Right-dense points in the chain fall back to the exact classical
     derivative of matching order (the scale is a continuum there).
     """
-    pts = [t]
-    for _ in range(n):
-        pts.append(ts.sigma(pts[-1]))
-    level = [evaluate(f, x) for x in pts]
+    sites = [site]
+    for _ in range(n - 1):
+        s = sites[-1]
+        sites.append(s if s.sigma == s.t else ts.site(s.sigma))
+    level = [evaluate(f, s.t) for s in sites]
+    level.append(evaluate(f, sites[-1].sigma))
     for k in range(1, n + 1):
         nxt = []
         for i in range(n - k + 1):
-            x = pts[i]
-            mu = ts.mu(x)
-            if mu > 0.0:
-                nxt.append((level[i + 1] - level[i]) / mu)
+            s = sites[i]
+            if s.mu > 0.0:
+                nxt.append((level[i + 1] - level[i]) / s.mu)
             else:
-                lroom, rroom = ts.continuum_reach(x)
-                if lroom <= 0.0 and rroom <= 0.0:
+                if s.left_room <= 0.0 and s.right_room <= 0.0:
                     raise NotInKappa(
-                        f"{x!r} has no forward structure for a delta derivative")
-                nxt.append(evaluate(nth_derivative(f, k), x))
+                        f"{s.t!r} has no forward structure for a delta derivative")
+                nxt.append(evaluate(nth_derivative(f, k), s.t))
         level = nxt
     return level[0]
 
@@ -285,11 +279,10 @@ def delta_derivative_n(f: Expr, ts: TimeScale, t: float, n: int,
     cfg = cfg or DEFAULT_CONFIG
     if n < 1 or n != int(n):
         raise ValueError("n must be a positive integer")
-    if not ts.contains(t):
-        raise NotInScale(f"{t!r} is not a point of {ts!r}")
+    site = ts.site(t)
     if n == 1:
-        return _delta1(lambda x: evaluate(f, x), ts, t, cfg)
-    return _delta_table(f, ts, t, int(n), cfg)
+        return _delta1(lambda x: evaluate(f, x), site, cfg)
+    return _delta_table(f, ts, site, int(n))
 
 
 def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float, order: AlphaOrder,
@@ -306,19 +299,18 @@ def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float, order: AlphaOrder,
         raise ValueError("order must exceed 1; use t_alpha below that")
     if t <= 0.0:
         raise NonPositivePoint(f"higher-order derivative needs t > 0, got {t!r}")
-    _require_point(ts, t)
+    site = ts.kappa_site(t)
 
     factor = _power(t, beta)
-    primary = factor * delta_derivative_n(f, ts, t, n + 1, cfg)
+    primary = factor * _delta_table(f, ts, site, n + 1)
 
     def g_n(x: float) -> float:
-        return _delta_table(f, ts, x, n, cfg)
+        return _delta_table(f, ts, ts.site(x), n)
 
-    mu = ts.mu(t)
-    if mu > 0.0:
-        cross = (g_n(ts.sigma(t)) - g_n(t)) / mu * factor
+    if site.mu > 0.0:
+        cross = (g_n(site.sigma) - _delta_table(f, ts, site, n)) / site.mu * factor
     else:
-        cross = _dense_limit(g_n, ts, t, cfg) * factor
+        cross = _dense_limit(g_n, site, cfg) * factor
     return primary, cross
 
 
@@ -344,8 +336,7 @@ def power_rule(ts: TimeScale, t: float, alpha: float, m: int, c: float = 0.0,
         raise ValueError("m must be a positive integer")
     if t <= 0.0:
         raise NonPositivePoint(f"power rule needs t > 0, got {t!r}")
-    _require_point(ts, t)
-    st = ts.sigma(t)
+    st = ts.kappa_site(t).sigma
     if reciprocal:
         if (t - c) * (st - c) == 0.0:
             raise PoleAtPoint(f"reciprocal power has a pole at t={t!r}, c={c!r}")
@@ -360,9 +351,8 @@ def power_rule(ts: TimeScale, t: float, alpha: float, m: int, c: float = 0.0,
 def sigma_shift(f: Expr, ts: TimeScale, t: float, alpha: float,
                 cfg: DerivConfig | None = None) -> float:
     """f(t) + mu(t) * t**(alpha-1) * t_alpha(f)(t); equals f(sigma(t))."""
-    value = t_alpha(f, ts, t, alpha, cfg)
-    mu = ts.mu(t)
-    return evaluate(f, t) + mu * t ** (alpha - 1.0) * value
+    value, site = _t_alpha(f, ts, t, alpha, cfg)
+    return evaluate(f, t) + site.mu * t ** (alpha - 1.0) * value
 
 
 def _bisect_root(fn: Callable[[float], float], lo: float, hi: float,

@@ -86,5 +86,9 @@ class EndpointSingularity(TscalError):
     """An integral endpoint at 0 did not converge under the tail policy."""
 
 
+class NotRepresentable(TscalError):
+    """A point or result beyond float resolution or range (2**53 hZ steps, overflow)."""
+
+
 class UnknownLaw(TscalError):
     """The requested verification law identifier is not defined."""

@@ -20,19 +20,14 @@ from typing import Callable
 from .errors import (
     EndpointSingularity,
     NonPositivePoint,
-    NotInKappa,
     NotInScale,
+    NotRepresentable,
     QuadratureBudgetExceeded,
     ReversedBounds,
 )
 from .derivative import _EPS, DerivConfig, _check_alpha, t_alpha
 from .expr import Expr, evaluate
-from .timescale import (
-    Jump,
-    QLatticeClosure,
-    TimeScale,
-    membership_tolerance,
-)
+from .timescale import MEMBERSHIP_RTOL, Jump, QLatticeClosure, Site, TimeScale
 
 __all__ = [
     "IntegralConfig", "IntegralResult", "cauchy", "single_grain", "indefinite",
@@ -218,7 +213,7 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
     for endpoint in (a, b):
         if not ts.contains(endpoint):
             raise NotInScale(f"{endpoint!r} is not a point of {ts!r}")
-        if endpoint < -membership_tolerance(endpoint):
+        if endpoint < -MEMBERSHIP_RTOL * max(1.0, abs(endpoint)):
             raise NonPositivePoint(f"integral endpoints must be >= 0, got {endpoint!r}")
     if a == b:
         return IntegralResult(0.0, 0.0, 0)
@@ -226,26 +221,28 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
     lo, hi = (a, b) if a < b else (b, a)
 
     if isinstance(ts, QLatticeClosure) and lo == 0.0:
-        value, err, cells = _q_series_from_zero(f, ts, hi, alpha, cfg)
-        return IntegralResult(sign * value, err, cells)
-
-    budget = [cfg.max_subdivisions]
-    contributions: list[float] = []
-    err_parts: list[float] = []
-    cells = ts.decompose(lo, hi)
-    for cell in cells:
-        if isinstance(cell, Jump):
-            if cell.t == 0.0 and alpha < 1.0:
-                raise EndpointSingularity(
-                    "an isolated jump at 0 has no finite order-alpha weight")
-            contributions.append(
-                evaluate(f, cell.t) * _weight(cell.t, alpha) * (cell.sigma_t - cell.t))
-        else:
-            v, e = _segment_piece(f, alpha, cell.lo, cell.hi, cfg, budget)
-            contributions.append(v)
-            err_parts.append(e)
-    value = math.fsum(contributions)
-    return IntegralResult(sign * value, math.fsum(err_parts), len(cells))
+        value, err, used = _q_series_from_zero(f, ts, hi, alpha, cfg)
+    else:
+        budget = [cfg.max_subdivisions]
+        contributions: list[float] = []
+        err_parts: list[float] = []
+        cells = ts.decompose(lo, hi)
+        for cell in cells:
+            if isinstance(cell, Jump):
+                if cell.t == 0.0 and alpha < 1.0:
+                    raise EndpointSingularity(
+                        "an isolated jump at 0 has no finite order-alpha weight")
+                contributions.append(evaluate(f, cell.t) * _weight(cell.t, alpha)
+                                     * (cell.sigma_t - cell.t))
+            else:
+                v, e = _segment_piece(f, alpha, cell.lo, cell.hi, cfg, budget)
+                contributions.append(v)
+                err_parts.append(e)
+        value, err, used = math.fsum(contributions), math.fsum(err_parts), len(cells)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise NotRepresentable(
+            f"integral from {a!r} to {b!r} is not finite: {value!r} +- {err!r}")
+    return IntegralResult(sign * value, err, used)
 
 
 def single_grain(f: Expr, ts: TimeScale, t: float, alpha: float) -> float:
@@ -253,11 +250,8 @@ def single_grain(f: Expr, ts: TimeScale, t: float, alpha: float) -> float:
     _check_alpha(alpha)
     if t <= 0.0:
         raise NonPositivePoint(f"single grain needs t > 0, got {t!r}")
-    if not ts.contains(t):
-        raise NotInScale(f"{t!r} is not a point of {ts!r}")
-    if not ts.in_kappa(t):
-        raise NotInKappa(f"{t!r} is a left-scattered maximum")
-    return evaluate(f, t) * ts.mu(t) * _weight(t, alpha)
+    mu = ts.kappa_site(t).mu
+    return evaluate(f, t) * mu * _weight(t, alpha)
 
 
 def indefinite(f: Expr, ts: TimeScale, base: float, t: float, alpha: float,
@@ -290,7 +284,7 @@ class FtcReport:
 FTC_TOLERANCE = 1e-6
 
 
-def _ftc_dense_value(f: Expr, ts: TimeScale, t: float, alpha: float,
+def _ftc_dense_value(f: Expr, ts: TimeScale, site: Site, alpha: float,
                      dcfg: DerivConfig, icfg: IntegralConfig) -> float:
     """Derivative of the integral accumulator at a right-dense point.
 
@@ -302,7 +296,7 @@ def _ftc_dense_value(f: Expr, ts: TimeScale, t: float, alpha: float,
     def local(lo: float, hi: float) -> float:
         return cauchy(f, ts, lo, hi, alpha, tight).value
 
-    left_room, right_room = ts.continuum_reach(t)
+    t, left_room, right_room = site.t, site.left_room, site.right_room
     h0 = 1e-3 * max(1.0, abs(t))
     if left_room >= 2 * h0 and right_room >= 2 * h0:
         mode, p0 = "central", 2
@@ -352,19 +346,15 @@ def ftc_check(f: Expr, ts: TimeScale, points: list[float], alpha: float,
     failures: list[tuple[float, str]] = []
     for t in points:
         try:
-            if not ts.contains(t):
-                raise NotInScale(f"{t!r} is not a point of {ts!r}")
+            site = ts.kappa_site(t)
             if t <= 0.0:
                 raise NonPositivePoint(f"needs t > 0, got {t!r}")
-            if not ts.in_kappa(t):
-                raise NotInKappa(f"{t!r} is a left-scattered maximum")
             expected = evaluate(f, t)
-            mu = ts.mu(t)
-            if mu > 0.0:
-                grain = cauchy(f, ts, t, ts.sigma(t), alpha, icfg).value
-                actual = grain / mu * (t ** (1.0 - alpha) if alpha != 1.0 else 1.0)
+            if site.mu > 0.0:
+                grain = cauchy(f, ts, t, site.sigma, alpha, icfg).value
+                actual = grain / site.mu * (t ** (1.0 - alpha) if alpha != 1.0 else 1.0)
             else:
-                actual = _ftc_dense_value(f, ts, t, alpha, dcfg, icfg)
+                actual = _ftc_dense_value(f, ts, site, alpha, dcfg, icfg)
             dev = abs(actual - expected) / max(1.0, abs(expected))
             entries.append(FtcEntry(t, expected, actual, dev))
         except Exception as exc:  # noqa: BLE001 - aggregate, never abort

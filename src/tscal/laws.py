@@ -23,7 +23,7 @@ from .derivative import (
     t_alpha,
     t_alpha_higher_paths,
 )
-from .errors import NonPositivePoint, NotInKappa, NotInScale, UnknownLaw
+from .errors import NonPositivePoint, UnknownLaw
 from .expr import (
     Add,
     Apply,
@@ -95,15 +95,12 @@ def definition_scan(f: Expr, ts: TimeScale, t: float, alpha: float,
     """
     if t <= 0.0:
         raise NonPositivePoint(f"definition scan needs t > 0, got {t!r}")
-    if not ts.contains(t):
-        raise NotInScale(f"{t!r} is not a point of {ts!r}")
-    if not ts.in_kappa(t):
-        raise NotInKappa(f"{t!r} is a left-scattered maximum")
-    st = ts.sigma(t)
+    site = ts.kappa_site(t)
+    st = site.sigma
     f_st = evaluate(f, st)
     tp = 1.0 if alpha == 1.0 else t ** (1.0 - alpha)
     fracs = (1.0, 0.7, 0.4, 0.2, 0.1, 0.05, 0.02, 0.01)
-    delta = max(2.0 * ts.mu(t), 0.5 * max(1.0, abs(t)))
+    delta = max(2.0 * site.mu, 0.5 * max(1.0, abs(t)))
     for _ in range(60):
         samples = {t}
         for frac in fracs:

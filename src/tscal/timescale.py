@@ -13,13 +13,15 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from .errors import NotInScale, ReversedBounds, ScaleSpecError
+from .errors import NotInKappa, NotInScale, NotRepresentable, ReversedBounds, \
+    ScaleSpecError
 
 __all__ = [
     "TimeScale", "RealInterval", "UniformLattice", "QLatticeClosure",
-    "QPowers", "PeriodicUnion", "FiniteSet", "PointClass", "Jump", "Segment",
-    "parse_scale", "finite_from_file", "membership_tolerance",
+    "QPowers", "PeriodicUnion", "FiniteSet", "PointClass", "Site", "Jump",
+    "Segment", "parse_scale", "finite_from_file",
 ]
 
 MEMBERSHIP_RTOL = 1e-12
@@ -31,9 +33,13 @@ Q_ENUM_FLOOR = 64
 _DEFAULT_MAX_CELLS = 1 << 22
 
 
-def membership_tolerance(t: float) -> float:
-    """Absolute slack used when deciding whether t lies on a lattice point."""
-    return MEMBERSHIP_RTOL * max(1.0, abs(t))
+def _slack(t: float, gap: float) -> float:
+    """Membership slack next to a feature of size gap (a lattice step, a block,
+    the distance to the nearest neighbour): relative to gap and |t|, but at
+    most gap/4, so a point between two scale points never snaps onto either."""
+    # conditionals, not min/max calls: decompose's loops call this per cell
+    s = MEMBERSHIP_RTOL * (gap if gap > abs(t) else abs(t))
+    return s if s < 0.25 * gap else 0.25 * gap
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,31 @@ class PointClass:
         return s
 
 
+class Site(NamedTuple):
+    """What the calculus needs to know about one scale point t.
+
+    sigma and mu are the forward jump and graininess; left_room and
+    right_room say how far the scale extends as a continuum on each side.
+    """
+    t: float
+    sigma: float
+    mu: float
+    left_room: float
+    right_room: float
+    left_scattered: bool
+    is_min: bool = False
+    is_max: bool = False
+
+    @property
+    def in_kappa(self) -> bool:
+        """False only at a left-scattered maximum."""
+        return not (self.is_max and self.left_scattered)
+
+    @property
+    def point_class(self) -> PointClass:
+        return PointClass(self.mu > 0.0, self.left_scattered, self.is_min, self.is_max)
+
+
 @dataclass(frozen=True)
 class Jump:
     """An isolated step from t to the next scale point."""
@@ -73,74 +104,61 @@ Cell = Jump | Segment
 
 
 class TimeScale:
-    """Base class; concrete variants implement the structural primitives."""
+    """Base class. A shape implements four primitives: contains(t), site(t)
+    (one membership decision and every local fact, or NotInScale), nearest(t)
+    and decompose(lo, hi); everything else derives from them."""
 
     def contains(self, t: float) -> bool:
         raise NotImplementedError
 
-    def sigma(self, t: float) -> float:
-        """Forward jump: smallest scale point above t (t itself at a maximum)."""
-        raise NotImplementedError
-
-    def mu(self, t: float) -> float:
-        """Graininess sigma(t) - t, from the variant's closed form."""
+    def site(self, t: float) -> Site:
         raise NotImplementedError
 
     def nearest(self, t: float) -> float:
         """The scale point closest to an arbitrary real t."""
         raise NotImplementedError
 
-    def _rho(self, t: float) -> float:
-        """Backward jump (internal; only classification needs it)."""
-        raise NotImplementedError
-
-    @property
-    def minimum(self) -> float | None:
-        return None
-
-    @property
-    def maximum(self) -> float | None:
-        return None
-
-    def continuum_reach(self, t: float) -> tuple[float, float]:
-        """How far the scale extends as a continuum on each side of t."""
-        return (0.0, 0.0)
-
     def decompose(self, lo: float, hi: float,
                   max_cells: int = _DEFAULT_MAX_CELLS) -> list[Cell]:
         """Ordered cells partitioning [lo, hi] in traversal order."""
         raise NotImplementedError
 
-    def _require(self, t: float) -> None:
-        if not self.contains(t):
-            raise NotInScale(f"{t!r} is not a point of {self!r}")
+    def _outside(self, t: float) -> NotInScale:
+        return NotInScale(f"{t!r} is not a point of {self!r}")
 
     def _check_bounds(self, lo: float, hi: float) -> None:
-        self._require(lo)
-        self._require(hi)
+        for t in (lo, hi):
+            if not self.contains(t):
+                raise self._outside(t)
         if lo > hi:
             raise ReversedBounds(f"{lo!r} > {hi!r}")
 
+    def sigma(self, t: float) -> float:
+        """Forward jump: smallest scale point above t (t itself at a maximum)."""
+        return self.site(t).sigma
+
+    def mu(self, t: float) -> float:
+        """Graininess sigma(t) - t, from the variant's closed form."""
+        return self.site(t).mu
+
     def classify(self, t: float) -> PointClass:
-        self._require(t)
-        m, mx = self.minimum, self.maximum
-        tol = membership_tolerance(t)
-        return PointClass(
-            right_scattered=self.mu(t) > 0.0,
-            left_scattered=self._rho(t) < t - tol,
-            is_min=m is not None and abs(t - m) <= tol,
-            is_max=mx is not None and abs(t - mx) <= tol,
-        )
+        return self.site(t).point_class
 
     def in_kappa(self, t: float) -> bool:
         """True unless t is a left-scattered maximum of the scale."""
-        self._require(t)
-        mx = self.maximum
-        if mx is None:
-            return True
-        if abs(t - mx) > membership_tolerance(t):
-            return True
-        return not self._rho(mx) < mx - membership_tolerance(mx)
+        return self.site(t).in_kappa
+
+    def continuum_reach(self, t: float) -> tuple[float, float]:
+        """How far the scale extends as a continuum on each side of t."""
+        s = self.site(t)
+        return (s.left_room, s.right_room)
+
+    def kappa_site(self, t: float) -> Site:
+        """The site of t, which must lie in T^kappa (not a left-scattered maximum)."""
+        s = self.site(t)
+        if not s.in_kappa:
+            raise NotInKappa(f"{t!r} is a left-scattered maximum")
+        return s
 
 
 @dataclass(frozen=True)
@@ -154,33 +172,20 @@ class RealInterval(TimeScale):
             raise ValueError("interval requires lo < hi")
 
     def contains(self, t: float) -> bool:
-        tol = membership_tolerance(t)  # infinite at +-inf, hence isfinite
+        tol = MEMBERSHIP_RTOL * max(1.0, abs(t))  # infinite at +-inf, hence isfinite
         return math.isfinite(t) and self.lo - tol <= t <= self.hi + tol
 
-    def sigma(self, t: float) -> float:
-        self._require(t)
-        return t
-
-    def mu(self, t: float) -> float:
-        self._require(t)
-        return 0.0
-
-    def _rho(self, t: float) -> float:
-        return t
+    def site(self, t: float) -> Site:
+        lo, hi = self.lo, self.hi
+        tol = MEMBERSHIP_RTOL * max(1.0, abs(t))
+        if not (lo - tol <= t <= hi + tol and math.isfinite(t)):
+            raise self._outside(t)
+        # t - lo >= -tol and hi - t >= -tol here, so no abs or max calls
+        return Site(t, t, 0.0, t - lo if t > lo else 0.0, hi - t if hi > t else 0.0,
+                    False, t - lo <= tol, hi - t <= tol)
 
     def nearest(self, t: float) -> float:
         return min(max(t, self.lo), self.hi)
-
-    @property
-    def minimum(self) -> float | None:
-        return self.lo if math.isfinite(self.lo) else None
-
-    @property
-    def maximum(self) -> float | None:
-        return self.hi if math.isfinite(self.hi) else None
-
-    def continuum_reach(self, t: float) -> tuple[float, float]:
-        return (max(t - self.lo, 0.0), max(self.hi - t, 0.0))
 
     def decompose(self, lo, hi, max_cells=_DEFAULT_MAX_CELLS):
         self._check_bounds(lo, hi)
@@ -199,31 +204,31 @@ class UniformLattice(TimeScale):
             raise ValueError("lattice step h must be positive")
 
     def contains(self, t: float) -> bool:
-        if not math.isfinite(t):
-            return False
-        k = round(t / self.h)
-        # slack relative to the step, so a tiny h admits no points between
-        return abs(t - k * self.h) <= MEMBERSHIP_RTOL * max(self.h, abs(t))
+        k = t / self.h
+        if not abs(k) < 2.0 ** 53:  # nan, inf, or too many steps for site
+            return math.isfinite(t)
+        return abs(t - round(k) * self.h) <= _slack(t, self.h)
 
-    def sigma(self, t: float) -> float:
-        self._require(t)
+    def _step(self, t: float) -> int:
+        """The k with t nearest k*h; NotRepresentable at 2**53 steps or more."""
+        k = t / self.h
+        if abs(k) >= 2.0 ** 53:
+            raise NotRepresentable(
+                f"{t!r} is {k!r} steps of {self!r}, beyond float resolution")
+        return round(k)
+
+    def site(self, t: float) -> Site:
+        if not self.contains(t):
+            raise self._outside(t)
         # (k+1)*h, the point decompose steps to; t + h can round elsewhere
-        return (round(t / self.h) + 1) * self.h
-
-    def mu(self, t: float) -> float:
-        self._require(t)
-        return self.h
-
-    def _rho(self, t: float) -> float:
-        return t - self.h
+        return Site(t, (self._step(t) + 1) * self.h, self.h, 0.0, 0.0, True)
 
     def nearest(self, t: float) -> float:
-        return round(t / self.h) * self.h
+        return self._step(t) * self.h
 
     def decompose(self, lo, hi, max_cells=_DEFAULT_MAX_CELLS):
         self._check_bounds(lo, hi)
-        k0 = round(lo / self.h)
-        k1 = round(hi / self.h)
+        k0, k1 = self._step(lo), self._step(hi)
         if k1 - k0 > max_cells:
             raise ValueError(f"decomposition would need {k1 - k0} cells")
         points = [lo] + [(k0 + i) * self.h for i in range(1, k1 - k0)] + [hi]
@@ -236,6 +241,25 @@ def _q_exponent(q: float, t: float) -> int:
     return round(math.log(t) / math.log(q))
 
 
+def _q_index(q: float, t: float, k_min: float) -> int | None:
+    """The exponent k >= k_min with t = q**k, or None. The slack is relative
+    to t, since the points crowd together toward 0."""
+    if not 0.0 < t < math.inf:
+        return None
+    k = _q_exponent(q, t)
+    return k if k >= k_min and abs(t - q ** k) <= MEMBERSHIP_RTOL * t else None
+
+
+def _q_site(ts: QLatticeClosure | QPowers, t: float, k_min: float) -> Site:
+    """Site of a positive point of a geometric lattice with exponents >= k_min;
+    every such point but q**k_min is left-scattered."""
+    k = _q_index(ts.q, t, k_min)
+    if k is None:
+        raise ts._outside(t)
+    mu = (ts.q - 1.0) * t
+    return Site(t, t + mu, mu, 0.0, 0.0, k > k_min, k == k_min)
+
+
 @dataclass(frozen=True)
 class QLatticeClosure(TimeScale):
     """The geometric lattice {q**k : k integer} together with 0, q > 1."""
@@ -245,38 +269,14 @@ class QLatticeClosure(TimeScale):
         if not self.q > 1:
             raise ValueError("q must exceed 1")
 
-    def _is_zero(self, t: float) -> bool:
-        # the accumulation point itself; tiny q-powers stay distinct from 0
-        return t == 0.0
-
     def contains(self, t: float) -> bool:
-        if not math.isfinite(t):
-            return False
-        if self._is_zero(t):
-            return True
-        if t <= 0:
-            return False
-        k = _q_exponent(self.q, t)
-        # slack relative to t: points near the accumulation point 0 are close
-        # together, so an absolute floor would admit points between them
-        return abs(t - self.q ** k) <= MEMBERSHIP_RTOL * t
+        # 0 is the accumulation point; tiny q-powers stay distinct from it
+        return t == 0.0 or _q_index(self.q, t, -math.inf) is not None
 
-    def sigma(self, t: float) -> float:
-        self._require(t)
-        if self._is_zero(t):
-            return 0.0
-        return t + (self.q - 1.0) * t
-
-    def mu(self, t: float) -> float:
-        self._require(t)
-        if self._is_zero(t):
-            return 0.0
-        return (self.q - 1.0) * t
-
-    def _rho(self, t: float) -> float:
-        if self._is_zero(t):
-            return 0.0
-        return t / self.q
+    def site(self, t: float) -> Site:
+        if t == 0.0:
+            return Site(t, 0.0, 0.0, 0.0, 0.0, False, True)
+        return _q_site(self, t, -math.inf)
 
     def nearest(self, t: float) -> float:
         if t <= 0.0:
@@ -285,16 +285,12 @@ class QLatticeClosure(TimeScale):
         cands = [0.0, self.q ** (k - 1), self.q ** k, self.q ** (k + 1)]
         return min(cands, key=lambda c: abs(c - t))
 
-    @property
-    def minimum(self) -> float | None:
-        return 0.0
-
     def decompose(self, lo, hi, max_cells=_DEFAULT_MAX_CELLS):
         self._check_bounds(lo, hi)
-        if lo == hi or self._is_zero(hi):
+        if lo == hi or hi == 0.0:
             return []
         k1 = _q_exponent(self.q, hi)
-        if self._is_zero(lo):
+        if lo == 0.0:
             k0 = -Q_ENUM_FLOOR
             if k1 <= k0:
                 return [Segment(0.0, hi)]
@@ -320,23 +316,10 @@ class QPowers(TimeScale):
             raise ValueError("q must exceed 1")
 
     def contains(self, t: float) -> bool:
-        if not math.isfinite(t) or t <= 0:
-            return False
-        k = _q_exponent(self.q, t)
-        return k >= 0 and abs(t - self.q ** k) <= membership_tolerance(t)
+        return _q_index(self.q, t, 0) is not None
 
-    def sigma(self, t: float) -> float:
-        self._require(t)
-        return t + (self.q - 1.0) * t
-
-    def mu(self, t: float) -> float:
-        self._require(t)
-        return (self.q - 1.0) * t
-
-    def _rho(self, t: float) -> float:
-        if _q_exponent(self.q, t) <= 0:
-            return 1.0
-        return t / self.q
+    def site(self, t: float) -> Site:
+        return _q_site(self, t, 0)
 
     def nearest(self, t: float) -> float:
         if t <= 1.0:
@@ -344,10 +327,6 @@ class QPowers(TimeScale):
         k = _q_exponent(self.q, t)
         cands = [self.q ** max(k - 1, 0), self.q ** max(k, 0), self.q ** (k + 1)]
         return min(cands, key=lambda c: abs(c - t))
-
-    @property
-    def minimum(self) -> float | None:
-        return 1.0
 
     def decompose(self, lo, hi, max_cells=_DEFAULT_MAX_CELLS):
         self._check_bounds(lo, hi)
@@ -370,6 +349,7 @@ class PeriodicUnion(TimeScale):
     def __post_init__(self):
         if not (self.a > 0 and self.b > 0):
             raise ValueError("block length a and gap length b must be positive")
+        object.__setattr__(self, "_gap", min(self.a, self.b))  # not a field
 
     @property
     def period(self) -> float:
@@ -380,7 +360,7 @@ class PeriodicUnion(TimeScale):
         p = self.period
         k = math.floor(t / p)
         r = t - k * p
-        tol = membership_tolerance(t)
+        tol = _slack(t, self._gap)
         if r > self.a + tol and p - r <= tol:
             k += 1
             r = 0.0
@@ -392,25 +372,15 @@ class PeriodicUnion(TimeScale):
         return k, r, contained
 
     def contains(self, t: float) -> bool:
-        if not math.isfinite(t):
-            return False
-        return self._locate(t)[2]
+        return math.isfinite(t) and self._locate(t)[2]
 
-    def sigma(self, t: float) -> float:
-        self._require(t)
-        _, r, _ = self._locate(t)
-        return t + self.b if r == self.a else t
-
-    def mu(self, t: float) -> float:
-        self._require(t)
-        _, r, _ = self._locate(t)
-        return self.b if r == self.a else 0.0
-
-    def _rho(self, t: float) -> float:
-        k, r, _ = self._locate(t)
-        if r == 0.0 and k >= 1:
-            return t - self.b
-        return t
+    def site(self, t: float) -> Site:
+        k, r, contained = self._locate(t) if math.isfinite(t) else (0, 0.0, False)
+        if not contained:
+            raise self._outside(t)
+        if r == self.a:
+            return Site(t, t + self.b, self.b, r, 0.0, False)
+        return Site(t, t, 0.0, r, self.a - r, r == 0.0 and k >= 1, r == 0.0 and k == 0)
 
     def nearest(self, t: float) -> float:
         if t <= 0.0:
@@ -421,16 +391,6 @@ class PeriodicUnion(TimeScale):
         inside = k * p + min(max(r, 0.0), self.a)
         nxt = (k + 1) * p
         return inside if abs(inside - t) <= abs(nxt - t) else nxt
-
-    @property
-    def minimum(self) -> float | None:
-        return 0.0
-
-    def continuum_reach(self, t: float) -> tuple[float, float]:
-        _, r, _ = self._locate(t)
-        if r == self.a:
-            return (self.a, 0.0)
-        return (r, self.a - r)
 
     def decompose(self, lo, hi, max_cells=_DEFAULT_MAX_CELLS):
         self._check_bounds(lo, hi)
@@ -443,7 +403,7 @@ class PeriodicUnion(TimeScale):
             k, r, _ = self._locate(x)
             block_end = k * p + self.a
             if r == self.a:
-                if hi <= x + membership_tolerance(x):
+                if hi <= x + _slack(x, self._gap):
                     break
                 nxt = (k + 1) * p
                 cells.append(Jump(x, nxt))
@@ -452,7 +412,7 @@ class PeriodicUnion(TimeScale):
             seg_hi = min(block_end, hi)
             if seg_hi > x:
                 cells.append(Segment(x, seg_hi))
-            if hi <= seg_hi + membership_tolerance(seg_hi):
+            if hi <= seg_hi + _slack(seg_hi, self._gap):
                 break
             nxt = (k + 1) * p
             cells.append(Jump(seg_hi, nxt))
@@ -476,44 +436,36 @@ class FiniteSet(TimeScale):
         object.__setattr__(self, "points", pts)
 
     def _index(self, t: float) -> int | None:
-        i = bisect_left(self.points, t)
-        for j in (i - 1, i):
-            if 0 <= j < len(self.points) and \
-                    abs(self.points[j] - t) <= membership_tolerance(t):
-                return j
+        """Index of the point t snaps to, with slack from its nearer neighbour."""
+        pts = self.points
+        n = len(pts)
+        i = bisect_left(pts, t)
+        for j in (i, i - 1):  # the slack keeps at most one of them in reach
+            if 0 <= j < n:
+                p = pts[j]
+                if p == t:
+                    return j
+                gap = min(p - pts[j - 1] if j > 0 else math.inf,
+                          pts[j + 1] - p if j + 1 < n else math.inf)
+                if abs(p - t) <= _slack(t, gap if gap < math.inf else max(1.0, abs(p))):
+                    return j
         return None
 
     def contains(self, t: float) -> bool:
         return math.isfinite(t) and self._index(t) is not None
 
-    def sigma(self, t: float) -> float:
-        self._require(t)
-        i = self._index(t)
-        return self.points[min(i + 1, len(self.points) - 1)]
-
-    def mu(self, t: float) -> float:
-        self._require(t)
-        i = self._index(t)
-        if i + 1 >= len(self.points):
-            return 0.0
-        return self.points[i + 1] - self.points[i]
-
-    def _rho(self, t: float) -> float:
-        i = self._index(t)
-        return self.points[max(i - 1, 0)]
+    def site(self, t: float) -> Site:
+        i = self._index(t) if math.isfinite(t) else None
+        if i is None:
+            raise self._outside(t)
+        pts, last = self.points, len(self.points) - 1
+        nxt = pts[min(i + 1, last)]  # sigma of the maximum is itself
+        return Site(t, nxt, nxt - pts[i], 0.0, 0.0, i > 0, i == 0, i == last)
 
     def nearest(self, t: float) -> float:
         i = bisect_left(self.points, t)
         cands = [self.points[j] for j in (i - 1, i) if 0 <= j < len(self.points)]
         return min(cands, key=lambda c: abs(c - t))
-
-    @property
-    def minimum(self) -> float | None:
-        return self.points[0]
-
-    @property
-    def maximum(self) -> float | None:
-        return self.points[-1]
 
     def decompose(self, lo, hi, max_cells=_DEFAULT_MAX_CELLS):
         self._check_bounds(lo, hi)

@@ -324,3 +324,22 @@ def test_finite_scale_from_file(tmp_path):
     assert code == 0
     # quotient ((4)^2 - 2^2) / 2 = 6
     assert json.loads(out)["results"][0]["value"] == 6.0
+
+
+def test_order_above_one_at_zero_is_a_usage_error():
+    code, out, err = run_cli(["deriv", "--scale", "qZbar(q=2)", "--expr", "t",
+                              "--alpha", "1.5", "--at", "0"])
+    assert (code, out) == (1, "")
+    assert err.startswith("tscal: usage error: --alpha above 1")
+
+
+@pytest.mark.parametrize("args", [
+    ["integ", "--scale", "R", "--expr", "t", "--alpha", "1", "--from", "0",
+     "--to", "1e300"],
+    ["deriv", "--scale", "hZ(h=1e-16)", "--expr", "t", "--alpha", "1", "--at", "1"],
+    ["deriv", "--scale", "hZ(h=1e-300)", "--expr", "t", "--alpha", "1", "--at", "1"],
+], ids=["integ_overflow", "hZ_1e-16", "hZ_1e-300"])
+def test_unrepresentable_results_exit_3_without_output(args):
+    code, out, err = run_cli(args)
+    assert (code, out) == (3, "")
+    assert err.startswith("tscal: NotRepresentable: ")

@@ -24,6 +24,7 @@ from tscal.errors import (
     NotDifferentiable,
     NotInKappa,
     NotInScale,
+    NotRepresentable,
     PoleAtPoint,
     ZeroNotInScale,
 )
@@ -303,3 +304,11 @@ def test_config_validation():
         DerivConfig(tol=-1.0)
     with pytest.raises(ValueError):
         AlphaOrder(0.0)
+
+
+@pytest.mark.parametrize("h", [1e-16, 1e-300])
+def test_t_alpha_on_a_lattice_beyond_float_resolution_raises(h):
+    # the answer would be 1; sigma(t) - t cannot be resolved, so a typed error
+    ts = UniformLattice(h)
+    with pytest.raises(NotRepresentable):
+        t_alpha(parse("t"), ts, 1.0, 1.0)

@@ -10,6 +10,7 @@ from tscal.errors import (
     EndpointSingularity,
     NonPositivePoint,
     NotInScale,
+    NotRepresentable,
     QuadratureBudgetExceeded,
     ReversedBounds,
 )
@@ -295,3 +296,10 @@ def test_est_error_and_cells_reported():
     res = cauchy(parse("t"), QZ2, 0.25, 8.0, 0.5)
     assert res.est_error == 0.0
     assert res.cells_used == 5
+
+
+def test_overflowing_integral_raises():
+    with pytest.raises(NotRepresentable):
+        cauchy(parse("t"), RealInterval(), 0.0, 1e300, 1.0)
+    with pytest.raises(NotRepresentable):
+        cauchy(parse("t"), RealInterval(), 1e300, 0.0, 0.5)

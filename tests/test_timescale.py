@@ -1,11 +1,13 @@
 """Structural behavior of the six time-scale variants."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from tscal.errors import NotInScale, ReversedBounds, ScaleSpecError
+from tscal.errors import NotInScale, NotRepresentable, ReversedBounds, ScaleSpecError
 from tscal.timescale import (
     FiniteSet,
     Jump,
@@ -14,6 +16,7 @@ from tscal.timescale import (
     QPowers,
     RealInterval,
     Segment,
+    TimeScale,
     UniformLattice,
     finite_from_file,
     parse_scale,
@@ -293,3 +296,94 @@ def test_finite_file(tmp_path):
         finite_from_file(bad)
     with pytest.raises(ScaleSpecError):
         finite_from_file(tmp_path / "missing.txt")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# Ordinary scale points (ends, block edges, 0, minima and maxima) on every
+# shape; tests/golden/scale_sites.json holds their primitives as recorded
+# before sigma, mu, classify, in_kappa and continuum_reach were derived from
+# one site per point.
+SITE_GRID = [
+    (RealInterval(), (-3.5, 0.0, 1.0, 2.5, 1e6)),
+    (RealInterval(0.0, 4.0), (0.0, 1.5, 4.0)),
+    (UniformLattice(0.5), (-1.0, 0.0, 0.5, 2.5)),
+    (UniformLattice(0.1), (0.0, 0.3, 0.5, 12345.6)),
+    (QLatticeClosure(2.0), (0.0, 2.0 ** -10, 0.5, 1.0, 8.0)),
+    (QLatticeClosure(3.0), (0.0, 3.0 ** -3, 1.0, 9.0)),
+    (QPowers(2.0), (1.0, 2.0, 16.0)),
+    (QPowers(1.5), (1.0, 1.5, 2.25, 1.5 ** 5)),
+    (PeriodicUnion(1.0, 2.0), (0.0, 0.5, 1.0, 3.0, 3.5, 4.0, 6.0, 7.0)),
+    (PeriodicUnion(0.5, 1.5), (0.0, 0.5, 2.0, 2.25, 2.5)),
+    (PeriodicUnion(0.7, 0.4), (0.0, 0.7, 1.1, 1.1 + 0.7)),
+    (FiniteSet((0.0, 0.5, 1.25, 2.0, 7.5)), (0.0, 0.5, 1.25, 2.0, 7.5)),
+    (FiniteSet((3.0,)), (3.0,)),
+    (FiniteSet((-2.0, -1.0, 4.0)), (-2.0, -1.0, 4.0)),
+]
+
+
+def _site_rows():
+    rows = []
+    for ts, points in SITE_GRID:
+        for t in points:
+            left, right = ts.continuum_reach(t)
+            rows.append({
+                "scale": repr(ts), "t": repr(t), "sigma": repr(ts.sigma(t)),
+                "mu": repr(ts.mu(t)), "class": ts.classify(t).label,
+                "in_kappa": ts.in_kappa(t), "reach": [repr(left), repr(right)],
+            })
+    return rows
+
+
+def test_scale_primitives_match_golden():
+    golden = json.loads((GOLDEN / "scale_sites.json").read_text(encoding="utf-8"))
+    assert _site_rows() == golden
+
+
+def test_shapes_implement_only_the_four_primitives():
+    derived = {"sigma", "mu", "_rho", "classify", "in_kappa", "continuum_reach",
+               "minimum", "maximum", "_require"}
+    for cls in TimeScale.__subclasses__():
+        assert not derived & set(vars(cls)), cls.__name__
+        assert {"contains", "site", "nearest", "decompose"} <= set(vars(cls))
+
+
+def test_block_slack_is_relative_to_the_block():
+    # 1 + 8e-13 lies in the gap after the block [1+1e-13, 1+2e-13]
+    pab = PeriodicUnion(1e-13, 1.0)
+    assert not pab.contains(1 + 8e-13)
+    with pytest.raises(NotInScale):
+        pab.sigma(1 + 8e-13)
+    assert pab.sigma(1e-13) == 1.0 + 1e-13
+
+
+def test_finite_slack_is_relative_to_the_nearest_neighbour():
+    fs = FiniteSet((1.0, 1 + 5e-13, 2.0))
+    with pytest.raises(NotInScale):
+        fs.sigma(1 + 2.5e-13)
+    assert fs.sigma(1.0) == 1 + 5e-13
+    assert fs.classify(1 + 5e-13).label == "rs-ls"
+
+
+def test_left_scattered_points_near_a_coarse_slack():
+    # classification comes from the scale's structure, not from a comparison
+    # of the backward gap with an absolute slack of 1e-12
+    assert QLatticeClosure(2.0).classify(2.0 ** -50).label == "rs-ls"
+    assert UniformLattice(1e-13).classify(1.0).label == "rs-ls"
+    assert FiniteSet((0.0, 1e-13)).classify(1e-13).label == "rd-ls,max"
+
+
+@pytest.mark.parametrize("h", [1e-16, 1e-300])
+def test_uniform_lattice_beyond_float_resolution_raises(h):
+    # 1/h steps from 0 reach 1.0: at 2**53 steps or more, (k+1)*h cannot differ
+    # from k*h reliably, so no sigma is returned
+    ts = UniformLattice(h)
+    assert ts.contains(1.0)
+    for primitive in (ts.site, ts.sigma, ts.nearest):
+        with pytest.raises(NotRepresentable):
+            primitive(1.0)
+    with pytest.raises(NotRepresentable):
+        ts.decompose(1.0, 1.0)
+    with pytest.raises(NotRepresentable):
+        ts.nearest(1e300)  # t / h overflows to inf
+    assert ts.sigma(2.0 ** 52 * h) == (2.0 ** 52 + 1) * h
