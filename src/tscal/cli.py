@@ -24,7 +24,7 @@ from .errors import ExprSyntaxError, ScaleSpecError, TscalError, UnknownLaw
 from .expr import derivative as d_dt, evaluate, parse as parse_expr, substitute
 from .integral import IntegralConfig, cauchy
 from .laws import LAWS, run_law_suite
-from .timescale import TimeScale, parse_scale
+from .timescale import MEMBERSHIP_RTOL, TimeScale, parse_scale
 
 __all__ = ["main"]
 
@@ -89,7 +89,7 @@ def _tolerances(args) -> tuple[DerivConfig, IntegralConfig, dict]:
         dcfg = replace(dcfg, tol=tol)
         icfg = replace(icfg, quad_tol=tol)
     meta = {"deriv_tol": dcfg.tol, "quad_tol": icfg.quad_tol,
-            "membership_rtol": 1e-12}
+            "membership_rtol": MEMBERSHIP_RTOL}
     return dcfg, icfg, meta
 
 

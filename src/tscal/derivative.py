@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .errors import (
@@ -33,6 +34,9 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 _NOISE_SAFETY = 8.0
+_DENSE_STEPS = 20
+_RICHARDSON_DEPTH = 2
+_ZERO_LIMIT_POINTS = 12
 
 HIGHER_ORDER_AGREEMENT_RTOL = 1e-9
 WITNESS_GRID_POINTS = 10_000
@@ -40,31 +44,21 @@ WITNESS_GRID_POINTS = 10_000
 
 @dataclass(frozen=True)
 class DerivConfig:
-    """Numerical policy for limit-based evaluation.
+    """Numerical policy for limit-based evaluation at right-dense points.
 
-    dense_h0 is the initial quotient step, scaled by max(1, |t|); successive
-    steps shrink by dense_ratio, at most dense_steps of them. The limit is
-    accepted once two successive Richardson corners agree to tol (relative),
-    or to the rounding floor of the sampled function values if that is larger.
-    zero_limit_points controls how many scale points approaching 0+ feed the
-    derivative-at-zero extrapolation.
+    dense_h0 is the initial quotient step, scaled by max(1, |t|); the step
+    then halves, at most 20 times. The limit is accepted once two successive
+    Richardson corners agree to tol (relative), or to the rounding floor of
+    the sampled function values if that is larger.
     """
     dense_h0: float = 1e-3
-    dense_ratio: float = 0.5
-    dense_steps: int = 20
-    richardson_depth: int = 2
     tol: float = 1e-9
-    zero_limit_points: int = 12
 
     def __post_init__(self):
-        if not (self.dense_h0 > 0 and 0 < self.dense_ratio < 1):
-            raise ValueError("step sequence must be positive and shrinking")
-        if self.dense_steps < 2 or self.richardson_depth < 1:
-            raise ValueError("need at least two steps and one extrapolation level")
+        if not self.dense_h0 > 0:
+            raise ValueError("dense_h0 must be positive")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.zero_limit_points < 3:
-            raise ValueError("need at least three points for the zero limit")
 
 
 DEFAULT_CONFIG = DerivConfig()
@@ -100,67 +94,71 @@ def _power(t: float, alpha: float) -> float:
     return t ** (1.0 - alpha)
 
 
-def _dense_limit(g: Callable[[float], float], site: Site,
-                 cfg: DerivConfig) -> float:
-    """Limit of the difference quotient of g at a right-dense point site.t.
+def _richardson(quotient: Callable[[int, float], tuple[float, float]],
+                site: Site, h0: float, tol: float) -> float:
+    """Limit as h -> 0 of a difference quotient at a right-dense point site.t.
 
-    Uses central quotients when the scale is a continuum on both sides of t
-    (equivalent to averaging the two one-sided quotients), one-sided quotients
-    at a continuum edge. Richardson extrapolation accelerates the sequence;
-    convergence is declared against cfg.tol or against the cancellation noise
-    floor of the sampled values, whichever is larger.
+    Central quotients (side 0) are used when the scale is a continuum on both
+    sides of t, one-sided ones (side +1 or -1) at a continuum edge.
+    quotient(side, h) returns the quotient at step h and its noise floor. The
+    step halves from h0; a depth-2 Richardson table accelerates the sequence,
+    and the limit is its corner once two successive corners agree to tol
+    (relative) or to the noise floor, whichever is larger.
     """
     t, left_room, right_room = site.t, site.left_room, site.right_room
     if left_room <= 0.0 and right_room <= 0.0:
         raise LimitDiverged(f"no continuum neighborhood of {t!r} inside the scale")
-    h0 = cfg.dense_h0 * max(1.0, abs(t))
     if left_room >= 2 * h0 and right_room >= 2 * h0:
-        mode = "central"
+        side, p = 0, 2  # the central quotient's error has even powers of h only
     elif right_room >= left_room:
-        mode = "right"
-        h0 = min(h0, right_room / 4.0)
+        side, p, h0 = 1, 1, min(h0, right_room / 4.0)
     else:
-        mode = "left"
-        h0 = min(h0, left_room / 4.0)
-    if mode == "central":
-        p0, dp = 2, 2
-        gt = None
-    else:
-        p0, dp = 1, 1
-        gt = g(t)
-
-    inv_ratio = 1.0 / cfg.dense_ratio
-    table: list[list[float]] = []
-    fmax = abs(gt) if gt is not None else 0.0
+        side, p, h0 = -1, 1, min(h0, left_room / 4.0)
+    prev_row: list[float] = []
     prev_corner = math.nan
     h = h0
-    for k in range(cfg.dense_steps):
-        if mode == "central":
-            a, b = g(t + h), g(t - h)
-            quotient = (a - b) / (2.0 * h)
-            fmax = max(fmax, abs(a), abs(b))
-        elif mode == "right":
-            a = g(t + h)
-            quotient = (a - gt) / h
-            fmax = max(fmax, abs(a))
-        else:
-            b = g(t - h)
-            quotient = (gt - b) / h
-            fmax = max(fmax, abs(b))
-        row = [quotient]
-        for j in range(1, min(k, cfg.richardson_depth) + 1):
-            c = inv_ratio ** (p0 + (j - 1) * dp)
-            row.append((c * row[j - 1] - table[k - 1][j - 1]) / (c - 1.0))
-        table.append(row)
+    for k in range(_DENSE_STEPS):
+        value, floor = quotient(side, h)
+        row = [value]
+        for j in range(1, min(k, _RICHARDSON_DEPTH) + 1):
+            c = 2.0 ** (p * j)
+            row.append((c * row[j - 1] - prev_row[j - 1]) / (c - 1.0))
         corner = row[-1]
-        if k >= 1:
-            noise_floor = _NOISE_SAFETY * _EPS * fmax / h
-            if abs(corner - prev_corner) <= max(cfg.tol * abs(corner), noise_floor):
-                return corner
-        prev_corner = corner
-        h *= cfg.dense_ratio
+        if k >= 1 and abs(corner - prev_corner) <= max(tol * abs(corner), floor):
+            return corner
+        prev_row, prev_corner = row, corner
+        h *= 0.5
     raise LimitDiverged(
-        f"difference quotient did not stabilize in {cfg.dense_steps} steps at t={t!r}")
+        f"difference quotient did not stabilize in {_DENSE_STEPS} steps at t={t!r}")
+
+
+def _dense_limit(g: Callable[[float], float], site: Site,
+                 cfg: DerivConfig) -> float:
+    """Limit of the difference quotient of g at a right-dense point site.t.
+
+    The noise floor is the cancellation error of the sampled values,
+    8 eps max|g| / h. A one-sided quotient evaluates g(t) once, first.
+    """
+    t = site.t
+    gt = None
+    fmax = 0.0
+
+    def quotient(side: int, h: float) -> tuple[float, float]:
+        nonlocal gt, fmax
+        if side == 0:
+            a, b = g(t + h), g(t - h)
+            fmax = max(fmax, abs(a), abs(b))
+            value = (a - b) / (2.0 * h)
+        else:
+            if gt is None:
+                gt = g(t)
+                fmax = abs(gt)
+            a = g(t + side * h)
+            fmax = max(fmax, abs(a))
+            value = side * (a - gt) / h
+        return value, _NOISE_SAFETY * _EPS * fmax / h
+
+    return _richardson(quotient, site, cfg.dense_h0 * max(1.0, abs(t)), cfg.tol)
 
 
 def _delta1(g: Callable[[float], float], site: Site, cfg: DerivConfig) -> float:
@@ -180,7 +178,7 @@ def _t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float,
             f"order-{alpha} derivative needs t > 0, got {t!r}; "
             "use t_alpha_at_zero for t = 0")
     site = ts.kappa_site(t)
-    return _delta1(lambda x: evaluate(f, x), site, cfg) * _power(t, alpha), site
+    return _delta1(partial(evaluate, f), site, cfg) * _power(t, alpha), site
 
 
 def t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float,
@@ -234,7 +232,7 @@ def t_alpha_at_zero(f: Expr, ts: TimeScale, alpha: float,
     _check_alpha(alpha)
     if not (ts.contains(0.0) and ts.site(0.0).is_min):
         raise ZeroNotInScale(f"0 is not the minimum of {ts!r}")
-    pts = _points_toward_zero(ts, cfg.zero_limit_points)
+    pts = _points_toward_zero(ts, _ZERO_LIMIT_POINTS)
     if len(pts) < 3:
         raise LimitDiverged("too few scale points approaching 0+")
     vals = [t_alpha(f, ts, x, alpha, cfg) for x in pts]
@@ -281,7 +279,7 @@ def delta_derivative_n(f: Expr, ts: TimeScale, t: float, n: int,
         raise ValueError("n must be a positive integer")
     site = ts.site(t)
     if n == 1:
-        return _delta1(lambda x: evaluate(f, x), site, cfg)
+        return _delta1(partial(evaluate, f), site, cfg)
     return _delta_table(f, ts, site, int(n))
 
 
@@ -307,11 +305,7 @@ def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float, order: AlphaOrder,
     def g_n(x: float) -> float:
         return _delta_table(f, ts, ts.site(x), n)
 
-    if site.mu > 0.0:
-        cross = (g_n(site.sigma) - _delta_table(f, ts, site, n)) / site.mu * factor
-    else:
-        cross = _dense_limit(g_n, site, cfg) * factor
-    return primary, cross
+    return primary, _delta1(g_n, site, cfg) * factor
 
 
 def t_alpha_higher(f: Expr, ts: TimeScale, t: float, order: AlphaOrder,

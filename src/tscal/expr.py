@@ -368,18 +368,6 @@ def fold(e: Expr) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _check_differentiable(e: Expr) -> None:
-    if isinstance(e, Apply):
-        if e.func == "abs":
-            raise NotDifferentiable("abs is not differentiable at 0")
-        _check_differentiable(e.arg)
-    elif isinstance(e, Pow):
-        _check_differentiable(e.base)
-    elif isinstance(e, (Add, Sub, Mul, Div)):
-        _check_differentiable(e.left)
-        _check_differentiable(e.right)
-
-
 def derivative(e: Expr) -> Expr:
     """Exact classical derivative d/dt, constant-folded.
 
@@ -389,7 +377,6 @@ def derivative(e: Expr) -> Expr:
     """
     d = e.__dict__.get("_derivative")
     if d is None:
-        _check_differentiable(e)
         d = fold(_d(e))
         object.__setattr__(e, "_derivative", d)
     return d
@@ -415,6 +402,8 @@ def _d(e: Expr) -> Expr:
         c = e.exponent.value
         return Mul(Mul(Const(c), Pow(e.base, Const(c - 1.0))), _d(e.base))
     if isinstance(e, Apply):
+        if e.func == "abs":
+            raise NotDifferentiable("abs is not differentiable at 0")
         inner = _d(e.arg)
         if e.func == "log":
             return Div(inner, e.arg)

@@ -25,7 +25,10 @@ from .errors import (
     QuadratureBudgetExceeded,
     ReversedBounds,
 )
-from .derivative import _EPS, DerivConfig, _check_alpha, t_alpha
+from .derivative import (
+    _EPS, DEFAULT_CONFIG as _DENSE, DerivConfig, _check_alpha, _power, _richardson,
+    t_alpha,
+)
 from .expr import Expr, evaluate
 from .timescale import MEMBERSHIP_RTOL, Jump, QLatticeClosure, Site, TimeScale
 
@@ -215,6 +218,7 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
             raise NotInScale(f"{endpoint!r} is not a point of {ts!r}")
         if endpoint < -MEMBERSHIP_RTOL * max(1.0, abs(endpoint)):
             raise NonPositivePoint(f"integral endpoints must be >= 0, got {endpoint!r}")
+    a, b = max(a, 0.0), max(b, 0.0)  # the slack above admits them as 0
     if a == b:
         return IntegralResult(0.0, 0.0, 0)
     sign = 1.0 if a < b else -1.0
@@ -229,7 +233,7 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
         cells = ts.decompose(lo, hi)
         for cell in cells:
             if isinstance(cell, Jump):
-                if cell.t == 0.0 and alpha < 1.0:
+                if cell.t <= 0.0 and alpha < 1.0:
                     raise EndpointSingularity(
                         "an isolated jump at 0 has no finite order-alpha weight")
                 contributions.append(evaluate(f, cell.t) * _weight(cell.t, alpha)
@@ -285,62 +289,33 @@ FTC_TOLERANCE = 1e-6
 
 
 def _ftc_dense_value(f: Expr, ts: TimeScale, site: Site, alpha: float,
-                     dcfg: DerivConfig, icfg: IntegralConfig) -> float:
+                     icfg: IntegralConfig) -> float:
     """Derivative of the integral accumulator at a right-dense point.
 
-    Quotients are formed from short local integrals so no large-value
-    cancellation occurs, then Richardson-extrapolated.
+    Quotients are formed from short local integrals, so no large-value
+    cancellation occurs; their noise floor is 8 quad_tol / h.
     """
     tight = replace(icfg, quad_tol=max(icfg.quad_tol * 1e-3, 1e-14))
+    t = site.t
 
-    def local(lo: float, hi: float) -> float:
-        return cauchy(f, ts, lo, hi, alpha, tight).value
+    def quotient(side: int, h: float) -> tuple[float, float]:
+        lo = t if side > 0 else t - h
+        hi = t if side < 0 else t + h
+        width = 2.0 * h if side == 0 else h
+        return cauchy(f, ts, lo, hi, alpha, tight).value / width, 8.0 * tight.quad_tol / h
 
-    t, left_room, right_room = site.t, site.left_room, site.right_room
-    h0 = 1e-3 * max(1.0, abs(t))
-    if left_room >= 2 * h0 and right_room >= 2 * h0:
-        mode, p0 = "central", 2
-    elif right_room >= left_room:
-        mode, p0 = "right", 1
-        h0 = min(h0, right_room / 4.0)
-    else:
-        mode, p0 = "left", 1
-        h0 = min(h0, left_room / 4.0)
-
-    table: list[list[float]] = []
-    prev = math.nan
-    h = h0
-    for k in range(10):
-        if mode == "central":
-            quotient = local(t - h, t + h) / (2.0 * h)
-        elif mode == "right":
-            quotient = local(t, t + h) / h
-        else:
-            quotient = local(t - h, t) / h
-        row = [quotient]
-        for j in range(1, min(k, 2) + 1):
-            c = 2.0 ** (p0 + (j - 1) * p0)
-            row.append((c * row[j - 1] - table[k - 1][j - 1]) / (c - 1.0))
-        table.append(row)
-        corner = row[-1]
-        noise = 8.0 * tight.quad_tol / h
-        if k >= 1 and abs(corner - prev) <= max(1e-9 * abs(corner), noise):
-            break
-        prev = corner
-        h *= 0.5
-    return table[-1][-1] * (t ** (1.0 - alpha) if alpha != 1.0 else 1.0)
+    h0 = _DENSE.dense_h0 * max(1.0, abs(t))
+    return _richardson(quotient, site, h0, _DENSE.tol) * _power(t, alpha)
 
 
 def ftc_check(f: Expr, ts: TimeScale, points: list[float], alpha: float,
-              dcfg: DerivConfig | None = None,
               icfg: IntegralConfig | None = None) -> FtcReport:
     """Differentiate the integral accumulator at each point and compare to f.
 
     Scattered points use the exact jump quotient of the accumulator; dense
-    points differentiate it numerically. Per-point errors are collected, never
-    raised.
+    points differentiate it numerically with the default derivative policy.
+    Per-point errors are collected, never raised.
     """
-    dcfg = dcfg or DerivConfig()
     icfg = icfg or DEFAULT_CONFIG
     entries: list[FtcEntry] = []
     failures: list[tuple[float, str]] = []
@@ -352,9 +327,9 @@ def ftc_check(f: Expr, ts: TimeScale, points: list[float], alpha: float,
             expected = evaluate(f, t)
             if site.mu > 0.0:
                 grain = cauchy(f, ts, t, site.sigma, alpha, icfg).value
-                actual = grain / site.mu * (t ** (1.0 - alpha) if alpha != 1.0 else 1.0)
+                actual = grain / site.mu * _power(t, alpha)
             else:
-                actual = _ftc_dense_value(f, ts, site, alpha, dcfg, icfg)
+                actual = _ftc_dense_value(f, ts, site, alpha, icfg)
             dev = abs(actual - expected) / max(1.0, abs(expected))
             entries.append(FtcEntry(t, expected, actual, dev))
         except Exception as exc:  # noqa: BLE001 - aggregate, never abort

@@ -108,6 +108,14 @@ def test_integ_empty_interval():
     assert json.loads(out)["results"][0]["value"] == 0.0
 
 
+def test_integ_from_an_endpoint_admitted_as_zero():
+    code, out, _ = run_cli(["integ", "--scale", "R", "--expr", "t", "--alpha", "0.5",
+                            "--from=-1e-15", "--to", "1"])
+    assert code == 0
+    row = json.loads(out)["results"][0]
+    assert row["value"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
 def test_witness_examples():
     code, out, _ = run_cli(["witness", "--scale", "qN0(q=2)", "--f", "t^2",
                             "--g", "t", "--alpha", "0.5", "--at", "4"])

@@ -1,7 +1,9 @@
 """Conformable derivative: closed forms, limits, higher orders, witnesses."""
 
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,7 @@ from tscal.errors import (
     ZeroNotInScale,
 )
 from tscal.expr import evaluate, derivative as d_dt, parse
+from tscal.integral import ftc_check
 from tscal.timescale import (
     FiniteSet,
     PeriodicUnion,
@@ -312,3 +315,56 @@ def test_t_alpha_on_a_lattice_beyond_float_resolution_raises(h):
     ts = UniformLattice(h)
     with pytest.raises(NotRepresentable):
         t_alpha(parse("t"), ts, 1.0, 1.0)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# One right-dense point per limit mode: central on R, right at the start of a
+# Pab block, left at the maximum of R[0,4]. tests/golden/dense_limits.json
+# holds the values below as recorded while the derivative and the FTC check
+# still ran separate Richardson loops.
+DENSE_SITES = [
+    ("central", RealInterval(), 2.0),
+    ("right", PeriodicUnion(1.0, 2.0), 3.0),
+    ("left", RealInterval(0.0, 4.0), 4.0),
+]
+DENSE_FUNCS = ("t^3 - 2*t", "exp(t)*sin(t)", "sqrt(t) + log(t)")
+DENSE_CFGS = {"default": None, "law": DerivConfig(dense_h0=1e-2, tol=1e-12)}
+
+
+def _outcome(fn):
+    try:
+        value = fn()
+    except Exception as exc:  # noqa: BLE001 - the error type is the outcome
+        return type(exc).__name__
+    return [repr(v) for v in value] if isinstance(value, tuple) else repr(value)
+
+
+def _dense_rows():
+    rows = []
+    for mode, ts, t in DENSE_SITES:
+        for text in DENSE_FUNCS:
+            f = parse(text)
+            key = {"mode": mode, "t": repr(t), "f": text}
+            for name, cfg in DENSE_CFGS.items():
+                for alpha in (0.5, 1.0):
+                    rows.append({**key, "what": "t_alpha", "cfg": name, "alpha": alpha,
+                                 "value": _outcome(lambda: t_alpha(f, ts, t, alpha, cfg))})
+                rows.append({**key, "what": "delta1", "cfg": name, "value": _outcome(
+                    lambda: delta_derivative_n(f, ts, t, 1, cfg))})
+                for alpha in (1.5, 2.3):
+                    rows.append({**key, "what": "higher_paths", "cfg": name, "alpha": alpha,
+                                 "value": _outcome(lambda: t_alpha_higher_paths(
+                                     f, ts, t, AlphaOrder(alpha), cfg))})
+            for alpha in (0.5, 1.0):
+                rep = ftc_check(f, ts, [t], alpha)
+                rows.append({**key, "what": "ftc", "alpha": alpha,
+                             "entries": [[repr(e.expected), repr(e.actual),
+                                          repr(e.rel_deviation)] for e in rep.entries],
+                             "failures": [msg for _, msg in rep.failures]})
+    return rows
+
+
+def test_dense_limits_match_golden():
+    golden = json.loads((GOLDEN / "dense_limits.json").read_text(encoding="utf-8"))
+    assert _dense_rows() == golden

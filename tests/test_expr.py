@@ -125,10 +125,9 @@ def test_derivative_examples():
 
 
 def test_derivative_rejects_abs():
-    with pytest.raises(NotDifferentiable):
-        derivative(parse("abs(t)"))
-    with pytest.raises(NotDifferentiable):
-        derivative(parse("t + abs(t^2)"))
+    for src in ("abs(t)", "t + abs(t^2)", "t*abs(t-1)"):
+        with pytest.raises(NotDifferentiable, match=r"^abs is not differentiable at 0$"):
+            derivative(parse(src))
 
 
 def test_nth_derivative():

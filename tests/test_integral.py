@@ -146,6 +146,17 @@ def test_improper_endpoint_at_zero():
     assert res.value == pytest.approx(2.0, abs=2e-9)
 
 
+def test_endpoint_admitted_as_zero_integrates_from_zero():
+    # -1e-15 lies within the membership slack of 0 and is taken as 0; below
+    # alpha = 1 the substitution u = t**alpha must not see a negative endpoint
+    f = parse("t")
+    for alpha in (0.5, 1.0):
+        assert cauchy(f, R, -1e-15, 1.0, alpha) == cauchy(f, R, 0.0, 1.0, alpha)
+        assert cauchy(f, R, 1.0, -1e-15, alpha).value == -cauchy(f, R, 0.0, 1.0, alpha).value
+    assert cauchy(f, R, -1e-15, 1.0, 0.5).value == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert cauchy(f, R, -1e-15, 0.0, 0.5).value == 0.0
+
+
 def test_improper_endpoint_divergent_integrand():
     for src in ("1/t", "t^(-0.6)"):
         with pytest.raises(EndpointSingularity):
@@ -221,6 +232,9 @@ def test_jump_at_zero_rejected_for_fractional_alpha():
     # alpha = 1 carries no singular weight: f(0) + f(1) with unit grains
     res = cauchy(parse("t + 1"), fs, 0.0, 2.0, 1.0)
     assert res.value == pytest.approx(3.0, rel=1e-15)
+    # a point just below 0, within the membership slack, is the same jump
+    with pytest.raises(EndpointSingularity):
+        cauchy(parse("t + 1"), FiniteSet((-1e-15, 1.0, 2.0)), -1e-15, 1.0, 0.5)
 
 
 def test_integral_preconditions():
@@ -256,6 +270,23 @@ def test_ftc_examples():
 
     rep = ftc_check(parse("t^2"), QN2, [2.0, 4.0, 8.0], 0.5)
     assert rep.passed and rep.max_rel_deviation <= 1e-10
+
+
+def test_ftc_unsettled_dense_quotient_is_a_failure(monkeypatch):
+    # local integrals that alternate between 0 and twice the width never let
+    # the Richardson corners settle: the point fails after 20 halvings
+    calls = []
+
+    def alternating(f, ts, lo, hi, alpha, cfg=None):
+        calls.append(hi - lo)
+        return integral_module.IntegralResult((hi - lo) * (len(calls) % 2) * 2.0, 0.0, 1)
+
+    monkeypatch.setattr(integral_module, "cauchy", alternating)
+    rep = ftc_check(parse("t"), R, [2.0], 1.0)
+    assert rep.entries == ()
+    assert rep.failures == ((2.0, "LimitDiverged: difference quotient did not "
+                                  "stabilize in 20 steps at t=2.0"),)
+    assert len(calls) == 20
 
 
 def test_ftc_aggregates_bad_points_without_raising():
