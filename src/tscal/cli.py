@@ -21,7 +21,7 @@ from . import __version__
 from .derivative import AlphaOrder, DerivConfig, chain_rule_witness, t_alpha, \
     t_alpha_at_zero, t_alpha_higher
 from .errors import ExprSyntaxError, ScaleSpecError, TscalError, UnknownLaw
-from .expr import derivative as d_dt, evaluate, parse as parse_expr, substitute
+from .expr import _jet, evaluate, parse as parse_expr, substitute
 from .integral import IntegralConfig, cauchy
 from .laws import LAWS, run_law_suite
 from .timescale import MEMBERSHIP_RTOL, TimeScale, parse_scale
@@ -217,7 +217,7 @@ def _cmd_witness(args) -> int:
         c = chain_rule_witness(f, g, ts, t, alpha, dcfg)
         lhs = t_alpha(substitute(f, g), ts, t, alpha, dcfg)
         tg = t_alpha(g, ts, t, alpha, dcfg)
-        residual = abs(evaluate(d_dt(f), evaluate(g, c)) * tg - lhs)
+        residual = abs(_jet(f, evaluate(g, c))[1] * tg - lhs)
         row = _point_row(ts, t, snap)
         row.update({"value": c, "c": c, "residual": residual})
         rows.append(row)

@@ -1,10 +1,15 @@
 """Conformable fractional derivatives of functions on time scales.
 
 At a right-scattered point the derivative of order alpha is the exact forward
-quotient times t**(1-alpha). At a right-dense point it is the limit of the
-same quotient taken inside the scale, computed from a geometric step sequence
-with Richardson extrapolation. Orders above 1 split as alpha = n + beta and
-reduce to the order-beta derivative of the n-th delta derivative.
+quotient times t**(1-alpha). At a right-dense point with a continuum
+neighbourhood the delta derivative is the classical f'(t), taken exactly from
+a first-order jet (one forward pass over the tree) and scaled the same way.
+Where the jet raises (abs or sqrt of 0, a non-integer power of 0, a domain
+error) the derivative is the limit of the difference quotient taken inside
+the scale, computed from a geometric step sequence with Richardson
+extrapolation; that limit also serves ftc_check and the cross path of the
+higher orders. Orders above 1 split as alpha = n + beta and reduce to the
+order-beta derivative of the n-th delta derivative.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import (
     PoleAtPoint,
     ZeroNotInScale,
 )
-from .expr import Expr, derivative as d_dt, evaluate, nth_derivative, substitute
+from .expr import Expr, _jet, evaluate, nth_derivative, substitute
 from .timescale import Site, TimeScale
 
 __all__ = [
@@ -44,8 +49,10 @@ WITNESS_GRID_POINTS = 10_000
 
 @dataclass(frozen=True)
 class DerivConfig:
-    """Numerical policy for limit-based evaluation at right-dense points.
+    """Numerical policy for the difference-quotient limit at right-dense points.
 
+    The limit runs only where the jet cannot give f'(t) and on the cross
+    path of t_alpha_higher_paths, so these fields govern only those.
     dense_h0 is the initial quotient step, scaled by max(1, |t|); the step
     then halves, at most 20 times. The limit is accepted once two successive
     Richardson corners agree to tol (relative), or to the rounding floor of
@@ -168,6 +175,21 @@ def _delta1(g: Callable[[float], float], site: Site, cfg: DerivConfig) -> float:
     return _dense_limit(g, site, cfg)
 
 
+def _expr_delta1(f: Expr, site: Site, cfg: DerivConfig) -> float:
+    """First delta derivative of an expression at a scale point.
+
+    At a dense point with continuum room on either side it is f'(t) from the
+    jet. Wherever the jet raises, _delta1's limit runs instead, so every
+    input the jet cannot handle gets the limit's value or error.
+    """
+    if site.mu == 0.0 and (site.left_room > 0.0 or site.right_room > 0.0):
+        try:
+            return _jet(f, site.t)[1]
+        except Exception:  # noqa: BLE001 - the limit meets the same failure
+            pass
+    return _delta1(partial(evaluate, f), site, cfg)
+
+
 def _t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float,
              cfg: DerivConfig | None) -> tuple[float, Site]:
     """t_alpha's value and the site it was taken at."""
@@ -178,7 +200,7 @@ def _t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float,
             f"order-{alpha} derivative needs t > 0, got {t!r}; "
             "use t_alpha_at_zero for t = 0")
     site = ts.kappa_site(t)
-    return _delta1(partial(evaluate, f), site, cfg) * _power(t, alpha), site
+    return _expr_delta1(f, site, cfg) * _power(t, alpha), site
 
 
 def t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float,
@@ -279,7 +301,7 @@ def delta_derivative_n(f: Expr, ts: TimeScale, t: float, n: int,
         raise ValueError("n must be a positive integer")
     site = ts.site(t)
     if n == 1:
-        return _delta1(partial(evaluate, f), site, cfg)
+        return _expr_delta1(f, site, cfg)
     return _delta_table(f, ts, site, int(n))
 
 
@@ -377,12 +399,11 @@ def chain_rule_witness(f: Expr, g: Expr, ts: TimeScale, t: float, alpha: float,
     composed = substitute(f, g)
     lhs = t_alpha(composed, ts, t, alpha, cfg)
     tg = t_alpha(g, ts, t, alpha, cfg)
-    fp = d_dt(f)
     st = ts.sigma(t)
     tol = 1e-8 * (1.0 + abs(lhs))
 
     def residual(c: float) -> float:
-        return evaluate(fp, evaluate(g, c)) * tg - lhs
+        return _jet(f, evaluate(g, c))[1] * tg - lhs
 
     r_lo = residual(t)
     if abs(r_lo) <= tol:

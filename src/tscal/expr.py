@@ -1,7 +1,8 @@
 """Expression trees for real functions of t.
 
 Provides a small recursive-descent parser, exact evaluation with domain
-checking, constant folding, and exact symbolic differentiation. Grammar:
+checking, a first-order jet (value and exact slope in one pass), constant
+folding, and exact symbolic differentiation. Grammar:
 
     expr   := term (("+"|"-") term)*
     term   := factor (("*"|"/") factor)*
@@ -40,10 +41,15 @@ class Expr:
 
     Each node class evaluates itself through _eval(t), which raises
     DomainError at the first node that leaves the real domain or overflows.
-    NaN is not checked per node; evaluate() rejects it at the root.
+    NaN is not checked per node; evaluate() rejects it at the root. _jet(t)
+    returns (value, slope), the value computed exactly as _eval computes it;
+    a node with no two-sided derivative there gives a NaN slope.
     """
 
     def _eval(self, t: float) -> float:
+        raise TypeError(f"not an expression node: {self!r}")
+
+    def _jet(self, t: float) -> tuple[float, float]:
         raise TypeError(f"not an expression node: {self!r}")
 
 
@@ -54,6 +60,9 @@ class Const(Expr):
     def _eval(self, t: float) -> float:
         return self.value
 
+    def _jet(self, t: float) -> tuple[float, float]:
+        return self.value, 0.0
+
 
 @dataclass(frozen=True)
 class Var(Expr):
@@ -61,6 +70,9 @@ class Var(Expr):
 
     def _eval(self, t: float) -> float:
         return float(t)
+
+    def _jet(self, t: float) -> tuple[float, float]:
+        return float(t), 1.0
 
 
 @dataclass(frozen=True)
@@ -74,6 +86,14 @@ class Add(Expr):
             raise DomainError("overflow", self, t)
         return v
 
+    def _jet(self, t: float) -> tuple[float, float]:
+        a, da = self.left._jet(t)
+        b, db = self.right._jet(t)
+        v = a + b
+        if math.isinf(v):
+            raise DomainError("overflow", self, t)
+        return v, da + db
+
 
 @dataclass(frozen=True)
 class Sub(Expr):
@@ -86,6 +106,14 @@ class Sub(Expr):
             raise DomainError("overflow", self, t)
         return v
 
+    def _jet(self, t: float) -> tuple[float, float]:
+        a, da = self.left._jet(t)
+        b, db = self.right._jet(t)
+        v = a - b
+        if math.isinf(v):
+            raise DomainError("overflow", self, t)
+        return v, da - db
+
 
 @dataclass(frozen=True)
 class Mul(Expr):
@@ -97,6 +125,14 @@ class Mul(Expr):
         if math.isinf(v):
             raise DomainError("overflow", self, t)
         return v
+
+    def _jet(self, t: float) -> tuple[float, float]:
+        a, da = self.left._jet(t)
+        b, db = self.right._jet(t)
+        v = a * b
+        if math.isinf(v):
+            raise DomainError("overflow", self, t)
+        return v, da * b + a * db
 
 
 @dataclass(frozen=True)
@@ -112,6 +148,16 @@ class Div(Expr):
         if math.isinf(v):
             raise DomainError("overflow", self, t)
         return v
+
+    def _jet(self, t: float) -> tuple[float, float]:
+        den, dden = self.right._jet(t)
+        if den == 0.0:
+            raise DomainError("division by zero", self, t)
+        a, da = self.left._jet(t)
+        v = a / den
+        if math.isinf(v):
+            raise DomainError("overflow", self, t)
+        return v, (da - v * dden) / den
 
 
 @dataclass(frozen=True)
@@ -133,6 +179,26 @@ class Pow(Expr):
         if math.isinf(v):
             raise DomainError("overflow", self, t)
         return v
+
+    def _jet(self, t: float) -> tuple[float, float]:
+        base, dbase = self.base._jet(t)
+        exp, dexp = self.exponent._jet(t)
+        if base < 0.0 and exp != round(exp):
+            raise DomainError("negative base with fractional exponent", self, t)
+        if base == 0.0 and exp < 0.0:
+            raise DomainError("zero base with negative exponent", self, t)
+        try:
+            v = base ** exp
+        except OverflowError:
+            raise DomainError("power overflow", self, t) from None
+        if math.isinf(v):
+            raise DomainError("overflow", self, t)
+        if dexp != 0.0 or (base == 0.0 and exp != round(exp)):
+            return v, math.nan  # t in the exponent, or a non-integer power of 0
+        try:
+            return v, exp * base ** (exp - 1.0) * dbase
+        except (OverflowError, ZeroDivisionError):
+            return v, math.inf
 
 
 @dataclass(frozen=True)
@@ -162,6 +228,32 @@ class Apply(Expr):
             return math.sqrt(x)
         if func == "abs":
             return abs(x)
+        raise DomainError(f"unknown function {func!r}", self, t)
+
+    def _jet(self, t: float) -> tuple[float, float]:
+        x, dx = self.arg._jet(t)
+        func = self.func
+        if func == "log":
+            if x <= 0.0:
+                raise DomainError("log of a non-positive value", self, t)
+            return math.log(x), dx / x
+        if func == "exp":
+            try:
+                v = math.exp(x)
+            except OverflowError:
+                raise DomainError("exp overflow", self, t) from None
+            return v, v * dx
+        if func == "sin":
+            return math.sin(x), math.cos(x) * dx
+        if func == "cos":
+            return math.cos(x), -math.sin(x) * dx
+        if func == "sqrt":
+            if x < 0.0:
+                raise DomainError("sqrt of a negative value", self, t)
+            v = math.sqrt(x)
+            return v, dx / (2.0 * v) if x > 0.0 else math.nan
+        if func == "abs":
+            return abs(x), dx if x > 0.0 else -dx if x < 0.0 else math.nan
         raise DomainError(f"unknown function {func!r}", self, t)
 
 
@@ -299,6 +391,23 @@ def evaluate(e: Expr, t: float) -> float:
     if math.isnan(v):
         raise DomainError("evaluation produced NaN", e, t)
     return v
+
+
+def _jet(e: Expr, t: float) -> tuple[float, float]:
+    """e(t) and e'(t) from one forward pass.
+
+    The value is evaluate(e, t) bit for bit, with the same DomainError where
+    evaluate raises. A node that is not analytic on both sides of its argument
+    (abs or sqrt of 0, a non-integer power of 0) gives a NaN slope, which every
+    later node propagates; that, or a slope that overflows, raises
+    NotDifferentiable here, after every DomainError evaluate would raise.
+    """
+    v, s = e._jet(t)
+    if math.isnan(v):
+        raise DomainError("evaluation produced NaN", e, t)
+    if not math.isfinite(s):
+        raise NotDifferentiable(f"no finite derivative at t={t!r}")
+    return v, s
 
 
 def _is_zero(e: Expr) -> bool:

@@ -18,6 +18,7 @@ from functools import partial
 from typing import Callable
 
 from .errors import (
+    DomainError,
     EndpointSingularity,
     NonPositivePoint,
     NotInScale,
@@ -160,7 +161,14 @@ def _segment_piece(f: Expr, alpha: float, lo: float, hi: float,
     inv = 1.0 / alpha
 
     def integrand(u: float) -> float:
-        return evaluate(f, u ** inv) * inv
+        try:
+            return evaluate(f, u ** inv) * inv
+        except DomainError:
+            if u > 0.0 and u ** inv == 0.0:
+                raise EndpointSingularity(
+                    f"node u={u!r} maps to t = u**(1/alpha) = 0.0; the integrand "
+                    "cannot be resolved toward the 0 endpoint in floats") from None
+            raise
 
     return _kronrod(integrand, lo ** alpha, hi ** alpha, cfg.quad_tol, budget)
 

@@ -351,3 +351,11 @@ def test_unrepresentable_results_exit_3_without_output(args):
     code, out, err = run_cli(args)
     assert (code, out) == (3, "")
     assert err.startswith("tscal: NotRepresentable: ")
+
+
+@pytest.mark.parametrize("src", ["t^(-0.48)", "t^(-0.49)"])
+def test_unresolvable_zero_endpoint_exits_3_without_output(src):
+    code, out, err = run_cli(["integ", "--scale", "R[0,2]", "--expr", src,
+                              "--alpha", "0.5", "--from", "0", "--to", "1"])
+    assert (code, out) == (3, "")
+    assert err.startswith("tscal: EndpointSingularity: ")

@@ -3,13 +3,18 @@
 import json
 import math
 import random
+from functools import partial
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from tscal.derivative import (
+    DEFAULT_CONFIG,
     AlphaOrder,
     DerivConfig,
+    _dense_limit,
+    _power,
     chain_rule_witness,
     delta_derivative_n,
     naive_chain_gap,
@@ -21,6 +26,7 @@ from tscal.derivative import (
     t_alpha_higher_paths,
 )
 from tscal.errors import (
+    DomainError,
     LimitDiverged,
     NonPositivePoint,
     NotDifferentiable,
@@ -30,7 +36,7 @@ from tscal.errors import (
     PoleAtPoint,
     ZeroNotInScale,
 )
-from tscal.expr import evaluate, derivative as d_dt, parse
+from tscal.expr import _jet, evaluate, derivative as d_dt, parse
 from tscal.integral import ftc_check
 from tscal.timescale import (
     FiniteSet,
@@ -322,7 +328,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # One right-dense point per limit mode: central on R, right at the start of a
 # Pab block, left at the maximum of R[0,4]. tests/golden/dense_limits.json
 # holds the values below as recorded while the derivative and the FTC check
-# still ran separate Richardson loops.
+# still ran separate Richardson loops, and while t_alpha and delta1 still took
+# every dense value from the limit. Those rows now call the limit directly:
+# it still backs the jet's fallback, the higher-order cross path and ftc.
 DENSE_SITES = [
     ("central", RealInterval(), 2.0),
     ("right", PeriodicUnion(1.0, 2.0), 3.0),
@@ -345,13 +353,16 @@ def _dense_rows():
     for mode, ts, t in DENSE_SITES:
         for text in DENSE_FUNCS:
             f = parse(text)
+            g, site = partial(evaluate, f), ts.kappa_site(t)
             key = {"mode": mode, "t": repr(t), "f": text}
             for name, cfg in DENSE_CFGS.items():
+                limit_cfg = cfg or DEFAULT_CONFIG
                 for alpha in (0.5, 1.0):
                     rows.append({**key, "what": "t_alpha", "cfg": name, "alpha": alpha,
-                                 "value": _outcome(lambda: t_alpha(f, ts, t, alpha, cfg))})
+                                 "value": _outcome(lambda: _dense_limit(
+                                     g, site, limit_cfg) * _power(t, alpha))})
                 rows.append({**key, "what": "delta1", "cfg": name, "value": _outcome(
-                    lambda: delta_derivative_n(f, ts, t, 1, cfg))})
+                    lambda: _dense_limit(g, site, limit_cfg))})
                 for alpha in (1.5, 2.3):
                     rows.append({**key, "what": "higher_paths", "cfg": name, "alpha": alpha,
                                  "value": _outcome(lambda: t_alpha_higher_paths(
@@ -368,3 +379,70 @@ def _dense_rows():
 def test_dense_limits_match_golden():
     golden = json.loads((GOLDEN / "dense_limits.json").read_text(encoding="utf-8"))
     assert _dense_rows() == golden
+
+
+_MP_FUNCS = {
+    "t^3 - 2*t": lambda x: x ** 3 - 2 * x,
+    "exp(t)*sin(t)": lambda x: mpmath.exp(x) * mpmath.sin(x),
+    "sqrt(t) + log(t)": lambda x: mpmath.sqrt(x) + mpmath.log(x),
+}
+
+
+def test_dense_points_match_mpmath():
+    # the golden limits above are off by about 2e-13 (14.142135623734152
+    # against 10*sqrt(2)); the public functions now take f' from the jet
+    with mpmath.workdps(30):
+        for _, ts, t in DENSE_SITES:
+            for text in DENSE_FUNCS:
+                f = parse(text)
+                exact = mpmath.diff(_MP_FUNCS[text], mpmath.mpf(t))
+                got = delta_derivative_n(f, ts, t, 1)
+                assert abs(got - exact) <= 1e-14 * abs(exact), text
+                for alpha in (0.5, 1.0, 0.257363):
+                    expected = exact * mpmath.mpf(t) ** (1 - mpmath.mpf(alpha))
+                    got = t_alpha(f, ts, t, alpha)
+                    assert abs(got - expected) <= 1e-14 * abs(expected), (text, alpha)
+
+
+# points where the jet raises: t_alpha must give exactly what the limit gives
+FALLBACK_CASES = [
+    ("abs(t-3)", 3.0),    # NotDifferentiable: the limit of |h|/h
+    ("sqrt(t-2)", 2.0),   # NotDifferentiable: sqrt of 0
+    ("(t-3)^1.5", 3.0),   # NotDifferentiable: a non-integer power of 0
+    ("1/(t-2)", 2.0),     # DomainError at the point itself
+]
+
+
+def _outcome_text(fn):
+    try:
+        return repr(fn())
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("text,t", FALLBACK_CASES)
+def test_jet_failures_fall_back_to_the_limit(text, t):
+    f = parse(text)
+    with pytest.raises((NotDifferentiable, DomainError)):
+        _jet(f, t)
+    site = R.kappa_site(t)
+    for alpha in (0.5, 1.0):
+        limit = _outcome_text(
+            lambda: _dense_limit(partial(evaluate, f), site, DEFAULT_CONFIG) * _power(t, alpha))
+        assert _outcome_text(lambda: t_alpha(f, R, t, alpha)) == limit
+    assert _outcome_text(lambda: delta_derivative_n(f, R, t, 1)) == _outcome_text(
+        lambda: _dense_limit(partial(evaluate, f), R.site(t), DEFAULT_CONFIG))
+
+
+def test_cancelling_terms_have_zero_derivative():
+    # the limit's noise floor comes from |f| sampled near t, which is 0 here,
+    # so it raised LimitDiverged; the jet's slope cancels exactly
+    f = parse("(t^3)-(t*(t^2))")
+    assert t_alpha(f, R, 5.188168, 0.257363) == 0.0
+
+
+def test_zero_limit_of_a_quartic_at_order_one():
+    # the limit-based values along t -> 0+ left an extrapolation error of
+    # 1.2e-9; the jet's values converge like t^3 and Aitken lands on 0
+    f = parse("1.237956*t^4 - 1.685767")
+    assert t_alpha_at_zero(f, RealInterval(0.0, 4.0), 1.0) == 0.0

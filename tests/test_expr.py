@@ -1,9 +1,11 @@
 """Parser, evaluator, and symbolic derivative of the expression front end."""
 
 import math
+import operator
 import random
 import re
 
+import mpmath
 import pytest
 
 from tscal.errors import (
@@ -22,6 +24,7 @@ from tscal.expr import (
     Pow,
     Sub,
     Var,
+    _jet,
     derivative,
     evaluate,
     fold,
@@ -318,3 +321,109 @@ def test_evaluate_matches_float_oracle_bit_for_bit():
         in_domain += 1
         assert evaluate(e, t).hex() == expected.hex(), (render(e), t)
     assert in_domain >= 500
+
+
+_MP = {"log": mpmath.log, "exp": mpmath.exp, "sin": mpmath.sin, "cos": mpmath.cos,
+       "sqrt": mpmath.sqrt, "abs": abs}
+
+
+def _mp_value(e, t, nodes):
+    """e at t in mpmath arithmetic; appends (node, value) for every node."""
+    if isinstance(e, Const):
+        v = mpmath.mpf(e.value)
+    elif isinstance(e, Var):
+        v = t
+    elif isinstance(e, Apply):
+        v = _MP[e.func](_mp_value(e.arg, t, nodes))
+    elif isinstance(e, Pow):
+        v = _mp_value(e.base, t, nodes) ** mpmath.mpf(e.exponent.value)
+    else:
+        op = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+        v = op[type(e)](_mp_value(e.left, t, nodes), _mp_value(e.right, t, nodes))
+    nodes.append((e, v))
+    return v
+
+
+def _mp_jet(e, t):
+    """e(t) at 30 digits, e'(t) by mpmath.diff at 30 digits beyond the largest
+    intermediate value, and the largest sin or cos argument in size."""
+    nodes = []
+    with mpmath.workdps(30):
+        value = _mp_value(e, mpmath.mpf(t), nodes)
+    values = {id(n): v for n, v in nodes}
+    trig = max([abs(values[id(n.arg)]) for n, _ in nodes
+                if isinstance(n, Apply) and n.func in ("sin", "cos")], default=0)
+    top = max(abs(mpmath.re(v)) for _, v in nodes)
+    with mpmath.workdps(30 + max(0, int(mpmath.log10(top + 1)))):
+        slope = mpmath.diff(lambda x: _mp_value(e, x, []), mpmath.mpf(t))
+    return float(mpmath.re(value)), float(mpmath.re(slope)), trig
+
+
+def _slopes_agree(slope, reference, value):
+    # relative, with a floor of max(1, |e(t)|): a slope that cancels to about
+    # 0 keeps the rounding of the terms that cancel, of the size of e(t)
+    return abs(slope - reference) <= 1e-12 * max(1.0, abs(reference), abs(value))
+
+
+def test_jet_matches_evaluate_derivative_and_mpmath():
+    rng = random.Random(20150513)
+    checked = {"slopes": 0, "ill_conditioned": 0, "domain": 0, "not_differentiable": 0}
+    for _ in range(700):
+        e = _random_tree(rng)
+        t = rng.choice((0.0, 1.0, round(rng.uniform(-10.0, 10.0), 6)))
+        try:
+            value = evaluate(e, t)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as jet_exc:
+                _jet(e, t)
+            assert str(jet_exc.value) == str(exc), (render(e), t)
+            assert jet_exc.value.expr is exc.expr, (render(e), t)
+            checked["domain"] += 1
+            continue
+        try:
+            jet_value, slope = _jet(e, t)
+        except NotDifferentiable:
+            checked["not_differentiable"] += 1
+            continue
+        assert jet_value.hex() == value.hex(), (render(e), t)
+        mp_value, mp_slope, trig = _mp_jet(e, t)
+        if trig > 100 or abs(value - mp_value) > 1e-14 * max(1.0, abs(mp_value)):
+            # one rounding of a sin or cos argument above 100 moves the slope
+            # by more than 1e-12, and so does a value already off by 1e-14
+            # (a difference of nearly equal terms): no float slope meets it
+            checked["ill_conditioned"] += 1
+            continue
+        assert _slopes_agree(slope, mp_slope, value), (render(e), t, slope, mp_slope)
+        try:
+            tree = evaluate(derivative(e), t)
+        except (NotDifferentiable, DomainError):
+            tree = None  # an abs node, or a tree that overflows where the jet does not
+        if tree is not None:
+            assert _slopes_agree(slope, tree, value), (render(e), t, slope, tree)
+        checked["slopes"] += 1
+    assert checked["slopes"] >= 450 and checked["ill_conditioned"] <= 15
+    assert checked["domain"] >= 100 and checked["not_differentiable"] >= 5
+
+
+def test_jet_raises_where_no_two_sided_derivative_exists():
+    for src, t in (("abs(t-3)", 3.0), ("sqrt(t-2)", 2.0), ("(t-3)^1.5", 3.0),
+                   ("abs(t)^3", 0.0), ("2 + sqrt(t*t)", 0.0)):
+        with pytest.raises(NotDifferentiable):
+            _jet(parse(src), t)
+    # the kink sits on an integer power of 0 and a smooth side: still analytic
+    assert _jet(parse("(t-3)^2"), 3.0) == (0.0, 0.0)
+    assert _jet(parse("abs(t-3)"), 5.0) == (2.0, 1.0)
+    assert _jet(parse("abs(t-3)"), 1.0) == (2.0, -1.0)
+    # a DomainError at a later node wins over an earlier kink, as in evaluate
+    err = None
+    try:
+        _jet(parse("1/abs(t)"), 0.0)
+    except DomainError as exc:
+        err = exc
+    assert str(err) == "division by zero at t=0.0"
+
+
+def test_jet_slope_of_cancelling_terms_is_exact():
+    e = parse("(t^3)-(t*(t^2))")
+    value, slope = _jet(e, 5.188168)
+    assert value == evaluate(e, 5.188168) and slope == 0.0

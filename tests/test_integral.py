@@ -163,6 +163,14 @@ def test_improper_endpoint_divergent_integrand():
             cauchy(parse(src), RealInterval(0.0, 2.0), 0.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("src", ["t^(-0.48)", "t^(-0.49)"])
+def test_zero_endpoint_beyond_float_resolution_is_a_singularity(src):
+    # convergent (t^(-0.49) integrates to 100), but the nodes t = u**2 near
+    # u = 0 underflow to 0.0, where the integrand is a zero division
+    with pytest.raises(EndpointSingularity, match="maps to t = u"):
+        cauchy(parse(src), RealInterval(0.0, 2.0), 0.0, 1.0, 0.5)
+
+
 def test_zero_endpoint_meets_quad_tol():
     # antiderivative of (t^2 + 1) t**(alpha-1) is t**(alpha+2)/(alpha+2) + t**alpha/alpha
     for alpha in (0.5, 0.3):
