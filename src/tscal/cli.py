@@ -77,7 +77,7 @@ def _tolerances(args) -> tuple[DerivConfig, IntegralConfig, dict]:
     dcfg = DerivConfig()
     icfg = IntegralConfig()
     override = os.environ.get("TSCAL_TOL")
-    tol = getattr(args, "tol", None)
+    tol = args.tol
     if tol is None and override is not None:
         try:
             tol = float(override)
@@ -88,9 +88,12 @@ def _tolerances(args) -> tuple[DerivConfig, IntegralConfig, dict]:
             raise _UsageError(f"tolerance must be positive and finite, got {tol!r}")
         dcfg = replace(dcfg, tol=tol)
         icfg = replace(icfg, quad_tol=tol)
-    meta = {"deriv_tol": dcfg.tol, "quad_tol": icfg.quad_tol,
+    return dcfg, icfg, _tol_meta(dcfg, icfg)
+
+
+def _tol_meta(dcfg: DerivConfig, icfg: IntegralConfig) -> dict:
+    return {"deriv_tol": dcfg.tol, "quad_tol": icfg.quad_tol,
             "membership_rtol": MEMBERSHIP_RTOL}
-    return dcfg, icfg, meta
 
 
 def _meta(args, tol_meta: dict) -> dict:
@@ -228,7 +231,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _, _, tol_meta = _tolerances(args)
+    # the suites run at the library defaults, so --tol and TSCAL_TOL do not apply
+    tol_meta = _tol_meta(DerivConfig(), IntegralConfig())
     if args.trials < 1:
         raise _UsageError("--trials must be at least 1")
     requested = args.law if args.law else list(LAWS)
@@ -305,7 +309,6 @@ def _build_parser() -> _Parser:
                        help="law name; repeatable; all laws when omitted")
     p_ver.add_argument("--trials", type=int, default=100)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--tol", type=float, default=None)
     p_ver.set_defaults(fn=_cmd_verify)
     return parser
 

@@ -5,6 +5,12 @@ generator, recomputes both sides of the law, and reports residuals. Reports
 are reproducible bit for bit for a fixed (law, trials, seed). The definition
 scan checks a candidate derivative value directly against the defining
 inequality, without going through the derivative code path.
+
+Every draw on a scale reads `_KINDS`, one record per shape: how to build it,
+its k-th right-scattered point, and which indices and continuum ranges the
+suites sample. The pointwise laws (sum, scalar, product, reciprocal, quotient,
+sigma_shift) share one trial loop, `_pointwise`, and the four integral laws
+share another, `_integral`; the remaining laws keep loops of their own.
 """
 
 from __future__ import annotations
@@ -12,61 +18,20 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .derivative import (
-    AlphaOrder,
-    DerivConfig,
-    _power,
-    chain_rule_witness,
-    naive_chain_gap,
-    power_rule,
-    sigma_shift,
-    t_alpha,
-    t_alpha_higher_paths,
-)
+from .derivative import (AlphaOrder, _power, chain_rule_witness, naive_chain_gap,
+                         power_rule, sigma_shift, t_alpha, t_alpha_higher_paths)
 from .errors import NonPositivePoint, UnknownLaw
-from .expr import (
-    Add,
-    Apply,
-    Const,
-    Div,
-    Expr,
-    Mul,
-    Pow,
-    Var,
-    _jet,
-    evaluate,
-    fold,
-    parse,
-    render,
-    substitute,
-)
-from .integral import IntegralConfig, cauchy, ftc_check
-from .timescale import (
-    FiniteSet,
-    PeriodicUnion,
-    QLatticeClosure,
-    QPowers,
-    RealInterval,
-    TimeScale,
-    UniformLattice,
-)
+from .expr import (Add, Apply, Const, Div, Expr, Mul, Pow, Var, _jet, evaluate, fold,
+                   parse, render, substitute)
+from .integral import cauchy, ftc_check
+from .timescale import (FiniteSet, PeriodicUnion, QLatticeClosure, QPowers, RealInterval,
+                        TimeScale, UniformLattice)
 
 __all__ = ["LAWS", "VerificationReport", "run_law_suite", "definition_scan"]
 
-LAWS = (
-    "sum", "scalar", "product", "reciprocal", "quotient", "sigma_shift",
-    "ftc", "integral_linearity", "integral_additivity", "integral_positivity",
-    "integral_domination", "chain_witness", "naive_chain_counterexample",
-    "power_rule_vs_talpha", "higher_order_consistency",
-)
-
 EXPECTED_FAILURE_LAWS = frozenset({"naive_chain_counterexample"})
-
-# Larger initial step plus a tight stop tolerance parks the dense-point limit
-# at its rounding floor, which the 1e-10 law tolerances need.
-_LAW_DCFG = DerivConfig(dense_h0=1e-2, tol=1e-12)
-_LAW_ICFG = IntegralConfig()
 
 
 @dataclass(frozen=True)
@@ -127,50 +92,99 @@ def _rel(x: float, y: float) -> float:
     return abs(x - y) / max(1.0, abs(x), abs(y))
 
 
-def _random_scale(rng: random.Random, kinds: tuple[str, ...]) -> TimeScale:
-    kind = rng.choice(kinds)
-    if kind == "hz":
-        return UniformLattice(rng.choice((0.25, 0.5, 1.0, 2.0)))
-    if kind == "qn0":
-        return QPowers(rng.choice((1.5, 2.0, 3.0)))
-    if kind == "qzbar":
-        return QLatticeClosure(rng.choice((1.5, 2.0, 3.0)))
-    if kind == "pab":
-        return PeriodicUnion(rng.choice((0.5, 1.0, 2.0)),
-                             rng.choice((0.5, 1.0, 2.0)))
-    if kind == "finite":
-        pts = [round(0.3 + rng.uniform(0.1, 0.8), 6)]
-        for _ in range(9):
-            pts.append(round(pts[-1] + rng.uniform(0.1, 0.8), 6))
-        return FiniteSet(tuple(pts))
-    return RealInterval()
+class _Kind(NamedTuple):
+    """How the suites draw on one shape of scale.
+
+    Which indices a law samples is suite policy, so it lives here and not on
+    the scale classes. Indices k count right-scattered points: `point(ts, k)`.
+    """
+    build: Callable[[random.Random], TimeScale]
+    point: Callable[[TimeScale, int], float] | None = None
+    draw: tuple[int, int] | None = None  # randint bounds of one scattered draw
+    span: range | None = None  # indices that integration bounds are sampled from
+    # first index whose point is at least 2, and the width of a draw above it
+    above_two: tuple[Callable[[TimeScale], int], int] | None = None
+    # draw bounds that leave the three jumps an iterated derivative walks
+    iterated: tuple[int, int] | None = None
+    dense: Callable[[random.Random, TimeScale], float] | None = None  # continuum point
+    dense_bound: Callable[[random.Random, TimeScale], float] | None = None
+
+
+def _q_power(ts, k):
+    return ts.q ** k
+
+
+def _q_above_two(ts):
+    return math.ceil(math.log(2.0) / math.log(ts.q))
+
+
+def _random_finite(rng: random.Random) -> FiniteSet:
+    pts = [round(0.3 + rng.uniform(0.1, 0.8), 6)]
+    for _ in range(9):
+        pts.append(round(pts[-1] + rng.uniform(0.1, 0.8), 6))
+    return FiniteSet(tuple(pts))
+
+
+_PAB_LENGTHS = (0.5, 1.0, 2.0)
+
+# A finite scale always has 10 points, so its index bounds are constants.
+_KINDS = {
+    "hz": _Kind(
+        build=lambda rng: UniformLattice(rng.choice((0.25, 0.5, 1.0, 2.0))),
+        point=lambda ts, k: ts.h * k, draw=(1, 12), span=range(1, 14),
+        above_two=(lambda ts: math.ceil(2.0 / ts.h), 10)),
+    "qn0": _Kind(
+        build=lambda rng: QPowers(rng.choice((1.5, 2.0, 3.0))),
+        point=_q_power, draw=(0, 5), span=range(0, 7), above_two=(_q_above_two, 4)),
+    "qzbar": _Kind(
+        build=lambda rng: QLatticeClosure(rng.choice((1.5, 2.0, 3.0))),
+        point=_q_power, draw=(-6, 4), span=range(-5, 5), above_two=(_q_above_two, 4)),
+    "pab": _Kind(
+        build=lambda rng: PeriodicUnion(rng.choice(_PAB_LENGTHS), rng.choice(_PAB_LENGTHS)),
+        point=lambda ts, k: k * ts.period + ts.a, draw=(0, 4),
+        above_two=(lambda ts: math.ceil(2.0 / ts.period), 4),
+        dense=lambda rng, ts: rng.randint(0, 1) * ts.period + ts.a * rng.uniform(0.2, 0.8),
+        dense_bound=lambda rng, ts: (rng.uniform(0.05, 0.95) * ts.a
+                                     + rng.randint(0, 3) * ts.period)),
+    "finite": _Kind(
+        build=_random_finite, point=lambda ts, k: ts.points[k], draw=(0, 8),
+        span=range(10), iterated=(0, 5)),
+    "r": _Kind(
+        build=lambda rng: RealInterval(), dense=lambda rng, ts: rng.uniform(0.3, 1.2),
+        dense_bound=lambda rng, ts: rng.uniform(0.25, 4.0)),
+}
 
 _SCATTERED_KINDS = ("hz", "qn0", "qzbar", "pab", "finite")
 _ALL_KINDS = _SCATTERED_KINDS + ("r",)
 
 
-def _scattered_point(ts: TimeScale, rng: random.Random) -> float:
-    if isinstance(ts, UniformLattice):
-        return ts.h * rng.randint(1, 12)
-    if isinstance(ts, QPowers):
-        return ts.q ** rng.randint(0, 5)
-    if isinstance(ts, QLatticeClosure):
-        return ts.q ** rng.randint(-6, 4)
-    if isinstance(ts, PeriodicUnion):
-        return rng.randint(0, 4) * ts.period + ts.a
-    if isinstance(ts, FiniteSet):
-        return rng.choice(ts.points[:-1])
-    raise ValueError(f"no scattered points on {ts!r}")
+def _random_scale(rng: random.Random, kinds: tuple[str, ...]) -> tuple[_Kind, TimeScale]:
+    kind = _KINDS[rng.choice(kinds)]
+    return kind, kind.build(rng)
 
 
-def _admissible_point(ts: TimeScale, rng: random.Random) -> float:
-    """A positive in-scale point; dense draws stay small so the quotient
-    limit keeps its rounding noise under the law tolerances."""
-    if isinstance(ts, RealInterval):
-        return rng.uniform(0.3, 1.2)
-    if isinstance(ts, PeriodicUnion) and rng.random() < 0.5:
-        return rng.randint(0, 1) * ts.period + ts.a * rng.uniform(0.2, 0.8)
-    return _scattered_point(ts, rng)
+def _scattered_point(kind: _Kind, ts: TimeScale, rng: random.Random) -> float:
+    return kind.point(ts, rng.randint(*kind.draw))
+
+
+def _admissible_point(kind: _Kind, ts: TimeScale, rng: random.Random) -> float:
+    """A positive in-scale point; a shape with points of both kinds tosses a
+    coin between them. The continuum ranges are kept as they were so that
+    the law reports stay reproducible."""
+    if kind.dense is not None and (kind.draw is None or rng.random() < 0.5):
+        return kind.dense(rng, ts)
+    return _scattered_point(kind, ts, rng)
+
+
+def _integral_endpoints(kind: _Kind, ts: TimeScale, rng: random.Random,
+                        n: int) -> list[float]:
+    """n ordered positive scale points usable as integration bounds."""
+    if kind.span is not None:
+        return [kind.point(ts, k) for k in sorted(rng.sample(kind.span, n))]
+    while True:
+        raw = sorted(kind.dense_bound(rng, ts) for _ in range(n))
+        if all(hi - lo >= 1e-3 for lo, hi in zip(raw, raw[1:])):
+            return raw
 
 
 def _random_poly(rng: random.Random, max_degree: int = 4) -> Expr:
@@ -194,232 +208,174 @@ def _random_alpha(rng: random.Random) -> float:
     return 1.0 if rng.random() < 0.15 else rng.uniform(0.1, 1.0)
 
 
-def _inputs(ts, t, alpha, **extra) -> dict:
-    base = {"scale": repr(ts), "t": t, "alpha": alpha}
-    base.update(extra)
-    return base
-
-
-def _law_sum(rng, trials):
-    for _ in range(trials):
-        ts = _random_scale(rng, _ALL_KINDS)
-        t = _admissible_point(ts, rng)
-        alpha = _random_alpha(rng)
-        f = _random_function(rng)
-        g = _random_function(rng)
-        lhs = t_alpha(Add(f, g), ts, t, alpha, _LAW_DCFG)
-        rhs = t_alpha(f, ts, t, alpha, _LAW_DCFG) + t_alpha(g, ts, t, alpha, _LAW_DCFG)
-        yield _inputs(ts, t, alpha, f=render(f), g=render(g)), abs(lhs - rhs), _rel(lhs, rhs)
-
-
-def _law_scalar(rng, trials):
-    # Scattered points only: the quotient-limit rounding floor sits above
-    # 1e-12, while the scattered path is plain arithmetic.
-    for _ in range(trials):
-        ts = _random_scale(rng, _SCATTERED_KINDS)
-        t = _scattered_point(ts, rng)
-        alpha = _random_alpha(rng)
-        f = _random_function(rng)
-        lam = rng.uniform(-4.0, 4.0)
-        lhs = t_alpha(Mul(Const(lam), f), ts, t, alpha, _LAW_DCFG)
-        rhs = lam * t_alpha(f, ts, t, alpha, _LAW_DCFG)
-        yield _inputs(ts, t, alpha, f=render(f), lam=lam), abs(lhs - rhs), _rel(lhs, rhs)
-
-
-def _law_product(rng, trials):
-    for _ in range(trials):
-        ts = _random_scale(rng, _ALL_KINDS)
-        t = _admissible_point(ts, rng)
-        alpha = _random_alpha(rng)
-        f = _random_function(rng, max_degree=3)
-        g = _random_function(rng, max_degree=3)
-        st = ts.sigma(t)
-        lhs = t_alpha(Mul(f, g), ts, t, alpha, _LAW_DCFG)
-        tf = t_alpha(f, ts, t, alpha, _LAW_DCFG)
-        tg = t_alpha(g, ts, t, alpha, _LAW_DCFG)
-        rhs_a = tf * evaluate(g, t) + evaluate(f, st) * tg
-        rhs_b = tf * evaluate(g, st) + evaluate(f, t) * tg
-        rel = max(_rel(lhs, rhs_a), _rel(lhs, rhs_b))
-        yield (_inputs(ts, t, alpha, f=render(f), g=render(g)),
-               max(abs(lhs - rhs_a), abs(lhs - rhs_b)), rel)
-
-
 def _bounded_denominator(rng) -> Expr:
     p = _random_poly(rng, max_degree=2)
     return fold(Add(Mul(p, p), Const(1.0)))
 
 
-def _law_reciprocal(rng, trials):
-    for _ in range(trials):
-        ts = _random_scale(rng, _ALL_KINDS)
-        t = _admissible_point(ts, rng)
-        alpha = _random_alpha(rng)
-        g = _bounded_denominator(rng)
-        st = ts.sigma(t)
-        lhs = t_alpha(Div(Const(1.0), g), ts, t, alpha, _LAW_DCFG)
-        rhs = -t_alpha(g, ts, t, alpha, _LAW_DCFG) / (evaluate(g, t) * evaluate(g, st))
-        yield _inputs(ts, t, alpha, g=render(g)), abs(lhs - rhs), _rel(lhs, rhs)
+def _inputs(ts, t, alpha, **extra) -> dict:
+    return {"scale": repr(ts), "t": t, "alpha": alpha, **extra}
 
 
-def _law_quotient(rng, trials):
-    for _ in range(trials):
-        ts = _random_scale(rng, _ALL_KINDS)
-        t = _admissible_point(ts, rng)
-        alpha = _random_alpha(rng)
-        f = _random_function(rng, max_degree=3)
-        g = _bounded_denominator(rng)
-        st = ts.sigma(t)
-        lhs = t_alpha(Div(f, g), ts, t, alpha, _LAW_DCFG)
-        tf = t_alpha(f, ts, t, alpha, _LAW_DCFG)
-        tg = t_alpha(g, ts, t, alpha, _LAW_DCFG)
-        rhs = (tf * evaluate(g, t) - evaluate(f, t) * tg) / \
-            (evaluate(g, t) * evaluate(g, st))
-        yield (_inputs(ts, t, alpha, f=render(f), g=render(g)),
-               abs(lhs - rhs), _rel(lhs, rhs))
+def _pointwise(law, kinds=_ALL_KINDS, draw=_admissible_point):
+    """Trial loop of a pointwise law: scale, point and alpha are drawn here;
+    law(rng, ts, t, alpha) draws its functions and returns its inputs, its
+    left side and its right sides, and the worst right side counts."""
+    def run(rng, trials):
+        for _ in range(trials):
+            kind, ts = _random_scale(rng, kinds)
+            t = draw(kind, ts, rng)
+            alpha = _random_alpha(rng)
+            extra, lhs, rhs = law(rng, ts, t, alpha)
+            yield (_inputs(ts, t, alpha, **extra), max(abs(lhs - r) for r in rhs),
+                   max(_rel(lhs, r) for r in rhs))
+    return run
 
 
-def _law_sigma_shift(rng, trials):
-    for _ in range(trials):
-        ts = _random_scale(rng, _ALL_KINDS)
-        t = _admissible_point(ts, rng)
-        alpha = _random_alpha(rng)
-        f = _random_function(rng)
-        lhs = sigma_shift(f, ts, t, alpha, _LAW_DCFG)
-        rhs = evaluate(f, ts.sigma(t))
-        yield _inputs(ts, t, alpha, f=render(f)), abs(lhs - rhs), _rel(lhs, rhs)
+def _sum(rng, ts, t, alpha):
+    f = _random_function(rng)
+    g = _random_function(rng)
+    lhs = t_alpha(Add(f, g), ts, t, alpha)
+    return ({"f": render(f), "g": render(g)}, lhs,
+            (t_alpha(f, ts, t, alpha) + t_alpha(g, ts, t, alpha),))
+
+
+def _scalar(rng, ts, t, alpha):
+    # Scattered points only, as they always were, so that the reports stay
+    # reproducible.
+    f = _random_function(rng)
+    lam = rng.uniform(-4.0, 4.0)
+    lhs = t_alpha(Mul(Const(lam), f), ts, t, alpha)
+    return {"f": render(f), "lam": lam}, lhs, (lam * t_alpha(f, ts, t, alpha),)
+
+
+def _product(rng, ts, t, alpha):
+    f = _random_function(rng, max_degree=3)
+    g = _random_function(rng, max_degree=3)
+    st = ts.sigma(t)
+    lhs = t_alpha(Mul(f, g), ts, t, alpha)
+    tf = t_alpha(f, ts, t, alpha)
+    tg = t_alpha(g, ts, t, alpha)
+    return ({"f": render(f), "g": render(g)}, lhs,
+            (tf * evaluate(g, t) + evaluate(f, st) * tg,
+             tf * evaluate(g, st) + evaluate(f, t) * tg))
+
+
+def _reciprocal(rng, ts, t, alpha):
+    g = _bounded_denominator(rng)
+    st = ts.sigma(t)
+    lhs = t_alpha(Div(Const(1.0), g), ts, t, alpha)
+    rhs = -t_alpha(g, ts, t, alpha) / (evaluate(g, t) * evaluate(g, st))
+    return {"g": render(g)}, lhs, (rhs,)
+
+
+def _quotient(rng, ts, t, alpha):
+    f = _random_function(rng, max_degree=3)
+    g = _bounded_denominator(rng)
+    st = ts.sigma(t)
+    lhs = t_alpha(Div(f, g), ts, t, alpha)
+    tf = t_alpha(f, ts, t, alpha)
+    tg = t_alpha(g, ts, t, alpha)
+    rhs = (tf * evaluate(g, t) - evaluate(f, t) * tg) / \
+        (evaluate(g, t) * evaluate(g, st))
+    return {"f": render(f), "g": render(g)}, lhs, (rhs,)
+
+
+def _sigma_shift(rng, ts, t, alpha):
+    f = _random_function(rng)
+    lhs = sigma_shift(f, ts, t, alpha)
+    return {"f": render(f)}, lhs, (evaluate(f, ts.sigma(t)),)
+
+
+def _integral(law, n=2):
+    """Trial loop of an integral law over n sorted bounds a < ... < b:
+    law(rng, ts, bounds, alpha) returns its extra inputs, its residual and
+    the metric judged against the tolerance."""
+    def run(rng, trials):
+        for _ in range(trials):
+            kind, ts = _random_scale(rng, _ALL_KINDS)
+            bounds = _integral_endpoints(kind, ts, rng, n)
+            alpha = _random_alpha(rng)
+            extra, res, metric = law(rng, ts, bounds, alpha)
+            yield _inputs(ts, bounds[0], alpha, b=bounds[-1], **extra), res, metric
+    return run
+
+
+def _linearity(rng, ts, bounds, alpha):
+    a, b = bounds
+    f = _random_function(rng, max_degree=3)
+    g = _random_function(rng, max_degree=3)
+    lam = rng.uniform(-4.0, 4.0)
+    int_f = cauchy(f, ts, a, b, alpha).value
+    int_g = cauchy(g, ts, a, b, alpha).value
+    int_sum = cauchy(Add(f, g), ts, a, b, alpha).value
+    int_lam = cauchy(Mul(Const(lam), f), ts, a, b, alpha).value
+    res = max(abs(int_sum - int_f - int_g), abs(int_lam - lam * int_f))
+    # quad_tol is absolute, but roundoff grows with the integrals, so the
+    # residual is judged against the magnitude of the integrals involved
+    scale = max(1.0, abs(int_sum), abs(int_f), abs(int_g), abs(int_lam))
+    return {"f": render(f), "g": render(g), "lam": lam}, res, res / scale
+
+
+def _additivity(rng, ts, bounds, alpha):
+    a, c, b = bounds
+    f = _random_function(rng, max_degree=3)
+    whole = cauchy(f, ts, a, b, alpha).value
+    split = cauchy(f, ts, a, c, alpha).value + cauchy(f, ts, c, b, alpha).value
+    res = abs(whole - split)
+    return {"c": c, "f": render(f)}, res, res / max(1.0, abs(whole), abs(split))
+
+
+def _positivity(rng, ts, bounds, alpha):
+    a, b = bounds
+    p = _random_poly(rng, max_degree=2)
+    f = fold(Add(Mul(p, p), Const(rng.uniform(0.1, 1.0))))
+    res = max(0.0, -cauchy(f, ts, a, b, alpha).value)
+    return {"f": render(f)}, res, res
+
+
+def _domination(rng, ts, bounds, alpha):
+    a, b = bounds
+    f = _random_function(rng, max_degree=3, allow_log=False)
+    int_f = cauchy(f, ts, a, b, alpha).value
+    int_g = cauchy(Apply("abs", f), ts, a, b, alpha).value
+    res = max(0.0, abs(int_f) - int_g)
+    return {"f": render(f)}, res, res / max(1.0, int_g)
 
 
 def _law_ftc(rng, trials):
     for _ in range(trials):
-        ts = _random_scale(rng, _ALL_KINDS)
+        kind, ts = _random_scale(rng, _ALL_KINDS)
         alpha = _random_alpha(rng)
         f = _random_function(rng, max_degree=3)
-        pts = sorted({_admissible_point(ts, rng) for _ in range(2)})
-        report = ftc_check(f, ts, pts, alpha, _LAW_ICFG)
+        pts = sorted({_admissible_point(kind, ts, rng) for _ in range(2)})
+        report = ftc_check(f, ts, pts, alpha)
         res = math.inf if report.failures else report.max_rel_deviation
         yield _inputs(ts, pts[0], alpha, f=render(f), points=tuple(pts)), res, res
 
 
-def _integral_endpoints(ts: TimeScale, rng: random.Random, n: int = 2) -> list[float]:
-    """n ordered positive scale points usable as integration bounds."""
-    if isinstance(ts, UniformLattice):
-        ks = sorted(rng.sample(range(1, 14), n))
-        return [k * ts.h for k in ks]
-    if isinstance(ts, QPowers):
-        ks = sorted(rng.sample(range(0, 7), n))
-        return [ts.q ** k for k in ks]
-    if isinstance(ts, QLatticeClosure):
-        ks = sorted(rng.sample(range(-5, 5), n))
-        return [ts.q ** k for k in ks]
-    if isinstance(ts, PeriodicUnion):
-        raw = sorted(rng.uniform(0.05, 0.95) * ts.a + rng.randint(0, 3) * ts.period
-                     for _ in range(n))
-        while any(raw[i + 1] - raw[i] < 1e-3 for i in range(n - 1)):
-            raw = sorted(rng.uniform(0.05, 0.95) * ts.a + rng.randint(0, 3) * ts.period
-                         for _ in range(n))
-        return raw
-    if isinstance(ts, FiniteSet):
-        idx = sorted(rng.sample(range(len(ts.points)), n))
-        return [ts.points[i] for i in idx]
-    raw = sorted(rng.uniform(0.25, 4.0) for _ in range(n))
-    while any(raw[i + 1] - raw[i] < 1e-3 for i in range(n - 1)):
-        raw = sorted(rng.uniform(0.25, 4.0) for _ in range(n))
-    return raw
-
-
-def _law_integral_linearity(rng, trials):
-    for _ in range(trials):
-        ts = _random_scale(rng, _ALL_KINDS)
-        a, b = _integral_endpoints(ts, rng)
-        alpha = _random_alpha(rng)
-        f = _random_function(rng, max_degree=3)
-        g = _random_function(rng, max_degree=3)
-        lam = rng.uniform(-4.0, 4.0)
-        int_f = cauchy(f, ts, a, b, alpha, _LAW_ICFG).value
-        int_g = cauchy(g, ts, a, b, alpha, _LAW_ICFG).value
-        int_sum = cauchy(Add(f, g), ts, a, b, alpha, _LAW_ICFG).value
-        int_lam = cauchy(Mul(Const(lam), f), ts, a, b, alpha, _LAW_ICFG).value
-        res = max(abs(int_sum - int_f - int_g), abs(int_lam - lam * int_f))
-        # quad_tol is absolute, but roundoff grows with the integrals, so the
-        # residual is judged against the magnitude of the integrals involved
-        scale = max(1.0, abs(int_sum), abs(int_f), abs(int_g), abs(int_lam))
-        yield (_inputs(ts, a, alpha, b=b, f=render(f), g=render(g), lam=lam),
-               res, res / scale)
-
-
-def _law_integral_additivity(rng, trials):
-    for _ in range(trials):
-        ts = _random_scale(rng, _ALL_KINDS)
-        a, c, b = _integral_endpoints(rng=rng, ts=ts, n=3)
-        alpha = _random_alpha(rng)
-        f = _random_function(rng, max_degree=3)
-        whole = cauchy(f, ts, a, b, alpha, _LAW_ICFG).value
-        split = cauchy(f, ts, a, c, alpha, _LAW_ICFG).value + \
-            cauchy(f, ts, c, b, alpha, _LAW_ICFG).value
-        res = abs(whole - split)
-        yield (_inputs(ts, a, alpha, b=b, c=c, f=render(f)),
-               res, res / max(1.0, abs(whole), abs(split)))
-
-
-def _law_integral_positivity(rng, trials):
-    for _ in range(trials):
-        ts = _random_scale(rng, _ALL_KINDS)
-        a, b = _integral_endpoints(ts, rng)
-        alpha = _random_alpha(rng)
-        p = _random_poly(rng, max_degree=2)
-        f = fold(Add(Mul(p, p), Const(rng.uniform(0.1, 1.0))))
-        value = cauchy(f, ts, a, b, alpha, _LAW_ICFG).value
-        res = max(0.0, -value)
-        yield _inputs(ts, a, alpha, b=b, f=render(f)), res, res
-
-
-def _law_integral_domination(rng, trials):
-    for _ in range(trials):
-        ts = _random_scale(rng, _ALL_KINDS)
-        a, b = _integral_endpoints(ts, rng)
-        alpha = _random_alpha(rng)
-        f = _random_function(rng, max_degree=3, allow_log=False)
-        g = Apply("abs", f)
-        int_f = cauchy(f, ts, a, b, alpha, _LAW_ICFG).value
-        int_g = cauchy(g, ts, a, b, alpha, _LAW_ICFG).value
-        res = max(0.0, abs(int_f) - int_g)
-        yield (_inputs(ts, a, alpha, b=b, f=render(f)),
-               res, res / max(1.0, int_g))
-
-
 def _law_chain_witness(rng, trials):
     for _ in range(trials):
-        ts = _random_scale(rng, _ALL_KINDS)
-        t = _admissible_point(ts, rng)
+        kind, ts = _random_scale(rng, _ALL_KINDS)
+        t = _admissible_point(kind, ts, rng)
         alpha = _random_alpha(rng)
         f = _random_poly(rng, max_degree=3)
         g = _random_poly(rng, max_degree=3)
         inputs = _inputs(ts, t, alpha, f=render(f), g=render(g))
         try:
-            c = chain_rule_witness(f, g, ts, t, alpha, _LAW_DCFG)
+            c = chain_rule_witness(f, g, ts, t, alpha)
         except Exception:  # noqa: BLE001 - a missing witness is a failure case
             yield inputs, math.inf, math.inf
             continue
         st = ts.sigma(t)
-        lhs = t_alpha(substitute(f, g), ts, t, alpha, _LAW_DCFG)
-        tg = t_alpha(g, ts, t, alpha, _LAW_DCFG)
+        lhs = t_alpha(substitute(f, g), ts, t, alpha)
+        tg = t_alpha(g, ts, t, alpha)
         resid = abs(_jet(f, evaluate(g, c))[1] * tg - lhs)
         metric = resid / (1.0 + abs(lhs))
         slack = 1e-12 * max(1.0, abs(st))
         if not (t - slack <= c <= st + slack):
             metric = math.inf
         yield inputs, resid, metric
-
-
-def _scattered_point_above_two(ts: TimeScale, rng: random.Random) -> float:
-    if isinstance(ts, UniformLattice):
-        k0 = math.ceil(2.0 / ts.h)
-        return ts.h * rng.randint(k0, k0 + 10)
-    if isinstance(ts, (QPowers, QLatticeClosure)):
-        e0 = math.ceil(math.log(2.0) / math.log(ts.q))
-        return ts.q ** rng.randint(e0, e0 + 4)
-    k0 = math.ceil(2.0 / ts.period)
-    return rng.randint(k0, k0 + 4) * ts.period + ts.a
 
 
 def _law_naive_chain(rng, trials):
@@ -433,10 +389,12 @@ def _law_naive_chain(rng, trials):
         if i == 0:
             ts, t, alpha = pinned
         else:
-            ts = _random_scale(rng, ("hz", "qn0", "qzbar", "pab"))
-            t = _scattered_point_above_two(ts, rng)
+            kind, ts = _random_scale(rng, ("hz", "qn0", "qzbar", "pab"))
+            first, width = kind.above_two
+            k0 = first(ts)
+            t = kind.point(ts, rng.randint(k0, k0 + width))
             alpha = rng.uniform(0.1, 0.9)
-        gap = naive_chain_gap(ident, ident, ts, t, alpha, _LAW_DCFG)
+        gap = naive_chain_gap(ident, ident, ts, t, alpha)
         yield _inputs(ts, t, alpha, f="t", g="t"), gap, abs(gap)
 
 
@@ -451,56 +409,54 @@ def _law_power_rule(rng, trials):
                     for alpha in (0.5, 1.0):
                         cases.append((ts, t, alpha, m, c, recip))
     while len(cases) < trials:
-        ts = _random_scale(rng, ("hz", "qn0", "r"))
-        t = _admissible_point(ts, rng)
+        kind, ts = _random_scale(rng, ("hz", "qn0", "r"))
+        t = _admissible_point(kind, ts, rng)
         m = rng.randint(1, 4)
         c = rng.uniform(-1.0, 1.0)
         if abs(t - c) < 0.2:
             continue
         cases.append((ts, t, _random_alpha(rng), m, c, rng.random() < 0.5))
     for ts, t, alpha, m, c, recip in cases:
-        if recip:
-            src = f"1/(t - {c!r})^{m}"
-        else:
-            src = f"(t - {c!r})^{m}"
+        src = f"1/(t - {c!r})^{m}" if recip else f"(t - {c!r})^{m}"
         expected = power_rule(ts, t, alpha, m, c, reciprocal=recip)
-        actual = t_alpha(parse(src), ts, t, alpha, _LAW_DCFG)
+        actual = t_alpha(parse(src), ts, t, alpha)
         yield (_inputs(ts, t, alpha, m=m, c=c, reciprocal=recip, src=src),
                abs(actual - expected), _rel(actual, expected))
 
 
 def _law_higher_order(rng, trials):
     for _ in range(trials):
-        ts = _random_scale(rng, _ALL_KINDS)
-        if isinstance(ts, FiniteSet):
-            # the iterated derivative walks up to three jumps forward
-            t = rng.choice(ts.points[:len(ts.points) - 4])
+        kind, ts = _random_scale(rng, _ALL_KINDS)
+        if kind.iterated is not None:
+            t = kind.point(ts, rng.randint(*kind.iterated))
         else:
-            t = _admissible_point(ts, rng)
+            t = _admissible_point(kind, ts, rng)
         alpha = rng.uniform(1.05, 2.95)
         f = _random_poly(rng, max_degree=4)
-        primary, cross = t_alpha_higher_paths(f, ts, t, AlphaOrder(alpha), _LAW_DCFG)
+        primary, cross = t_alpha_higher_paths(f, ts, t, AlphaOrder(alpha))
         yield (_inputs(ts, t, alpha, f=render(f)),
                abs(primary - cross), _rel(primary, cross))
 
 
 _LAW_RUNNERS = {
-    "sum": (_law_sum, 1e-10),
-    "scalar": (_law_scalar, 1e-12),
-    "product": (_law_product, 1e-10),
-    "reciprocal": (_law_reciprocal, 1e-10),
-    "quotient": (_law_quotient, 1e-10),
-    "sigma_shift": (_law_sigma_shift, 1e-10),
+    "sum": (_pointwise(_sum), 1e-10),
+    "scalar": (_pointwise(_scalar, _SCATTERED_KINDS, _scattered_point), 1e-12),
+    "product": (_pointwise(_product), 1e-10),
+    "reciprocal": (_pointwise(_reciprocal), 1e-10),
+    "quotient": (_pointwise(_quotient), 1e-10),
+    "sigma_shift": (_pointwise(_sigma_shift), 1e-10),
     "ftc": (_law_ftc, 1e-6),
-    "integral_linearity": (_law_integral_linearity, 2e-10),
-    "integral_additivity": (_law_integral_additivity, 3e-10),
-    "integral_positivity": (_law_integral_positivity, 1e-12),
-    "integral_domination": (_law_integral_domination, 2e-10),
+    "integral_linearity": (_integral(_linearity), 2e-10),
+    "integral_additivity": (_integral(_additivity, n=3), 3e-10),
+    "integral_positivity": (_integral(_positivity), 1e-12),
+    "integral_domination": (_integral(_domination), 2e-10),
     "chain_witness": (_law_chain_witness, 1e-8),
     "naive_chain_counterexample": (_law_naive_chain, 1e-6),
     "power_rule_vs_talpha": (_law_power_rule, 1e-10),
     "higher_order_consistency": (_law_higher_order, 1e-9),
 }
+
+LAWS = tuple(_LAW_RUNNERS)
 
 
 def run_law_suite(law: str, trials: int = 200, seed: int = 0) -> VerificationReport:

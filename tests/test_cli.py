@@ -226,6 +226,19 @@ def test_parser_reuse_repeats_usage_errors():
     assert first[0] == 1 and "--expr" in first[2]
 
 
+def test_verify_reports_the_tolerances_its_suites_run_with(monkeypatch):
+    # the suites run at the library defaults, so verify takes no --tol and
+    # ignores TSCAL_TOL
+    code, out, err = run_cli(["verify", "--law", "sum", "--trials", "3",
+                              "--tol", "1e-3"])
+    assert code == 1 and out == "" and "--tol" in err
+    code, out, _ = run_cli(["verify", "--law", "sum", "--trials", "3"],
+                           env={"TSCAL_TOL": "1e-7"}, monkeypatch=monkeypatch)
+    assert code == 0
+    meta = json.loads(out)["meta"]["tolerances"]
+    assert meta["deriv_tol"] == 1e-9 and meta["quad_tol"] == 1e-10
+
+
 def test_parser_reuse_reads_env_tolerance_per_call(monkeypatch):
     args = ["deriv", "--scale", "R", "--expr", "t^2", "--alpha", "0.5",
             "--at", "2"]

@@ -1,13 +1,17 @@
 """Law-suite behavior and the brute-force definition check."""
 
+import json
 import math
+import random
+from pathlib import Path
 
 import pytest
 
 from tscal.derivative import t_alpha
 from tscal.errors import UnknownLaw
 from tscal.expr import parse
-from tscal.laws import LAWS, definition_scan, run_law_suite
+from tscal.laws import (_KINDS, LAWS, _admissible_point, _integral_endpoints,
+                        _scattered_point, definition_scan, run_law_suite)
 from tscal.timescale import (
     FiniteSet,
     PeriodicUnion,
@@ -118,3 +122,41 @@ def test_report_shape():
     assert rep.tolerance == 1e-12
     assert rep.max_abs_residual >= 0.0
     assert rep.max_rel_residual <= rep.tolerance
+
+
+LAW_REPORTS = json.loads((Path(__file__).resolve().parent / "golden" / "law_reports.json")
+                         .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_law_reports_match_golden(law):
+    # repr for repr: every residual, failing input and draw of seeds 0-2
+    assert [repr(run_law_suite(law, 30, seed)) for seed in range(3)] == LAW_REPORTS[law]
+
+
+@pytest.mark.parametrize("name", sorted(_KINDS))
+def test_law_draws_are_scale_points(name):
+    kind = _KINDS[name]
+    for seed in range(2000):
+        rng = random.Random(seed)
+        ts = kind.build(rng)
+        t = _admissible_point(kind, ts, rng)
+        assert t > 0 and ts.contains(t), (seed, ts, t)
+        if kind.draw is not None:
+            t = _scattered_point(kind, ts, rng)
+            assert ts.mu(t) > 0, (seed, ts, t)
+        for n in (2, 3):
+            bounds = _integral_endpoints(kind, ts, rng, n)
+            assert len(bounds) == n and bounds[0] > 0, (seed, ts, bounds)
+            assert all(lo < hi for lo, hi in zip(bounds, bounds[1:])), (seed, ts, bounds)
+            assert all(ts.contains(b) for b in bounds), (seed, ts, bounds)
+        if kind.above_two is not None:  # the naive-chain draw
+            first, width = kind.above_two
+            k0 = first(ts)
+            t = kind.point(ts, rng.randint(k0, k0 + width))
+            assert t >= 2.0 and ts.contains(t) and ts.mu(t) > 0, (seed, ts, t)
+        if kind.iterated is not None:  # three jumps ahead stay in the scale
+            t = kind.point(ts, rng.randint(*kind.iterated))
+            for _ in range(3):
+                assert ts.mu(t) > 0, (seed, ts, t)
+                t = ts.sigma(t)
