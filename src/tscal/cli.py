@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 parse error, 3 domain or math error,
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import math
 import os
@@ -18,10 +19,10 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .derivative import AlphaOrder, DerivConfig, chain_rule_witness, t_alpha, \
+from .derivative import AlphaOrder, DerivConfig, _chain_witness, t_alpha, \
     t_alpha_at_zero, t_alpha_higher
 from .errors import ExprSyntaxError, ScaleSpecError, TscalError, UnknownLaw
-from .expr import _jet, evaluate, parse as parse_expr, substitute
+from .expr import parse as parse_expr
 from .integral import IntegralConfig, cauchy
 from .laws import LAWS, run_law_suite
 from .timescale import MEMBERSHIP_RTOL, TimeScale, parse_scale
@@ -144,18 +145,13 @@ def _point_row(ts: TimeScale, t: float, snap: float) -> dict:
 
 def _emit(doc: dict, rows: list[dict], args) -> None:
     if args.output == "csv":
-        cols: list[str] = []
+        cols = list(dict.fromkeys(key for row in rows for key in row))
+        # csv quotes only the fields that need it, such as the label "rd-ld,min"
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(cols)
         for row in rows:
-            for key in row:
-                if key not in cols:
-                    cols.append(key)
-        print(",".join(cols))
-        for row in rows:
-            cells = []
-            for key in cols:
-                v = row.get(key, "")
-                cells.append(_fmt(v) if isinstance(v, float) else str(v))
-            print(",".join(cells))
+            writer.writerow(_fmt(v) if isinstance(v, float) else str(v)
+                            for v in (row.get(key, "") for key in cols))
     else:
         print(_json(doc))
 
@@ -217,10 +213,7 @@ def _cmd_witness(args) -> int:
     rows = []
     for raw in args.at:
         t, snap = _snap(ts, float(raw))
-        c = chain_rule_witness(f, g, ts, t, alpha, dcfg)
-        lhs = t_alpha(substitute(f, g), ts, t, alpha, dcfg)
-        tg = t_alpha(g, ts, t, alpha, dcfg)
-        residual = abs(_jet(f, evaluate(g, c))[1] * tg - lhs)
+        c, residual, _ = _chain_witness(f, g, ts, t, alpha, dcfg)
         row = _point_row(ts, t, snap)
         row.update({"value": c, "c": c, "residual": residual})
         rows.append(row)

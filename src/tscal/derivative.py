@@ -7,7 +7,8 @@ a first-order jet (one forward pass over the tree) and scaled the same way.
 Where the jet raises (abs or sqrt of 0, a non-integer power of 0, a domain
 error) the derivative is the limit of the difference quotient taken inside
 the scale, computed from a geometric step sequence with Richardson
-extrapolation; that limit also serves ftc_check and the cross path of the
+extrapolation, and inside a continuum the two one-sided limits must agree
+as well; that limit also serves ftc_check and the cross path of the
 higher orders. Orders above 1 split as alpha = n + beta and reduce to the
 order-beta derivative of the n-th delta derivative.
 """
@@ -23,9 +24,11 @@ from .errors import (
     InternalDisagreement,
     LimitDiverged,
     NonPositivePoint,
+    NotDifferentiable,
     NotInKappa,
     NoWitnessFound,
     PoleAtPoint,
+    TscalError,
     ZeroNotInScale,
 )
 from .expr import Expr, _jet, evaluate, nth_derivative, substitute
@@ -40,6 +43,8 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 _NOISE_SAFETY = 8.0
 _DENSE_STEPS = 20
+_DENSE_H0 = 1e-3  # the quotient's first step, scaled by max(1, |t|)
+_KINK_RTOL = 1e-6
 _RICHARDSON_DEPTH = 2
 _ZERO_LIMIT_POINTS = 12
 
@@ -52,18 +57,15 @@ class DerivConfig:
     """Numerical policy for the difference-quotient limit at right-dense points.
 
     The limit runs only where the jet cannot give f'(t) and on the cross
-    path of t_alpha_higher_paths, so these fields govern only those.
-    dense_h0 is the initial quotient step, scaled by max(1, |t|); the step
-    then halves, at most 20 times. The limit is accepted once two successive
-    Richardson corners agree to tol (relative), or to the rounding floor of
-    the sampled function values if that is larger.
+    path of t_alpha_higher_paths, so tol governs only those. The quotient
+    step starts at 1e-3 max(1, |t|) and halves, at most 20 times. The limit
+    is accepted once two successive Richardson corners agree to tol
+    (relative), or to the rounding floor of the sampled function values if
+    that is larger.
     """
-    dense_h0: float = 1e-3
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not self.dense_h0 > 0:
-            raise ValueError("dense_h0 must be positive")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
 
@@ -102,17 +104,18 @@ def _power(t: float, alpha: float) -> float:
 
 
 def _richardson(quotient: Callable[[int, float], tuple[float, float]],
-                site: Site, h0: float, tol: float) -> float:
+                site: Site, tol: float) -> float:
     """Limit as h -> 0 of a difference quotient at a right-dense point site.t.
 
     Central quotients (side 0) are used when the scale is a continuum on both
     sides of t, one-sided ones (side +1 or -1) at a continuum edge.
     quotient(side, h) returns the quotient at step h and its noise floor. The
-    step halves from h0; a depth-2 Richardson table accelerates the sequence,
-    and the limit is its corner once two successive corners agree to tol
-    (relative) or to the noise floor, whichever is larger.
+    step halves from _DENSE_H0 max(1, |t|); a depth-2 Richardson table
+    accelerates the sequence, and the limit is its corner once two successive
+    corners agree to tol (relative) or to the noise floor, whichever is larger.
     """
     t, left_room, right_room = site.t, site.left_room, site.right_room
+    h0 = _DENSE_H0 * max(1.0, abs(t))
     if left_room <= 0.0 and right_room <= 0.0:
         raise LimitDiverged(f"no continuum neighborhood of {t!r} inside the scale")
     if left_room >= 2 * h0 and right_room >= 2 * h0:
@@ -165,7 +168,7 @@ def _dense_limit(g: Callable[[float], float], site: Site,
             value = side * (a - gt) / h
         return value, _NOISE_SAFETY * _EPS * fmax / h
 
-    return _richardson(quotient, site, cfg.dense_h0 * max(1.0, abs(t)), cfg.tol)
+    return _richardson(quotient, site, cfg.tol)
 
 
 def _delta1(g: Callable[[float], float], site: Site, cfg: DerivConfig) -> float:
@@ -180,14 +183,31 @@ def _expr_delta1(f: Expr, site: Site, cfg: DerivConfig) -> float:
 
     At a dense point with continuum room on either side it is f'(t) from the
     jet. Wherever the jet raises, _delta1's limit runs instead, so every
-    input the jet cannot handle gets the limit's value or error.
+    input the jet cannot handle gets the limit's value or error. With room on
+    both sides the two one-sided limits are taken as well: where both exist
+    and differ by more than _KINK_RTOL of the larger slope and of
+    |f(t)| / max(1, |t|), t is a kink and NotDifferentiable is raised.
     """
     if site.mu == 0.0 and (site.left_room > 0.0 or site.right_room > 0.0):
         try:
             return _jet(f, site.t)[1]
         except Exception:  # noqa: BLE001 - the limit meets the same failure
             pass
-    return _delta1(partial(evaluate, f), site, cfg)
+    g = partial(evaluate, f)
+    value = _delta1(g, site, cfg)
+    if site.mu == 0.0 and site.left_room > 0.0 and site.right_room > 0.0:
+        try:
+            right = _dense_limit(g, site._replace(left_room=0.0), cfg)
+            left = _dense_limit(g, site._replace(right_room=0.0), cfg)
+        except TscalError:  # without both limits there is no evidence of a kink
+            return value
+        # each one-sided limit carries rounding noise of about eps |f(t)| / h
+        t = site.t
+        scale = max(1.0, abs(right), abs(left), abs(g(t)) / max(1.0, abs(t)))
+        if abs(right - left) > _KINK_RTOL * scale:
+            raise NotDifferentiable(
+                f"one-sided derivatives {left!r} and {right!r} differ at t={t!r}")
+    return value
 
 
 def _t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float,
@@ -388,13 +408,9 @@ def _bisect_root(fn: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def chain_rule_witness(f: Expr, g: Expr, ts: TimeScale, t: float, alpha: float,
-                       cfg: DerivConfig | None = None) -> float:
-    """A point c in [t, sigma(t)] with T_alpha(f o g) = f'(g(c)) * T_alpha(g).
-
-    Searches by bisection on the residual's sign change, falling back to a
-    dense grid scan. Among admissible points the smallest is returned.
-    """
+def _chain_witness(f: Expr, g: Expr, ts: TimeScale, t: float, alpha: float,
+                   cfg: DerivConfig | None = None) -> tuple[float, float, float]:
+    """chain_rule_witness's c, with |residual(c)| and T_alpha(f o g)(t)."""
     cfg = cfg or DEFAULT_CONFIG
     composed = substitute(f, g)
     lhs = t_alpha(composed, ts, t, alpha, cfg)
@@ -407,31 +423,43 @@ def chain_rule_witness(f: Expr, g: Expr, ts: TimeScale, t: float, alpha: float,
 
     r_lo = residual(t)
     if abs(r_lo) <= tol:
-        return t
+        return t, abs(r_lo), lhs
     if st == t:
         raise NoWitnessFound(
             f"dense point residual {r_lo!r} exceeds tolerance {tol!r}")
     r_hi = residual(st)
     if abs(r_hi) <= tol and (r_lo > 0) == (r_hi > 0):
-        return st
+        return st, abs(r_hi), lhs
     if (r_lo > 0) != (r_hi > 0):
         c = _bisect_root(residual, t, st, r_lo)
-        if abs(residual(c)) <= tol:
-            return c
+        r = residual(c)
+        if abs(r) <= tol:
+            return c, abs(r), lhs
     prev_c, prev_r = t, r_lo
     width = st - t
     for i in range(1, WITNESS_GRID_POINTS + 1):
         c_i = t + width * i / WITNESS_GRID_POINTS
         r_i = residual(c_i)
         if abs(r_i) <= tol:
-            return c_i
+            return c_i, abs(r_i), lhs
         if (r_i > 0) != (prev_r > 0):
             c = _bisect_root(residual, prev_c, c_i, prev_r)
-            if abs(residual(c)) <= tol:
-                return c
+            r = residual(c)
+            if abs(r) <= tol:
+                return c, abs(r), lhs
         prev_c, prev_r = c_i, r_i
     raise NoWitnessFound(
         f"no c in [{t!r}, {st!r}] met the residual tolerance {tol!r}")
+
+
+def chain_rule_witness(f: Expr, g: Expr, ts: TimeScale, t: float, alpha: float,
+                       cfg: DerivConfig | None = None) -> float:
+    """A point c in [t, sigma(t)] with T_alpha(f o g) = f'(g(c)) * T_alpha(g).
+
+    Searches by bisection on the residual's sign change, falling back to a
+    dense grid scan. Among admissible points the smallest is returned.
+    """
+    return _chain_witness(f, g, ts, t, alpha, cfg)[0]
 
 
 def naive_chain_gap(f: Expr, g: Expr, ts: TimeScale, t: float, alpha: float,

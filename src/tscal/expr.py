@@ -1,8 +1,8 @@
 """Expression trees for real functions of t.
 
 Provides a small recursive-descent parser, exact evaluation with domain
-checking, a first-order jet (value and exact slope in one pass), constant
-folding, and exact symbolic differentiation. Grammar:
+checking, a first-order jet (value and exact slope), constant folding, and
+exact symbolic differentiation, each rule kept on its node class. Grammar:
 
     expr   := term (("+"|"-") term)*
     term   := factor (("*"|"/") factor)*
@@ -35,22 +35,37 @@ __all__ = [
 ]
 
 
+def _constant(node: Expr) -> Expr:
+    """node's value as a Const, or node itself where evaluation would fail."""
+    try:
+        return Const(evaluate(node, 0.0))
+    except DomainError:
+        return node
+
+
+def _is_zero(e: Expr) -> bool:
+    return isinstance(e, Const) and e.value == 0.0
+
+
+def _is_one(e: Expr) -> bool:
+    return isinstance(e, Const) and e.value == 1.0
+
+
 @dataclass(frozen=True)
 class Expr:
-    """Base node of the expression tree.
+    """Base node of the expression tree; each rule lives on the node class.
 
-    Each node class evaluates itself through _eval(t), which raises
-    DomainError at the first node that leaves the real domain or overflows.
-    NaN is not checked per node; evaluate() rejects it at the root. _jet(t)
-    returns (value, slope), the value computed exactly as _eval computes it;
-    a node with no two-sided derivative there gives a NaN slope.
+    _eval(t) raises DomainError at the first node that leaves the real domain
+    or overflows (evaluate() rejects NaN at the root). _jet(t) is the bare
+    forward-mode rule: _eval's value and the slope, NaN where the node has no
+    two-sided derivative; it runs only where evaluate() succeeded. _fold, _d,
+    _substitute and _render back fold, derivative, substitute and render.
     """
 
-    def _eval(self, t: float) -> float:
+    def _eval(self, *args):
         raise TypeError(f"not an expression node: {self!r}")
 
-    def _jet(self, t: float) -> tuple[float, float]:
-        raise TypeError(f"not an expression node: {self!r}")
+    _jet = _fold = _d = _substitute = _render = _eval
 
 
 @dataclass(frozen=True)
@@ -63,6 +78,19 @@ class Const(Expr):
     def _jet(self, t: float) -> tuple[float, float]:
         return self.value, 0.0
 
+    def _fold(self) -> Expr:
+        return self
+
+    def _d(self) -> Expr:
+        return Const(0.0)
+
+    def _substitute(self, replacement: Expr) -> Expr:
+        return self
+
+    def _render(self) -> str:
+        v = self.value
+        return str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
+
 
 @dataclass(frozen=True)
 class Var(Expr):
@@ -74,11 +102,42 @@ class Var(Expr):
     def _jet(self, t: float) -> tuple[float, float]:
         return float(t), 1.0
 
+    def _fold(self) -> Expr:
+        return self
+
+    def _d(self) -> Expr:
+        return Const(1.0)
+
+    def _substitute(self, replacement: Expr) -> Expr:
+        return replacement
+
+    def _render(self) -> str:
+        return "t"
+
 
 @dataclass(frozen=True)
-class Add(Expr):
+class _Binary(Expr):
+    """An infix node; each subclass gives its _symbol and _simplify rule."""
     left: Expr
     right: Expr
+
+    def _fold(self) -> Expr:
+        left, right = self.left._fold(), self.right._fold()
+        if isinstance(left, Const) and isinstance(right, Const):
+            return _constant(type(self)(left, right))
+        return self._simplify(left, right)
+
+    def _substitute(self, replacement: Expr) -> Expr:
+        return type(self)(self.left._substitute(replacement),
+                          self.right._substitute(replacement))
+
+    def _render(self) -> str:
+        return f"({self.left._render()} {self._symbol} {self.right._render()})"
+
+
+@dataclass(frozen=True)
+class Add(_Binary):
+    _symbol = "+"
 
     def _eval(self, t: float) -> float:
         v = self.left._eval(t) + self.right._eval(t)
@@ -89,16 +148,18 @@ class Add(Expr):
     def _jet(self, t: float) -> tuple[float, float]:
         a, da = self.left._jet(t)
         b, db = self.right._jet(t)
-        v = a + b
-        if math.isinf(v):
-            raise DomainError("overflow", self, t)
-        return v, da + db
+        return a + b, da + db
+
+    def _d(self) -> Expr:
+        return Add(self.left._d(), self.right._d())
+
+    def _simplify(self, left: Expr, right: Expr) -> Expr:
+        return right if _is_zero(left) else left if _is_zero(right) else Add(left, right)
 
 
 @dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    _symbol = "-"
 
     def _eval(self, t: float) -> float:
         v = self.left._eval(t) - self.right._eval(t)
@@ -109,16 +170,18 @@ class Sub(Expr):
     def _jet(self, t: float) -> tuple[float, float]:
         a, da = self.left._jet(t)
         b, db = self.right._jet(t)
-        v = a - b
-        if math.isinf(v):
-            raise DomainError("overflow", self, t)
-        return v, da - db
+        return a - b, da - db
+
+    def _d(self) -> Expr:
+        return Sub(self.left._d(), self.right._d())
+
+    def _simplify(self, left: Expr, right: Expr) -> Expr:
+        return left if _is_zero(right) else Sub(left, right)
 
 
 @dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Mul(_Binary):
+    _symbol = "*"
 
     def _eval(self, t: float) -> float:
         v = self.left._eval(t) * self.right._eval(t)
@@ -129,16 +192,20 @@ class Mul(Expr):
     def _jet(self, t: float) -> tuple[float, float]:
         a, da = self.left._jet(t)
         b, db = self.right._jet(t)
-        v = a * b
-        if math.isinf(v):
-            raise DomainError("overflow", self, t)
-        return v, da * b + a * db
+        return a * b, da * b + a * db
+
+    def _d(self) -> Expr:
+        return Add(Mul(self.left._d(), self.right), Mul(self.left, self.right._d()))
+
+    def _simplify(self, left: Expr, right: Expr) -> Expr:
+        if _is_zero(left) or _is_zero(right):
+            return Const(0.0)
+        return right if _is_one(left) else left if _is_one(right) else Mul(left, right)
 
 
 @dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class Div(_Binary):
+    _symbol = "/"
 
     def _eval(self, t: float) -> float:
         den = self.right._eval(t)
@@ -151,23 +218,31 @@ class Div(Expr):
 
     def _jet(self, t: float) -> tuple[float, float]:
         den, dden = self.right._jet(t)
-        if den == 0.0:
-            raise DomainError("division by zero", self, t)
         a, da = self.left._jet(t)
         v = a / den
-        if math.isinf(v):
-            raise DomainError("overflow", self, t)
         return v, (da - v * dden) / den
+
+    def _d(self) -> Expr:
+        left, right = self.left, self.right
+        num = Sub(Mul(left._d(), right), Mul(left, right._d()))
+        return Div(num, Mul(right, right))
+
+    def _simplify(self, left: Expr, right: Expr) -> Expr:
+        return left if _is_one(right) else Div(left, right)
 
 
 @dataclass(frozen=True)
 class Pow(Expr):
     base: Expr
-    exponent: Expr  # folds to Const for every parsed expression
+    exponent: Const
+
+    def __post_init__(self):
+        if not isinstance(self.exponent, Const):
+            raise TypeError(f"a power's exponent must be a Const, got {self.exponent!r}")
 
     def _eval(self, t: float) -> float:
         base = self.base._eval(t)
-        exp = self.exponent._eval(t)
+        exp = self.exponent.value
         if base < 0.0 and exp != round(exp):
             raise DomainError("negative base with fractional exponent", self, t)
         if base == 0.0 and exp < 0.0:
@@ -182,23 +257,33 @@ class Pow(Expr):
 
     def _jet(self, t: float) -> tuple[float, float]:
         base, dbase = self.base._jet(t)
-        exp, dexp = self.exponent._jet(t)
-        if base < 0.0 and exp != round(exp):
-            raise DomainError("negative base with fractional exponent", self, t)
-        if base == 0.0 and exp < 0.0:
-            raise DomainError("zero base with negative exponent", self, t)
-        try:
-            v = base ** exp
-        except OverflowError:
-            raise DomainError("power overflow", self, t) from None
-        if math.isinf(v):
-            raise DomainError("overflow", self, t)
-        if dexp != 0.0 or (base == 0.0 and exp != round(exp)):
-            return v, math.nan  # t in the exponent, or a non-integer power of 0
+        exp = self.exponent.value
+        v = base ** exp
+        if base == 0.0 and exp != round(exp):
+            return v, math.nan  # a non-integer power of 0
         try:
             return v, exp * base ** (exp - 1.0) * dbase
         except (OverflowError, ZeroDivisionError):
             return v, math.inf
+
+    def _fold(self) -> Expr:
+        base, exp = self.base._fold(), self.exponent
+        if exp.value == 1.0:
+            return base
+        if exp.value == 0.0:
+            return Const(1.0)
+        node = Pow(base, exp)
+        return _constant(node) if isinstance(base, Const) else node
+
+    def _d(self) -> Expr:
+        c = self.exponent.value
+        return Mul(Mul(Const(c), Pow(self.base, Const(c - 1.0))), self.base._d())
+
+    def _substitute(self, replacement: Expr) -> Expr:
+        return Pow(self.base._substitute(replacement), self.exponent)
+
+    def _render(self) -> str:
+        return f"({self.base._render()}^{self.exponent._render()})"
 
 
 @dataclass(frozen=True)
@@ -234,27 +319,46 @@ class Apply(Expr):
         x, dx = self.arg._jet(t)
         func = self.func
         if func == "log":
-            if x <= 0.0:
-                raise DomainError("log of a non-positive value", self, t)
             return math.log(x), dx / x
         if func == "exp":
-            try:
-                v = math.exp(x)
-            except OverflowError:
-                raise DomainError("exp overflow", self, t) from None
+            v = math.exp(x)
             return v, v * dx
         if func == "sin":
             return math.sin(x), math.cos(x) * dx
         if func == "cos":
             return math.cos(x), -math.sin(x) * dx
         if func == "sqrt":
-            if x < 0.0:
-                raise DomainError("sqrt of a negative value", self, t)
             v = math.sqrt(x)
             return v, dx / (2.0 * v) if x > 0.0 else math.nan
+        # abs, the one name left: evaluate has rejected any other
+        return abs(x), dx if x > 0.0 else -dx if x < 0.0 else math.nan
+
+    def _fold(self) -> Expr:
+        node = Apply(self.func, self.arg._fold())
+        return _constant(node) if isinstance(node.arg, Const) else node
+
+    def _d(self) -> Expr:
+        func, arg = self.func, self.arg
         if func == "abs":
-            return abs(x), dx if x > 0.0 else -dx if x < 0.0 else math.nan
-        raise DomainError(f"unknown function {func!r}", self, t)
+            raise NotDifferentiable("abs is not differentiable at 0")
+        inner = arg._d()
+        if func == "log":
+            return Div(inner, arg)
+        if func == "exp":
+            return Mul(Apply("exp", arg), inner)
+        if func == "sin":
+            return Mul(Apply("cos", arg), inner)
+        if func == "cos":
+            return Sub(Const(0.0), Mul(Apply("sin", arg), inner))
+        if func == "sqrt":
+            return Div(inner, Mul(Const(2.0), Apply("sqrt", arg)))
+        raise NotDifferentiable(f"cannot differentiate {func}")
+
+    def _substitute(self, replacement: Expr) -> Expr:
+        return Apply(self.func, self.arg._substitute(replacement))
+
+    def _render(self) -> str:
+        return f"{self.func}({self.arg._render()})"
 
 
 _FUNCS = ("log", "exp", "sin", "cos", "sqrt", "abs")
@@ -394,87 +498,23 @@ def evaluate(e: Expr, t: float) -> float:
 
 
 def _jet(e: Expr, t: float) -> tuple[float, float]:
-    """e(t) and e'(t) from one forward pass.
+    """e(t) and e'(t): evaluate's value, then the slope from one forward pass.
 
-    The value is evaluate(e, t) bit for bit, with the same DomainError where
-    evaluate raises. A node that is not analytic on both sides of its argument
-    (abs or sqrt of 0, a non-integer power of 0) gives a NaN slope, which every
-    later node propagates; that, or a slope that overflows, raises
-    NotDifferentiable here, after every DomainError evaluate would raise.
+    evaluate(e, t) runs first, so the value and every DomainError are its
+    own. A node that is not analytic on both sides of its argument (abs or
+    sqrt of 0, a non-integer power of 0) gives a NaN slope, which every later
+    node propagates; that, or a slope that overflows, raises NotDifferentiable.
     """
-    v, s = e._jet(t)
-    if math.isnan(v):
-        raise DomainError("evaluation produced NaN", e, t)
+    v = evaluate(e, t)
+    s = e._jet(t)[1]
     if not math.isfinite(s):
         raise NotDifferentiable(f"no finite derivative at t={t!r}")
     return v, s
 
 
-def _is_zero(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 0.0
-
-
-def _is_one(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 1.0
-
-
 def fold(e: Expr) -> Expr:
     """Collapse constant subtrees and trivial algebraic identities."""
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Apply):
-        arg = fold(e.arg)
-        node = Apply(e.func, arg)
-        if isinstance(arg, Const):
-            try:
-                return Const(evaluate(node, 0.0))
-            except DomainError:
-                return node
-        return node
-    if isinstance(e, Pow):
-        base, exp = fold(e.base), fold(e.exponent)
-        if isinstance(exp, Const):
-            if exp.value == 1.0:
-                return base
-            if exp.value == 0.0:
-                return Const(1.0)
-        node = Pow(base, exp)
-        if isinstance(base, Const) and isinstance(exp, Const):
-            try:
-                return Const(evaluate(node, 0.0))
-            except DomainError:
-                return node
-        return node
-    left, right = fold(e.left), fold(e.right)
-    if isinstance(left, Const) and isinstance(right, Const):
-        node = type(e)(left, right)
-        try:
-            return Const(evaluate(node, 0.0))
-        except DomainError:
-            return node
-    if isinstance(e, Add):
-        if _is_zero(left):
-            return right
-        if _is_zero(right):
-            return left
-        return Add(left, right)
-    if isinstance(e, Sub):
-        if _is_zero(right):
-            return left
-        return Sub(left, right)
-    if isinstance(e, Mul):
-        if _is_zero(left) or _is_zero(right):
-            return Const(0.0)
-        if _is_one(left):
-            return right
-        if _is_one(right):
-            return left
-        return Mul(left, right)
-    if isinstance(e, Div):
-        if _is_one(right):
-            return left
-        return Div(left, right)
-    raise TypeError(f"not an expression node: {e!r}")
+    return e._fold()
 
 
 def derivative(e: Expr) -> Expr:
@@ -486,46 +526,9 @@ def derivative(e: Expr) -> Expr:
     """
     d = e.__dict__.get("_derivative")
     if d is None:
-        d = fold(_d(e))
+        d = fold(e._d())
         object.__setattr__(e, "_derivative", d)
     return d
-
-
-def _d(e: Expr) -> Expr:
-    if isinstance(e, Const):
-        return Const(0.0)
-    if isinstance(e, Var):
-        return Const(1.0)
-    if isinstance(e, Add):
-        return Add(_d(e.left), _d(e.right))
-    if isinstance(e, Sub):
-        return Sub(_d(e.left), _d(e.right))
-    if isinstance(e, Mul):
-        return Add(Mul(_d(e.left), e.right), Mul(e.left, _d(e.right)))
-    if isinstance(e, Div):
-        num = Sub(Mul(_d(e.left), e.right), Mul(e.left, _d(e.right)))
-        return Div(num, Mul(e.right, e.right))
-    if isinstance(e, Pow):
-        if not isinstance(e.exponent, Const):
-            raise NotDifferentiable("exponent depends on t")
-        c = e.exponent.value
-        return Mul(Mul(Const(c), Pow(e.base, Const(c - 1.0))), _d(e.base))
-    if isinstance(e, Apply):
-        if e.func == "abs":
-            raise NotDifferentiable("abs is not differentiable at 0")
-        inner = _d(e.arg)
-        if e.func == "log":
-            return Div(inner, e.arg)
-        if e.func == "exp":
-            return Mul(Apply("exp", e.arg), inner)
-        if e.func == "sin":
-            return Mul(Apply("cos", e.arg), inner)
-        if e.func == "cos":
-            return Sub(Const(0.0), Mul(Apply("sin", e.arg), inner))
-        if e.func == "sqrt":
-            return Div(inner, Mul(Const(2.0), Apply("sqrt", e.arg)))
-        raise NotDifferentiable(f"cannot differentiate {e.func}")
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 def nth_derivative(e: Expr, n: int) -> Expr:
@@ -536,34 +539,9 @@ def nth_derivative(e: Expr, n: int) -> Expr:
 
 def substitute(e: Expr, replacement: Expr) -> Expr:
     """Replace every occurrence of t, giving the composition e(replacement)."""
-    if isinstance(e, Var):
-        return replacement
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Apply):
-        return Apply(e.func, substitute(e.arg, replacement))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, replacement),
-                   substitute(e.exponent, replacement))
-    return type(e)(substitute(e.left, replacement),
-                   substitute(e.right, replacement))
-
-
-def _fmt_const(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
+    return e._substitute(replacement)
 
 
 def render(e: Expr) -> str:
     """Source text that reparses to a structurally identical folded tree."""
-    if isinstance(e, Const):
-        return _fmt_const(e.value)
-    if isinstance(e, Var):
-        return "t"
-    if isinstance(e, Apply):
-        return f"{e.func}({render(e.arg)})"
-    if isinstance(e, Pow):
-        return f"({render(e.base)}^{render(e.exponent)})"
-    ops = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-    return f"({render(e.left)} {ops[type(e)]} {render(e.right)})"
+    return e._render()

@@ -31,7 +31,8 @@ from .derivative import (
     t_alpha,
 )
 from .expr import Expr, evaluate
-from .timescale import MEMBERSHIP_RTOL, Jump, QLatticeClosure, Site, TimeScale
+from .timescale import (MEMBERSHIP_RTOL, Q_ENUM_FLOOR, Jump, QLatticeClosure, Site,
+                        TimeScale)
 
 __all__ = [
     "IntegralConfig", "IntegralResult", "cauchy", "single_grain", "indefinite",
@@ -49,7 +50,7 @@ class IntegralConfig:
     50*eps*int|g|, and panels at the floor are final, so est_error can exceed
     quad_tol for integrands near 1e9. max_subdivisions bounds the total number
     of G7K15 panels; q_tail_cutoff is the smallest geometric-lattice point
-    enumerated near 0 (q**-64 when omitted).
+    enumerated near 0 (q**-Q_ENUM_FLOOR, as in decompose, when omitted).
     """
     quad_tol: float = 1e-10
     max_subdivisions: int = 1 << 20
@@ -182,7 +183,7 @@ def _q_series_from_zero(f: Expr, ts: QLatticeClosure, hi: float, alpha: float,
     cutoff is reached.
     """
     q = ts.q
-    cutoff = cfg.q_tail_cutoff if cfg.q_tail_cutoff is not None else q ** -64.0
+    cutoff = cfg.q_tail_cutoff if cfg.q_tail_cutoff is not None else q ** -Q_ENUM_FLOOR
     r_theory = q ** (-alpha)
     k_top = round(math.log(hi) / math.log(q))
     terms: list[float] = []
@@ -312,8 +313,7 @@ def _ftc_dense_value(f: Expr, ts: TimeScale, site: Site, alpha: float,
         width = 2.0 * h if side == 0 else h
         return cauchy(f, ts, lo, hi, alpha, tight).value / width, 8.0 * tight.quad_tol / h
 
-    h0 = _DENSE.dense_h0 * max(1.0, abs(t))
-    return _richardson(quotient, site, h0, _DENSE.tol) * _power(t, alpha)
+    return _richardson(quotient, site, _DENSE.tol) * _power(t, alpha)
 
 
 def ftc_check(f: Expr, ts: TimeScale, points: list[float], alpha: float,

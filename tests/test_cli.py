@@ -1,5 +1,6 @@
 """Command-line behavior: values, formats, exit codes, determinism."""
 
+import csv
 import io
 import json
 import math
@@ -82,6 +83,18 @@ def test_csv_output():
     lines = out.strip().splitlines()
     assert lines[0].split(",")[:4] == ["t", "sigma", "mu", "class"]
     assert "7.0710678118654755e+00" in lines[1]
+
+
+def test_csv_quotes_a_class_label_with_a_comma():
+    code, out, _ = run_cli(["deriv", "--scale", "R[0,4]", "--expr", "t^2",
+                            "--alpha", "1", "--points", "0,4", "--output", "csv"])
+    assert code == 0
+    # the labels of a scale's ends hold a comma, so they are quoted
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["class"] for row in rows] == ["rd-ld,min", "rd-ld,max"]
+    assert [row["value"] for row in rows] == ["0.0000000000000000e+00",
+                                              "8.0000000000000000e+00"]
+    assert all(None not in row for row in rows)  # no field beyond the header
 
 
 def test_integ_example():

@@ -276,6 +276,17 @@ def test_malformed_nodes_are_rejected():
     assert str(err) == "unknown function 'tan' at t=1.0"
     with pytest.raises(TypeError):
         evaluate(Add(Var(), Expr()), 1.0)
+    for rule in (fold, derivative, render, lambda e: substitute(e, Var())):
+        with pytest.raises(TypeError):
+            rule(Mul(Var(), Expr()))
+
+
+def test_power_exponent_must_be_a_constant():
+    # parse rejects t^t; a tree built by hand is rejected at construction
+    with pytest.raises(TypeError, match=r"^a power's exponent must be a Const, got Var\(\)$"):
+        Pow(Var(), Var())
+    with pytest.raises(TypeError):
+        Pow(Var(), Add(Const(1.0), Const(1.0)))
 
 
 _NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d*)?(?:e[+-]?\d+)?")
