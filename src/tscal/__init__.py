@@ -48,7 +48,7 @@ from .integral import (
 from .laws import LAWS, VerificationReport, definition_scan, run_law_suite
 from .timescale import (
     FiniteSet,
-    Jump,
+    Jumps,
     PeriodicUnion,
     PointClass,
     QLatticeClosure,
@@ -67,7 +67,7 @@ __all__ = [
     "AlphaOrder", "DerivConfig", "IntegralConfig", "IntegralResult",
     "FtcReport", "MonotonicityReport", "VerificationReport", "LAWS",
     "TimeScale", "RealInterval", "UniformLattice", "QLatticeClosure",
-    "QPowers", "PeriodicUnion", "FiniteSet", "PointClass", "Jump", "Segment",
+    "QPowers", "PeriodicUnion", "FiniteSet", "PointClass", "Jumps", "Segment",
     "Expr", "parse_expr", "parse_scale", "finite_from_file",
     "evaluate", "derivative", "nth_derivative", "substitute", "render",
     "t_alpha", "t_alpha_at_zero", "t_alpha_higher", "t_alpha_higher_paths",

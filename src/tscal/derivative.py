@@ -182,16 +182,18 @@ def _expr_delta1(f: Expr, site: Site, cfg: DerivConfig) -> float:
     """First delta derivative of an expression at a scale point.
 
     At a dense point with continuum room on either side it is f'(t) from the
-    jet. Wherever the jet raises, _delta1's limit runs instead, so every
-    input the jet cannot handle gets the limit's value or error. With room on
-    both sides the two one-sided limits are taken as well: where both exist
-    and differ by more than _KINK_RTOL of the larger slope and of
-    |f(t)| / max(1, |t|), t is a kink and NotDifferentiable is raised.
+    jet. Where f(t) itself is undefined the jet's DomainError is raised, as
+    no derivative exists there. Wherever the jet raises NotDifferentiable,
+    _delta1's limit runs instead, so every input the jet cannot handle gets
+    the limit's value or error. With room on both sides the two one-sided
+    limits are taken as well: where both exist and differ by more than
+    _KINK_RTOL of the larger slope and of |f(t)| / max(1, |t|), t is a kink
+    and NotDifferentiable is raised.
     """
     if site.mu == 0.0 and (site.left_room > 0.0 or site.right_room > 0.0):
         try:
             return _jet(f, site.t)[1]
-        except Exception:  # noqa: BLE001 - the limit meets the same failure
+        except NotDifferentiable:
             pass
     g = partial(evaluate, f)
     value = _delta1(g, site, cfg)

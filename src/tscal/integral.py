@@ -1,12 +1,12 @@
 """Cauchy and indefinite integrals of order alpha on time scales.
 
 The order-alpha integral of f is the delta integral of f(t) * t**(alpha-1).
-Over an isolated jump that is an exact product with the graininess. Over a
-continuum segment it is globally adaptive Gauss-Kronrod G7K15 quadrature
-(QUADPACK) in the variable u = t**alpha, where the integrand becomes
-(1/alpha) * f(u**(1/alpha)): the weight, singular at a zero endpoint when
-alpha < 1, disappears exactly. Geometric lattices accumulating at 0 are summed
-as a series with a tail bound.
+Over a run of isolated points it is the exact sum of f(t) * t**(alpha-1) *
+mu(t), one term per step. Over a continuum segment it is globally adaptive
+Gauss-Kronrod G7K15 quadrature (QUADPACK) in the variable u = t**alpha, where
+the integrand becomes (1/alpha) * f(u**(1/alpha)): the weight, singular at a
+zero endpoint when alpha < 1, disappears exactly. Geometric lattices
+accumulating at 0 are summed as a series with a tail bound.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .derivative import (
     t_alpha,
 )
 from .expr import Expr, evaluate
-from .timescale import (MEMBERSHIP_RTOL, Q_ENUM_FLOOR, Jump, QLatticeClosure, Site,
+from .timescale import (MEMBERSHIP_RTOL, Q_ENUM_FLOOR, Jumps, QLatticeClosure, Site,
                         TimeScale)
 
 __all__ = [
@@ -239,19 +239,21 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
         budget = [cfg.max_subdivisions]
         contributions: list[float] = []
         err_parts: list[float] = []
-        cells = ts.decompose(lo, hi)
-        for cell in cells:
-            if isinstance(cell, Jump):
-                if cell.t <= 0.0 and alpha < 1.0:
+        for cell in ts.decompose(lo, hi):
+            if isinstance(cell, Jumps):
+                t = cell.points[0]
+                if t <= 0.0 and alpha < 1.0:  # the points rise: only the first can be 0
                     raise EndpointSingularity(
                         "an isolated jump at 0 has no finite order-alpha weight")
-                contributions.append(evaluate(f, cell.t) * _weight(cell.t, alpha)
-                                     * (cell.sigma_t - cell.t))
+                for s in cell.points[1:]:
+                    contributions.append(evaluate(f, t) * _weight(t, alpha) * (s - t))
+                    t = s
             else:
                 v, e = _segment_piece(f, alpha, cell.lo, cell.hi, cfg, budget)
                 contributions.append(v)
                 err_parts.append(e)
-        value, err, used = math.fsum(contributions), math.fsum(err_parts), len(cells)
+        # one contribution per step and per segment
+        value, err, used = math.fsum(contributions), math.fsum(err_parts), len(contributions)
     if not (math.isfinite(value) and math.isfinite(err)):
         raise NotRepresentable(
             f"integral from {a!r} to {b!r} is not finite: {value!r} +- {err!r}")
@@ -366,17 +368,20 @@ def _sample_scale_points(ts: TimeScale, lo: float, hi: float) -> list[float]:
     uniform fills on continuum segments."""
     cells = ts.decompose(lo, hi, max_cells=1 << 21)
     points: list[float] = [lo]
-    jumps = [c for c in cells if isinstance(c, Jump)]
-    stride = max(1, math.ceil(len(jumps) / _MAX_SAMPLES))
-    for idx, cell in enumerate(cells):
-        if isinstance(cell, Jump):
-            if idx % stride == 0:
-                points.append(cell.t)
-            points.append(cell.sigma_t)
+    steps = sum(len(c.points) - 1 for c in cells if isinstance(c, Jumps))
+    stride = max(1, math.ceil(steps / _MAX_SAMPLES))
+    idx = 0  # index of the next step or segment over the whole decomposition
+    for cell in cells:
+        if isinstance(cell, Jumps):
+            run = cell.points
+            points.extend(run[-idx % stride:-1:stride])  # run[i] where stride divides idx + i
+            points.extend(run[1:])
+            idx += len(run) - 1
         else:
             n = _CONTINUUM_SAMPLES
             width = cell.hi - cell.lo
             points.extend(cell.lo + width * i / n for i in range(n + 1))
+            idx += 1
     points.append(hi)
     out: list[float] = []
     for p in sorted(points):

@@ -20,7 +20,7 @@ from .errors import NotInKappa, NotInScale, NotRepresentable, ReversedBounds, \
 
 __all__ = [
     "TimeScale", "RealInterval", "UniformLattice", "QLatticeClosure",
-    "QPowers", "PeriodicUnion", "FiniteSet", "PointClass", "Site", "Jump",
+    "QPowers", "PeriodicUnion", "FiniteSet", "PointClass", "Site", "Jumps",
     "Segment", "parse_scale", "finite_from_file",
 ]
 
@@ -87,10 +87,12 @@ class Site(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Jump:
-    """An isolated step from t to the next scale point."""
-    t: float
-    sigma_t: float
+class Jumps:
+    """A maximal run of isolated steps: points[i] jumps to points[i + 1].
+
+    The points rise strictly and there are at least two of them, so the run
+    holds len(points) - 1 steps."""
+    points: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ class Segment:
     hi: float
 
 
-Cell = Jump | Segment
+Cell = Jumps | Segment
 
 
 class TimeScale:
@@ -120,7 +122,10 @@ class TimeScale:
 
     def decompose(self, lo: float, hi: float,
                   max_cells: int = _DEFAULT_MAX_CELLS) -> list[Cell]:
-        """Ordered cells partitioning [lo, hi] in traversal order."""
+        """Ordered cells partitioning [lo, hi] in traversal order: one Jumps
+        per maximal run of isolated steps and one Segment per continuum piece,
+        each starting where the one before ends. max_cells bounds the steps
+        and segments, not the cells."""
         raise NotImplementedError
 
     def _outside(self, t: float) -> NotInScale:
@@ -231,10 +236,9 @@ class UniformLattice(TimeScale):
         k0, k1 = self._step(lo), self._step(hi)
         if k1 - k0 > max_cells:
             raise ValueError(f"decomposition would need {k1 - k0} cells")
-        points = [lo] + [(k0 + i) * self.h for i in range(1, k1 - k0)] + [hi]
         if k1 == k0:
             return []
-        return [Jump(points[i], points[i + 1]) for i in range(len(points) - 1)]
+        return [Jumps((lo, *[(k0 + i) * self.h for i in range(1, k1 - k0)], hi))]
 
 
 def _q_exponent(q: float, t: float) -> int:
@@ -300,10 +304,8 @@ class QLatticeClosure(TimeScale):
             head = []
         if k1 - k0 > max_cells:
             raise ValueError(f"decomposition would need {k1 - k0} cells")
-        points = ([lo] if not head else [self.q ** k0]) \
-            + [self.q ** k for k in range(k0 + 1, k1)] + [hi]
-        jumps = [Jump(points[i], points[i + 1]) for i in range(len(points) - 1)]
-        return head + jumps
+        start = self.q ** k0 if head else lo
+        return head + [Jumps((start, *[self.q ** k for k in range(k0 + 1, k1)], hi))]
 
 
 @dataclass(frozen=True)
@@ -336,8 +338,7 @@ class QPowers(TimeScale):
             return []
         if k1 - k0 > max_cells:
             raise ValueError(f"decomposition would need {k1 - k0} cells")
-        points = [lo] + [self.q ** k for k in range(k0 + 1, k1)] + [hi]
-        return [Jump(points[i], points[i + 1]) for i in range(len(points) - 1)]
+        return [Jumps((lo, *[self.q ** k for k in range(k0 + 1, k1)], hi))]
 
 
 @dataclass(frozen=True)
@@ -406,7 +407,7 @@ class PeriodicUnion(TimeScale):
                 if hi <= x + _slack(x, self._gap):
                     break
                 nxt = (k + 1) * p
-                cells.append(Jump(x, nxt))
+                cells.append(Jumps((x, nxt)))
                 x = nxt
                 continue
             seg_hi = min(block_end, hi)
@@ -415,7 +416,7 @@ class PeriodicUnion(TimeScale):
             if hi <= seg_hi + _slack(seg_hi, self._gap):
                 break
             nxt = (k + 1) * p
-            cells.append(Jump(seg_hi, nxt))
+            cells.append(Jumps((seg_hi, nxt)))
             x = nxt
         else:
             raise ValueError("decomposition exceeded the cell budget")
@@ -471,7 +472,7 @@ class FiniteSet(TimeScale):
         self._check_bounds(lo, hi)
         i0 = self._index(lo)
         i1 = self._index(hi)
-        return [Jump(self.points[i], self.points[i + 1]) for i in range(i0, i1)]
+        return [Jumps(self.points[i0:i1 + 1])] if i1 > i0 else []
 
 
 _NUM = r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"

@@ -178,9 +178,10 @@ def test_domain_error_exit_code():
                             "--alpha", "0.5", "--at", "2.5"])
     assert code == 3 and "2.5" in err
 
+    # f(2) itself is undefined, so the error names 2, not a step of the limit
     code, _, err = run_cli(["deriv", "--scale", "R", "--expr", "log(t-5)",
                             "--alpha", "0.5", "--at", "2"])
-    assert code == 3
+    assert code == 3 and err == "tscal: DomainError: log of a non-positive value at t=2.0\n"
 
 
 def test_usage_error_exit_code():

@@ -400,7 +400,8 @@ def test_dense_points_match_mpmath():
 
 
 # points where the jet raises: t_alpha must give exactly what the limit gives,
-# except at a kink, where the one-sided limits differ
+# except at a kink, where the one-sided limits differ, and where f(t) itself
+# is undefined, where evaluate's DomainError stands
 FALLBACK_CASES = [
     ("abs(t-3)", 3.0),    # NotDifferentiable: the one-sided limits of |h|/h
     ("sqrt(t-2)", 2.0),   # NotDifferentiable: sqrt of 0
@@ -422,16 +423,29 @@ def test_jet_failures_fall_back_to_the_limit(text, t):
     with pytest.raises((NotDifferentiable, DomainError)):
         _jet(f, t)
     site = R.kappa_site(t)
-    kink = None
+    expected = None
     if text == "abs(t-3)":  # the central quotient is 0 at every step
-        kink = ("NotDifferentiable: one-sided derivatives -1.000000000000038 "
-                "and 1.000000000000038 differ at t=3.0")
+        expected = ("NotDifferentiable: one-sided derivatives -1.000000000000038 "
+                    "and 1.000000000000038 differ at t=3.0")
+    if text == "1/(t-2)":  # f(2) is undefined; the limit alone raises LimitDiverged
+        expected = "DomainError: division by zero at t=2.0"
     for alpha in (0.5, 1.0):
         limit = _outcome_text(
             lambda: _dense_limit(partial(evaluate, f), site, DEFAULT_CONFIG) * _power(t, alpha))
-        assert _outcome_text(lambda: t_alpha(f, R, t, alpha)) == (kink or limit)
-    assert _outcome_text(lambda: delta_derivative_n(f, R, t, 1)) == (kink or _outcome_text(
+        assert _outcome_text(lambda: t_alpha(f, R, t, alpha)) == (expected or limit)
+    assert _outcome_text(lambda: delta_derivative_n(f, R, t, 1)) == (expected or _outcome_text(
         lambda: _dense_limit(partial(evaluate, f), R.site(t), DEFAULT_CONFIG)))
+
+
+def test_no_derivative_where_f_is_undefined():
+    # the central quotient never evaluates f(3) and gives 0.0 at every step
+    f = parse("sin(t-3)/(t-3)")
+    assert _dense_limit(partial(evaluate, f), R.site(3.0), DEFAULT_CONFIG) == 0.0
+    for call in (lambda: t_alpha(f, R, 3.0, 0.5), lambda: delta_derivative_n(f, R, 3.0, 1)):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == "division by zero at t=3.0"
+        assert info.value.t == 3.0
 
 
 def test_only_a_kink_with_room_on_both_sides_raises():

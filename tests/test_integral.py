@@ -7,6 +7,7 @@ import pytest
 
 import tscal.integral as integral_module
 from tscal.errors import (
+    DomainError,
     EndpointSingularity,
     NonPositivePoint,
     NotInScale,
@@ -342,3 +343,52 @@ def test_overflowing_integral_raises():
         cauchy(parse("t"), RealInterval(), 0.0, 1e300, 1.0)
     with pytest.raises(NotRepresentable):
         cauchy(parse("t"), RealInterval(), 1e300, 0.0, 0.5)
+
+
+# cauchy over runs of isolated points, pinned as computed when decompose gave
+# one cell per step: (value, est_error, cells_used) must match bit for bit
+PA = PeriodicUnion(1.0, 2.0)
+FS = FiniteSet((0.0, 0.5, 1.25, 2.0, 7.5, 8.0, 13.0))
+PINNED_SUMS = [
+    ("t^2+1", UniformLattice(0.1), 0.0, 1000.0, 1.0, (333284335.0, 0.0, 10000)),
+    ("exp(-t)*sin(t)", HZ1, 1.0, 10000.0, 1.0, (0.4195697895124156, 0.0, 9999)),
+    ("exp(-t)*sin(t)", HZ1, 1.0, 10000.0, 0.257363, (0.37933850881746, 0.0, 9999)),
+    ("1/(1+t)", QPowers(1.5), 1.0, 1.5 ** 40, 1.0, (19.016015062594807, 0.0, 40)),
+    ("1/(1+t)", QPowers(1.5), 1.0, 1.5 ** 40, 0.5, (2.0612108008875305, 0.0, 40)),
+    ("t^2", QZ2, 2.0 ** -20, 2.0 ** 10, 1.0, (153391689.14285713, 0.0, 30)),
+    ("t^2", QZ2, 2.0 ** -20, 2.0 ** 10, 0.257363, (1650873.534035591, 0.0, 30)),
+    ("cos(t)+t", PA, 0.0, 31.0, 1.0, (460.70670263690204, 1.90036284197139e-12, 21)),
+    ("cos(t)+t", PA, 0.0, 31.0, 0.5, (113.92612113963335, 5.099930029940388e-13, 21)),
+    ("sqrt(t)", PeriodicUnion(0.7, 0.4), 0.7, 22.7, 0.5,
+     (21.999999999999993, 1.5543122344752171e-13, 40)),
+    ("t^3-t", FS, 0.5, 13.0, 1.0, (2760.43359375, 0.0, 5)),
+    ("t^3-t", FS, 0.5, 13.0, 0.257363, (604.0360966921794, 0.0, 5)),
+]
+
+
+@pytest.mark.parametrize("text,ts,lo,hi,alpha,expected", PINNED_SUMS)
+def test_jump_runs_match_pinned_sums(text, ts, lo, hi, alpha, expected):
+    res = cauchy(parse(text), ts, lo, hi, alpha)
+    assert (res.value, res.est_error, res.cells_used) == expected
+    back = cauchy(parse(text), ts, hi, lo, alpha)
+    assert (back.value, back.cells_used) == (-expected[0], expected[2])
+
+
+# the first error of a sum is the first failing cell in traversal order
+PINNED_ERRORS = [
+    ("log(t-5)", HZ1, 1.0, 10.0, 0.5, "log of a non-positive value at t=1.0", 1.0),
+    ("log(5-t)", HZ1, 1.0, 10.0, 1.0, "log of a non-positive value at t=5.0", 5.0),
+    # the segment [0, 1] fails at a Kronrod node before the jump at 1 is reached
+    ("sqrt(0.5-t)", PA, 0.0, 4.0, 1.0,
+     "sqrt of a negative value at t=0.9957276855604063", 0.9957276855604063),
+    ("sqrt(0.5-t)", PA, 0.0, 4.0, 0.5,
+     "sqrt of a negative value at t=0.9914736237914833", 0.9914736237914833),
+]
+
+
+@pytest.mark.parametrize("text,ts,lo,hi,alpha,message,t", PINNED_ERRORS)
+def test_jump_runs_raise_the_pinned_first_error(text, ts, lo, hi, alpha, message, t):
+    with pytest.raises(DomainError) as info:
+        cauchy(parse(text), ts, lo, hi, alpha)
+    assert type(info.value) is DomainError
+    assert (str(info.value), info.value.t) == (message, t)

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from tscal.errors import NotInScale, NotRepresentable, ReversedBounds, ScaleSpecError
 from tscal.timescale import (
     FiniteSet,
-    Jump,
+    Jumps,
     PeriodicUnion,
     QLatticeClosure,
     QPowers,
@@ -68,13 +69,20 @@ def test_in_kappa_singleton():
     assert FiniteSet((3.0,)).in_kappa(3.0)
 
 
+def _typed(cells):
+    """Each cell as (type, *fields), so a run and a segment never compare equal."""
+    return [(type(c), *astuple(c)) for c in cells]
+
+
 def test_decompose_examples():
-    assert UniformLattice(1.0).decompose(0.0, 3.0) == [
-        Jump(0.0, 1.0), Jump(1.0, 2.0), Jump(2.0, 3.0)]
-    assert RealInterval().decompose(1.0, 4.0) == [Segment(1.0, 4.0)]
+    assert _typed(UniformLattice(1.0).decompose(0.0, 3.0)) == [
+        (Jumps, (0.0, 1.0, 2.0, 3.0))]
+    assert _typed(RealInterval().decompose(1.0, 4.0)) == [(Segment, 1.0, 4.0)]
     # enumerate P_{1,2} = [0,1] u [3,4] u ... by hand
-    assert PeriodicUnion(1.0, 2.0).decompose(0.0, 4.0) == [
-        Segment(0.0, 1.0), Jump(1.0, 3.0), Segment(3.0, 4.0)]
+    assert _typed(PeriodicUnion(1.0, 2.0).decompose(0.0, 4.0)) == [
+        (Segment, 0.0, 1.0), (Jumps, (1.0, 3.0)), (Segment, 3.0, 4.0)]
+    fs = FiniteSet((0.0, 0.5, 1.25, 2.0))
+    assert _typed(fs.decompose(0.5, 2.0)) == [(Jumps, (0.5, 1.25, 2.0))]
 
 
 def test_decompose_degenerate_and_errors():
@@ -87,16 +95,16 @@ def test_decompose_degenerate_and_errors():
 
 
 def test_decompose_from_block_end():
-    assert PeriodicUnion(1.0, 2.0).decompose(1.0, 3.0) == [Jump(1.0, 3.0)]
-    assert PeriodicUnion(1.0, 2.0).decompose(3.0, 3.5) == [Segment(3.0, 3.5)]
+    assert _typed(PeriodicUnion(1.0, 2.0).decompose(1.0, 3.0)) == [(Jumps, (1.0, 3.0))]
+    assert _typed(PeriodicUnion(1.0, 2.0).decompose(3.0, 3.5)) == [(Segment, 3.0, 3.5)]
 
 
 def test_qlattice_decompose_from_zero_has_dense_stub():
     qz = QLatticeClosure(2.0)
     cells = qz.decompose(0.0, 1.0)
-    assert cells[0] == Segment(0.0, 2.0 ** -64)
-    assert all(isinstance(c, Jump) for c in cells[1:])
-    assert cells[-1].sigma_t == 1.0
+    assert _typed(cells[:1]) == [(Segment, 0.0, 2.0 ** -64)]
+    assert _typed(cells[1:]) == [(Jumps, tuple(2.0 ** k for k in range(-64, 1)))]
+    assert cells[-1].points[-1] == 1.0
 
 
 def _random_in_scale_points(ts, rng, count=1000):
@@ -178,8 +186,9 @@ def test_real_interval_interior_dense_both_sides():
 ])
 def test_decompose_telescopes(ts, lo, hi):
     cells = ts.decompose(lo, hi)
-    starts = [c.t if isinstance(c, Jump) else c.lo for c in cells]
-    ends = [c.sigma_t if isinstance(c, Jump) else c.hi for c in cells]
+    assert {type(c) for c in cells} <= {Jumps, Segment}
+    starts = [c.points[0] if isinstance(c, Jumps) else c.lo for c in cells]
+    ends = [c.points[-1] if isinstance(c, Jumps) else c.hi for c in cells]
     assert starts[0] == lo
     assert ends[-1] == hi
     for nxt_start, cur_end in zip(starts[1:], ends[:-1]):
@@ -248,9 +257,11 @@ def test_uniform_lattice_sigma_agrees_with_decompose():
     # cell ends are k*h; 0.5 + 0.1 would round to 0.6, not to 6*0.1
     ts = UniformLattice(0.1)
     cells = ts.decompose(0.0, 1.0)
-    assert len(cells) == 10
-    for c in cells:
-        assert ts.sigma(c.t) == c.sigma_t
+    assert [type(c) for c in cells] == [Jumps]
+    points = cells[0].points
+    assert len(points) - 1 == 10
+    for t, nxt in zip(points, points[1:]):
+        assert ts.sigma(t) == nxt
 
 
 def test_validation_errors():
