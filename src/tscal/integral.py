@@ -389,7 +389,7 @@ def _sample_scale_points(ts: TimeScale, lo: float, hi: float) -> list[float]:
             out.append(p)
     if len(out) > _MAX_SAMPLES:
         stride = math.ceil(len(out) / _MAX_SAMPLES)
-        out = out[::stride] + [out[-1]]
+        out = out[:-1:stride] + [out[-1]]  # hi last, and only once
     return out
 
 

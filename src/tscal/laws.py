@@ -8,9 +8,15 @@ inequality, without going through the derivative code path.
 
 Every draw on a scale reads `_KINDS`, one record per shape: how to build it,
 its k-th right-scattered point, and which indices and continuum ranges the
-suites sample. The pointwise laws (sum, scalar, product, reciprocal, quotient,
-sigma_shift) share one trial loop, `_pointwise`, and the four integral laws
-share another, `_integral`; the remaining laws keep loops of their own.
+suites sample. Most laws draw one case at a time through `_per_case`: the
+pointwise laws (sum, scalar, product, reciprocal, quotient, sigma_shift) share
+the draw of `_pointwise`, and the four integral laws that of `_integral`. The
+counterexample and power-rule laws keep loops of their own; the power rule
+parses each distinct source once per call, so its 144-case grid parses 24.
+
+Every case hands `run_law_suite` a zero-argument builder of its inputs, not
+the inputs, and the builder is called only when the case fails: a passing case
+renders no function and no scale.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .derivative import (AlphaOrder, _chain_witness, _power, naive_chain_gap,
@@ -214,29 +221,39 @@ def _bounded_denominator(rng) -> Expr:
 
 
 def _inputs(ts, t, alpha, **extra) -> dict:
+    """A failing case's inputs; the trial loops defer the call to a builder."""
     return {"scale": repr(ts), "t": t, "alpha": alpha, **extra}
 
 
-def _pointwise(law, kinds=_ALL_KINDS, draw=_admissible_point):
-    """Trial loop of a pointwise law: scale, point and alpha are drawn here;
-    law(rng, ts, t, alpha) draws its functions and returns its inputs, its
-    left side and its right sides, and the worst right side counts."""
+def _per_case(case):
+    """Trial loop of a law that draws each case afresh: case(rng) returns a
+    builder of the case's inputs, its residual and the metric judged against
+    the tolerance."""
     def run(rng, trials):
-        for _ in range(trials):
-            kind, ts = _random_scale(rng, kinds)
-            t = draw(kind, ts, rng)
-            alpha = _random_alpha(rng)
-            extra, lhs, rhs = law(rng, ts, t, alpha)
-            yield (_inputs(ts, t, alpha, **extra), max(abs(lhs - r) for r in rhs),
-                   max(_rel(lhs, r) for r in rhs))
+        return (case(rng) for _ in range(trials))
     return run
+
+
+def _pointwise(law, kinds=_ALL_KINDS, draw=_admissible_point):
+    """Cases of a pointwise law: scale, point and alpha are drawn here;
+    law(rng, ts, t, alpha) draws its functions and returns a builder of its
+    extra inputs, its left side and its right sides, and the worst right side
+    counts."""
+    def case(rng):
+        kind, ts = _random_scale(rng, kinds)
+        t = draw(kind, ts, rng)
+        alpha = _random_alpha(rng)
+        extra, lhs, rhs = law(rng, ts, t, alpha)
+        return (lambda: _inputs(ts, t, alpha, **extra()), max(abs(lhs - r) for r in rhs),
+                max(_rel(lhs, r) for r in rhs))
+    return _per_case(case)
 
 
 def _sum(rng, ts, t, alpha):
     f = _random_function(rng)
     g = _random_function(rng)
     lhs = t_alpha(Add(f, g), ts, t, alpha)
-    return ({"f": render(f), "g": render(g)}, lhs,
+    return (lambda: {"f": render(f), "g": render(g)}, lhs,
             (t_alpha(f, ts, t, alpha) + t_alpha(g, ts, t, alpha),))
 
 
@@ -246,7 +263,7 @@ def _scalar(rng, ts, t, alpha):
     f = _random_function(rng)
     lam = rng.uniform(-4.0, 4.0)
     lhs = t_alpha(Mul(Const(lam), f), ts, t, alpha)
-    return {"f": render(f), "lam": lam}, lhs, (lam * t_alpha(f, ts, t, alpha),)
+    return lambda: {"f": render(f), "lam": lam}, lhs, (lam * t_alpha(f, ts, t, alpha),)
 
 
 def _product(rng, ts, t, alpha):
@@ -256,7 +273,7 @@ def _product(rng, ts, t, alpha):
     lhs = t_alpha(Mul(f, g), ts, t, alpha)
     tf = t_alpha(f, ts, t, alpha)
     tg = t_alpha(g, ts, t, alpha)
-    return ({"f": render(f), "g": render(g)}, lhs,
+    return (lambda: {"f": render(f), "g": render(g)}, lhs,
             (tf * evaluate(g, t) + evaluate(f, st) * tg,
              tf * evaluate(g, st) + evaluate(f, t) * tg))
 
@@ -266,7 +283,7 @@ def _reciprocal(rng, ts, t, alpha):
     st = ts.sigma(t)
     lhs = t_alpha(Div(Const(1.0), g), ts, t, alpha)
     rhs = -t_alpha(g, ts, t, alpha) / (evaluate(g, t) * evaluate(g, st))
-    return {"g": render(g)}, lhs, (rhs,)
+    return lambda: {"g": render(g)}, lhs, (rhs,)
 
 
 def _quotient(rng, ts, t, alpha):
@@ -278,27 +295,26 @@ def _quotient(rng, ts, t, alpha):
     tg = t_alpha(g, ts, t, alpha)
     rhs = (tf * evaluate(g, t) - evaluate(f, t) * tg) / \
         (evaluate(g, t) * evaluate(g, st))
-    return {"f": render(f), "g": render(g)}, lhs, (rhs,)
+    return lambda: {"f": render(f), "g": render(g)}, lhs, (rhs,)
 
 
 def _sigma_shift(rng, ts, t, alpha):
     f = _random_function(rng)
     lhs = sigma_shift(f, ts, t, alpha)
-    return {"f": render(f)}, lhs, (evaluate(f, ts.sigma(t)),)
+    return lambda: {"f": render(f)}, lhs, (evaluate(f, ts.sigma(t)),)
 
 
 def _integral(law, n=2):
-    """Trial loop of an integral law over n sorted bounds a < ... < b:
-    law(rng, ts, bounds, alpha) returns its extra inputs, its residual and
-    the metric judged against the tolerance."""
-    def run(rng, trials):
-        for _ in range(trials):
-            kind, ts = _random_scale(rng, _ALL_KINDS)
-            bounds = _integral_endpoints(kind, ts, rng, n)
-            alpha = _random_alpha(rng)
-            extra, res, metric = law(rng, ts, bounds, alpha)
-            yield _inputs(ts, bounds[0], alpha, b=bounds[-1], **extra), res, metric
-    return run
+    """Cases of an integral law over n sorted bounds a < ... < b:
+    law(rng, ts, bounds, alpha) returns a builder of its extra inputs, its
+    residual and the metric judged against the tolerance."""
+    def case(rng):
+        kind, ts = _random_scale(rng, _ALL_KINDS)
+        bounds = _integral_endpoints(kind, ts, rng, n)
+        alpha = _random_alpha(rng)
+        extra, res, metric = law(rng, ts, bounds, alpha)
+        return lambda: _inputs(ts, bounds[0], alpha, b=bounds[-1], **extra()), res, metric
+    return _per_case(case)
 
 
 def _linearity(rng, ts, bounds, alpha):
@@ -314,7 +330,7 @@ def _linearity(rng, ts, bounds, alpha):
     # quad_tol is absolute, but roundoff grows with the integrals, so the
     # residual is judged against the magnitude of the integrals involved
     scale = max(1.0, abs(int_sum), abs(int_f), abs(int_g), abs(int_lam))
-    return {"f": render(f), "g": render(g), "lam": lam}, res, res / scale
+    return lambda: {"f": render(f), "g": render(g), "lam": lam}, res, res / scale
 
 
 def _additivity(rng, ts, bounds, alpha):
@@ -323,7 +339,7 @@ def _additivity(rng, ts, bounds, alpha):
     whole = cauchy(f, ts, a, b, alpha).value
     split = cauchy(f, ts, a, c, alpha).value + cauchy(f, ts, c, b, alpha).value
     res = abs(whole - split)
-    return {"c": c, "f": render(f)}, res, res / max(1.0, abs(whole), abs(split))
+    return lambda: {"c": c, "f": render(f)}, res, res / max(1.0, abs(whole), abs(split))
 
 
 def _positivity(rng, ts, bounds, alpha):
@@ -331,7 +347,7 @@ def _positivity(rng, ts, bounds, alpha):
     p = _random_poly(rng, max_degree=2)
     f = fold(Add(Mul(p, p), Const(rng.uniform(0.1, 1.0))))
     res = max(0.0, -cauchy(f, ts, a, b, alpha).value)
-    return {"f": render(f)}, res, res
+    return lambda: {"f": render(f)}, res, res
 
 
 def _domination(rng, ts, bounds, alpha):
@@ -340,39 +356,36 @@ def _domination(rng, ts, bounds, alpha):
     int_f = cauchy(f, ts, a, b, alpha).value
     int_g = cauchy(Apply("abs", f), ts, a, b, alpha).value
     res = max(0.0, abs(int_f) - int_g)
-    return {"f": render(f)}, res, res / max(1.0, int_g)
+    return lambda: {"f": render(f)}, res, res / max(1.0, int_g)
 
 
-def _law_ftc(rng, trials):
-    for _ in range(trials):
-        kind, ts = _random_scale(rng, _ALL_KINDS)
-        alpha = _random_alpha(rng)
-        f = _random_function(rng, max_degree=3)
-        pts = sorted({_admissible_point(kind, ts, rng) for _ in range(2)})
-        report = ftc_check(f, ts, pts, alpha)
-        res = math.inf if report.failures else report.max_rel_deviation
-        yield _inputs(ts, pts[0], alpha, f=render(f), points=tuple(pts)), res, res
+def _ftc(rng):
+    kind, ts = _random_scale(rng, _ALL_KINDS)
+    alpha = _random_alpha(rng)
+    f = _random_function(rng, max_degree=3)
+    pts = sorted({_admissible_point(kind, ts, rng) for _ in range(2)})
+    report = ftc_check(f, ts, pts, alpha)
+    res = math.inf if report.failures else report.max_rel_deviation
+    return lambda: _inputs(ts, pts[0], alpha, f=render(f), points=tuple(pts)), res, res
 
 
-def _law_chain_witness(rng, trials):
-    for _ in range(trials):
-        kind, ts = _random_scale(rng, _ALL_KINDS)
-        t = _admissible_point(kind, ts, rng)
-        alpha = _random_alpha(rng)
-        f = _random_poly(rng, max_degree=3)
-        g = _random_poly(rng, max_degree=3)
-        inputs = _inputs(ts, t, alpha, f=render(f), g=render(g))
-        try:
-            c, resid, lhs = _chain_witness(f, g, ts, t, alpha)
-        except Exception:  # noqa: BLE001 - a missing witness is a failure case
-            yield inputs, math.inf, math.inf
-            continue
+def _witness(rng):
+    kind, ts = _random_scale(rng, _ALL_KINDS)
+    t = _admissible_point(kind, ts, rng)
+    alpha = _random_alpha(rng)
+    f = _random_poly(rng, max_degree=3)
+    g = _random_poly(rng, max_degree=3)
+    try:
+        c, resid, lhs = _chain_witness(f, g, ts, t, alpha)
+    except Exception:  # noqa: BLE001 - a missing witness is a failure case
+        resid = metric = math.inf
+    else:
         st = ts.sigma(t)
         metric = resid / (1.0 + abs(lhs))
         slack = 1e-12 * max(1.0, abs(st))
         if not (t - slack <= c <= st + slack):
             metric = math.inf
-        yield inputs, resid, metric
+    return lambda: _inputs(ts, t, alpha, f=render(f), g=render(g)), resid, metric
 
 
 def _law_naive_chain(rng, trials):
@@ -392,7 +405,7 @@ def _law_naive_chain(rng, trials):
             t = kind.point(ts, rng.randint(k0, k0 + width))
             alpha = rng.uniform(0.1, 0.9)
         gap = naive_chain_gap(ident, ident, ts, t, alpha)
-        yield _inputs(ts, t, alpha, f="t", g="t"), gap, abs(gap)
+        yield partial(_inputs, ts, t, alpha, f="t", g="t"), gap, abs(gap)
 
 
 def _law_power_rule(rng, trials):
@@ -413,26 +426,28 @@ def _law_power_rule(rng, trials):
         if abs(t - c) < 0.2:
             continue
         cases.append((ts, t, _random_alpha(rng), m, c, rng.random() < 0.5))
+    trees: dict[str, Expr] = {}  # the grid's 144 cases share 24 sources
     for ts, t, alpha, m, c, recip in cases:
         src = f"1/(t - {c!r})^{m}" if recip else f"(t - {c!r})^{m}"
+        if src not in trees:
+            trees[src] = parse(src)
         expected = power_rule(ts, t, alpha, m, c, reciprocal=recip)
-        actual = t_alpha(parse(src), ts, t, alpha)
-        yield (_inputs(ts, t, alpha, m=m, c=c, reciprocal=recip, src=src),
+        actual = t_alpha(trees[src], ts, t, alpha)
+        yield (partial(_inputs, ts, t, alpha, m=m, c=c, reciprocal=recip, src=src),
                abs(actual - expected), _rel(actual, expected))
 
 
-def _law_higher_order(rng, trials):
-    for _ in range(trials):
-        kind, ts = _random_scale(rng, _ALL_KINDS)
-        if kind.iterated is not None:
-            t = kind.point(ts, rng.randint(*kind.iterated))
-        else:
-            t = _admissible_point(kind, ts, rng)
-        alpha = rng.uniform(1.05, 2.95)
-        f = _random_poly(rng, max_degree=4)
-        primary, cross = t_alpha_higher_paths(f, ts, t, AlphaOrder(alpha))
-        yield (_inputs(ts, t, alpha, f=render(f)),
-               abs(primary - cross), _rel(primary, cross))
+def _higher_order(rng):
+    kind, ts = _random_scale(rng, _ALL_KINDS)
+    if kind.iterated is not None:
+        t = kind.point(ts, rng.randint(*kind.iterated))
+    else:
+        t = _admissible_point(kind, ts, rng)
+    alpha = rng.uniform(1.05, 2.95)
+    f = _random_poly(rng, max_degree=4)
+    primary, cross = t_alpha_higher_paths(f, ts, t, AlphaOrder(alpha))
+    return (lambda: _inputs(ts, t, alpha, f=render(f)),
+            abs(primary - cross), _rel(primary, cross))
 
 
 _LAW_RUNNERS = {
@@ -442,15 +457,15 @@ _LAW_RUNNERS = {
     "reciprocal": (_pointwise(_reciprocal), 1e-10),
     "quotient": (_pointwise(_quotient), 1e-10),
     "sigma_shift": (_pointwise(_sigma_shift), 1e-10),
-    "ftc": (_law_ftc, 1e-6),
+    "ftc": (_per_case(_ftc), 1e-6),
     "integral_linearity": (_integral(_linearity), 2e-10),
     "integral_additivity": (_integral(_additivity, n=3), 3e-10),
     "integral_positivity": (_integral(_positivity), 1e-12),
     "integral_domination": (_integral(_domination), 2e-10),
-    "chain_witness": (_law_chain_witness, 1e-8),
+    "chain_witness": (_per_case(_witness), 1e-8),
     "naive_chain_counterexample": (_law_naive_chain, 1e-6),
     "power_rule_vs_talpha": (_law_power_rule, 1e-10),
-    "higher_order_consistency": (_law_higher_order, 1e-9),
+    "higher_order_consistency": (_per_case(_higher_order), 1e-9),
 }
 
 LAWS = tuple(_LAW_RUNNERS)
@@ -474,7 +489,7 @@ def run_law_suite(law: str, trials: int = 200, seed: int = 0) -> VerificationRep
             max_abs = max(max_abs, abs(residual))
         max_metric = max(max_metric, metric)
         if not metric <= tol:
-            failures.append((inputs, residual))
+            failures.append((inputs(), residual))
     return VerificationReport(
         law=law,
         cases_run=cases,

@@ -322,6 +322,24 @@ def test_monotonicity_detects_actual_decrease():
     assert rep.status == "hypothesis-violated"
 
 
+@pytest.mark.parametrize("ts,lo,hi,n", [
+    (HZ1, 1.0, 30001.0, 7501),
+    (PeriodicUnion(0.7, 0.4), 0.7, 22.7, 5131),
+])
+def test_thinned_samples_end_at_hi_once(ts, lo, hi, n):
+    # the thinning stride divides the sample count minus one on both scales,
+    # where the last sample was once taken twice
+    samples = integral_module._sample_scale_points(ts, lo, hi)
+    assert len(samples) == n
+    assert all(p < q for p, q in zip(samples, samples[1:]))
+    assert samples[0] == lo and samples[-1] == hi and samples.count(hi) == 1
+
+
+def test_monotonicity_counts_each_sample_once():
+    rep = monotonicity_check(parse("t"), HZ1, 1.0, 30001.0, 0.5)
+    assert rep.status == "monotone" and rep.samples_used == 7501
+
+
 def test_monotonicity_preconditions():
     with pytest.raises(ReversedBounds):
         monotonicity_check(parse("t"), HZ1, 5.0, 2.0, 0.5)

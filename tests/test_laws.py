@@ -10,7 +10,8 @@ import pytest
 from tscal.derivative import t_alpha
 from tscal.errors import UnknownLaw
 from tscal.expr import parse
-from tscal.laws import (_KINDS, LAWS, _admissible_point, _integral_endpoints,
+import tscal.laws
+from tscal.laws import (_KINDS, _LAW_RUNNERS, LAWS, _admissible_point, _integral_endpoints,
                         _scattered_point, definition_scan, run_law_suite)
 from tscal.timescale import (
     FiniteSet,
@@ -124,14 +125,53 @@ def test_report_shape():
     assert rep.max_rel_residual <= rep.tolerance
 
 
-LAW_REPORTS = json.loads((Path(__file__).resolve().parent / "golden" / "law_reports.json")
-                         .read_text(encoding="utf-8"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
+LAW_REPORTS = json.loads((GOLDEN / "law_reports.json").read_text(encoding="utf-8"))
+LAW_PINS = json.loads((GOLDEN / "law_pins.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("law", LAWS)
 def test_law_reports_match_golden(law):
     # repr for repr: every residual, failing input and draw of seeds 0-2
     assert [repr(run_law_suite(law, 30, seed)) for seed in range(3)] == LAW_REPORTS[law]
+
+
+def test_power_rule_reports_past_the_grid_match_golden():
+    # 200 trials run 56 random cases after the 144-case grid
+    assert ([repr(run_law_suite("power_rule_vs_talpha", 200, seed)) for seed in range(3)]
+            == LAW_PINS["power_rule_vs_talpha_200"])
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_forced_failure_reports_match_golden(law, monkeypatch):
+    # a negative tolerance fails every case, so every case's inputs are reported
+    runner, _ = _LAW_RUNNERS[law]
+    monkeypatch.setitem(_LAW_RUNNERS, law, (runner, -1.0))
+    assert repr(run_law_suite(law, 3, 0)) == LAW_PINS["forced_failures"][law]
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    inner = getattr(tscal.laws, name)
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+    monkeypatch.setattr(tscal.laws, name, counting)
+    return calls
+
+
+def test_power_rule_grid_parses_each_source_once(monkeypatch):
+    parsed = _counted(monkeypatch, "parse")
+    report = run_law_suite("power_rule_vs_talpha", 144, 0)
+    assert report.cases_run == 144 and report.passed
+    assert len(parsed) == 24 == len(set(parsed))
+
+
+def test_passing_cases_render_nothing(monkeypatch):
+    rendered = _counted(monkeypatch, "render")
+    assert run_law_suite("sum", 30, 0).passed
+    assert rendered == []
 
 
 @pytest.mark.parametrize("name", sorted(_KINDS))
