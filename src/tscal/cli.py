@@ -272,7 +272,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--output", choices=("json", "csv"), default="json")
         p.add_argument("--tol", type=float, default=None,
                        help="override derivative and quadrature tolerances")
-        p.add_argument("--seed", type=int, default=0)
 
     p_deriv = sub.add_parser("deriv", help="tabulate the derivative")
     common(p_deriv)

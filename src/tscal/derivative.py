@@ -10,7 +10,9 @@ the scale, computed from a geometric step sequence with Richardson
 extrapolation, and inside a continuum the two one-sided limits must agree
 as well; that limit also serves ftc_check and the cross path of the
 higher orders. Orders above 1 split as alpha = n + beta and reduce to the
-order-beta derivative of the n-th delta derivative.
+order-beta derivative of the n-th delta derivative: forward quotients
+along t, sigma(t), ... up to the first right-dense point, which gives order 1
+as above and higher orders from the symbolic derivative.
 """
 
 from __future__ import annotations
@@ -288,43 +290,38 @@ def t_alpha_at_zero(f: Expr, ts: TimeScale, alpha: float,
     return limit
 
 
-def _delta_table(f: Expr, ts: TimeScale, site: Site, n: int) -> float:
+def _delta_table(f: Expr, ts: TimeScale, site: Site, n: int,
+                 cfg: DerivConfig) -> float:
     """n-th delta derivative via the nested forward-quotient triangle.
 
-    Right-dense points in the chain fall back to the exact classical
-    derivative of matching order (the scale is a continuum there).
+    The chain t, sigma(t), ... stops after n right-scattered points or at the
+    first right-dense one, which answers each order k <= n - (its index) once:
+    order 1 from _expr_delta1, as in t_alpha, higher ones symbolically.
     """
     sites = [site]
-    for _ in range(n - 1):
-        s = sites[-1]
-        sites.append(s if s.sigma == s.t else ts.site(s.sigma))
+    while sites[-1].mu > 0.0 and len(sites) < n:
+        sites.append(ts.site(sites[-1].sigma))
+    end = sites[-1]
+    dense = end.mu == 0.0
     level = [evaluate(f, s.t) for s in sites]
-    level.append(evaluate(f, sites[-1].sigma))
+    if not dense:
+        level.append(evaluate(f, end.sigma))
+    elif end.left_room <= 0.0 and end.right_room <= 0.0:
+        raise NotInKappa(f"{end.t!r} has no forward structure for a delta derivative")
     for k in range(1, n + 1):
-        nxt = []
-        for i in range(n - k + 1):
-            s = sites[i]
-            if s.mu > 0.0:
-                nxt.append((level[i + 1] - level[i]) / s.mu)
-            else:
-                if s.left_room <= 0.0 and s.right_room <= 0.0:
-                    raise NotInKappa(
-                        f"{s.t!r} has no forward structure for a delta derivative")
-                nxt.append(evaluate(nth_derivative(f, k), s.t))
-        level = nxt
+        level = [(b - a) / s.mu for s, a, b in zip(sites, level, level[1:])]
+        if dense and k <= n - (len(sites) - 1):
+            level.append(_expr_delta1(f, end, cfg) if k == 1
+                         else evaluate(nth_derivative(f, k), end.t))
     return level[0]
 
 
 def delta_derivative_n(f: Expr, ts: TimeScale, t: float, n: int,
                        cfg: DerivConfig | None = None) -> float:
     """Iterated delta derivative of order n >= 1 at t."""
-    cfg = cfg or DEFAULT_CONFIG
     if n < 1 or n != int(n):
         raise ValueError("n must be a positive integer")
-    site = ts.site(t)
-    if n == 1:
-        return _expr_delta1(f, site, cfg)
-    return _delta_table(f, ts, site, int(n))
+    return _delta_table(f, ts, ts.site(t), int(n), cfg or DEFAULT_CONFIG)
 
 
 def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float, order: AlphaOrder,
@@ -344,10 +341,10 @@ def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float, order: AlphaOrder,
     site = ts.kappa_site(t)
 
     factor = _power(t, beta)
-    primary = factor * _delta_table(f, ts, site, n + 1)
+    primary = factor * _delta_table(f, ts, site, n + 1, cfg)
 
     def g_n(x: float) -> float:
-        return _delta_table(f, ts, ts.site(x), n)
+        return _delta_table(f, ts, ts.site(x), n, cfg)
 
     return primary, _delta1(g_n, site, cfg) * factor
 

@@ -364,24 +364,17 @@ _MAX_SAMPLES = 10_000
 
 
 def _sample_scale_points(ts: TimeScale, lo: float, hi: float) -> list[float]:
-    """In-scale sample of [lo, hi]: every isolated point up to a cap, plus
-    uniform fills on continuum segments."""
-    cells = ts.decompose(lo, hi, max_cells=1 << 21)
+    """In-scale sample of [lo, hi]: every isolated point and a uniform fill of
+    each continuum segment, thinned evenly to at most _MAX_SAMPLES points that
+    end at hi."""
     points: list[float] = [lo]
-    steps = sum(len(c.points) - 1 for c in cells if isinstance(c, Jumps))
-    stride = max(1, math.ceil(steps / _MAX_SAMPLES))
-    idx = 0  # index of the next step or segment over the whole decomposition
-    for cell in cells:
+    for cell in ts.decompose(lo, hi):
         if isinstance(cell, Jumps):
-            run = cell.points
-            points.extend(run[-idx % stride:-1:stride])  # run[i] where stride divides idx + i
-            points.extend(run[1:])
-            idx += len(run) - 1
+            points.extend(cell.points)
         else:
             n = _CONTINUUM_SAMPLES
             width = cell.hi - cell.lo
             points.extend(cell.lo + width * i / n for i in range(n + 1))
-            idx += 1
     points.append(hi)
     out: list[float] = []
     for p in sorted(points):

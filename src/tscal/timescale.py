@@ -30,7 +30,7 @@ MEMBERSHIP_RTOL = 1e-12
 # everything below is treated as the dense tail into 0.
 Q_ENUM_FLOOR = 64
 
-_DEFAULT_MAX_CELLS = 1 << 22
+_MAX_CELLS = 1 << 22
 
 
 def _slack(t: float, gap: float) -> float:
@@ -120,12 +120,11 @@ class TimeScale:
         """The scale point closest to an arbitrary real t."""
         raise NotImplementedError
 
-    def decompose(self, lo: float, hi: float,
-                  max_cells: int = _DEFAULT_MAX_CELLS) -> list[Cell]:
+    def decompose(self, lo: float, hi: float) -> list[Cell]:
         """Ordered cells partitioning [lo, hi] in traversal order: one Jumps
         per maximal run of isolated steps and one Segment per continuum piece,
-        each starting where the one before ends. max_cells bounds the steps
-        and segments, not the cells."""
+        each starting where the one before ends. More than _MAX_CELLS steps
+        and segments raise ValueError."""
         raise NotImplementedError
 
     def _outside(self, t: float) -> NotInScale:
@@ -192,7 +191,7 @@ class RealInterval(TimeScale):
     def nearest(self, t: float) -> float:
         return min(max(t, self.lo), self.hi)
 
-    def decompose(self, lo, hi, max_cells=_DEFAULT_MAX_CELLS):
+    def decompose(self, lo, hi):
         self._check_bounds(lo, hi)
         if lo == hi:
             return []
@@ -231,10 +230,10 @@ class UniformLattice(TimeScale):
     def nearest(self, t: float) -> float:
         return self._step(t) * self.h
 
-    def decompose(self, lo, hi, max_cells=_DEFAULT_MAX_CELLS):
+    def decompose(self, lo, hi):
         self._check_bounds(lo, hi)
         k0, k1 = self._step(lo), self._step(hi)
-        if k1 - k0 > max_cells:
+        if k1 - k0 > _MAX_CELLS:
             raise ValueError(f"decomposition would need {k1 - k0} cells")
         if k1 == k0:
             return []
@@ -260,8 +259,8 @@ def _q_site(ts: QLatticeClosure | QPowers, t: float, k_min: float) -> Site:
     k = _q_index(ts.q, t, k_min)
     if k is None:
         raise ts._outside(t)
-    mu = (ts.q - 1.0) * t
-    return Site(t, t + mu, mu, 0.0, 0.0, k > k_min, k == k_min)
+    # q**(k+1), the point decompose steps to; t + mu can round elsewhere
+    return Site(t, ts.q ** (k + 1), (ts.q - 1.0) * t, 0.0, 0.0, k > k_min, k == k_min)
 
 
 @dataclass(frozen=True)
@@ -289,7 +288,7 @@ class QLatticeClosure(TimeScale):
         cands = [0.0, self.q ** (k - 1), self.q ** k, self.q ** (k + 1)]
         return min(cands, key=lambda c: abs(c - t))
 
-    def decompose(self, lo, hi, max_cells=_DEFAULT_MAX_CELLS):
+    def decompose(self, lo, hi):
         self._check_bounds(lo, hi)
         if lo == hi or hi == 0.0:
             return []
@@ -302,7 +301,7 @@ class QLatticeClosure(TimeScale):
         else:
             k0 = _q_exponent(self.q, lo)
             head = []
-        if k1 - k0 > max_cells:
+        if k1 - k0 > _MAX_CELLS:
             raise ValueError(f"decomposition would need {k1 - k0} cells")
         start = self.q ** k0 if head else lo
         return head + [Jumps((start, *[self.q ** k for k in range(k0 + 1, k1)], hi))]
@@ -330,13 +329,13 @@ class QPowers(TimeScale):
         cands = [self.q ** max(k - 1, 0), self.q ** max(k, 0), self.q ** (k + 1)]
         return min(cands, key=lambda c: abs(c - t))
 
-    def decompose(self, lo, hi, max_cells=_DEFAULT_MAX_CELLS):
+    def decompose(self, lo, hi):
         self._check_bounds(lo, hi)
         k0 = _q_exponent(self.q, lo)
         k1 = _q_exponent(self.q, hi)
         if k1 == k0:
             return []
-        if k1 - k0 > max_cells:
+        if k1 - k0 > _MAX_CELLS:
             raise ValueError(f"decomposition would need {k1 - k0} cells")
         return [Jumps((lo, *[self.q ** k for k in range(k0 + 1, k1)], hi))]
 
@@ -379,8 +378,9 @@ class PeriodicUnion(TimeScale):
         k, r, contained = self._locate(t) if math.isfinite(t) else (0, 0.0, False)
         if not contained:
             raise self._outside(t)
-        if r == self.a:
-            return Site(t, t + self.b, self.b, r, 0.0, False)
+        if r == self.a:  # jump to the next block's start, where decompose goes
+            nxt = (k + 1) * self.period
+            return Site(t, nxt, nxt - t, r, 0.0, False)
         return Site(t, t, 0.0, r, self.a - r, r == 0.0 and k >= 1, r == 0.0 and k == 0)
 
     def nearest(self, t: float) -> float:
@@ -393,14 +393,14 @@ class PeriodicUnion(TimeScale):
         nxt = (k + 1) * p
         return inside if abs(inside - t) <= abs(nxt - t) else nxt
 
-    def decompose(self, lo, hi, max_cells=_DEFAULT_MAX_CELLS):
+    def decompose(self, lo, hi):
         self._check_bounds(lo, hi)
         if lo == hi:
             return []
         cells: list[Cell] = []
         x = float(lo)
         p = self.period
-        while len(cells) <= max_cells:
+        while len(cells) <= _MAX_CELLS:
             k, r, _ = self._locate(x)
             block_end = k * p + self.a
             if r == self.a:
@@ -468,7 +468,7 @@ class FiniteSet(TimeScale):
         cands = [self.points[j] for j in (i - 1, i) if 0 <= j < len(self.points)]
         return min(cands, key=lambda c: abs(c - t))
 
-    def decompose(self, lo, hi, max_cells=_DEFAULT_MAX_CELLS):
+    def decompose(self, lo, hi):
         self._check_bounds(lo, hi)
         i0 = self._index(lo)
         i1 = self._index(hi)

@@ -253,6 +253,13 @@ def test_verify_reports_the_tolerances_its_suites_run_with(monkeypatch):
     assert meta["deriv_tol"] == 1e-9 and meta["quad_tol"] == 1e-10
 
 
+def test_only_verify_takes_a_seed():
+    # deriv, integ and witness draw nothing at random (their meta says seed 0)
+    code, out, err = run_cli(["deriv", "--scale", "R", "--expr", "t^2",
+                              "--alpha", "0.5", "--at", "2", "--seed", "3"])
+    assert code == 1 and out == "" and "--seed" in err
+
+
 def test_parser_reuse_reads_env_tolerance_per_call(monkeypatch):
     args = ["deriv", "--scale", "R", "--expr", "t^2", "--alpha", "0.5",
             "--at", "2"]
@@ -306,8 +313,9 @@ def test_readme_command_in_fresh_interpreter():
     assert proc.stdout == (GOLDEN / "readme_deriv_higher.json").read_bytes()
 
 
-# derivative tables; on R every row of the order-2.1 table differentiates
-# the same parsed tree three times, on hZ the rows are forward quotients
+# derivative tables; on R every row of the order-2.1 table takes f' from the
+# jet and f'' and f''' from the same parsed tree, on hZ the rows are forward
+# quotients
 TABLE_COMMANDS = {
     "table_R_t3_higher.json": ["deriv", "--scale", "R", "--expr", "t^3",
                                "--alpha", "2.1", "--from", "1", "--to", "3",

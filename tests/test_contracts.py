@@ -1,7 +1,5 @@
 """Property contracts of decompose and cauchy on all six shapes (hypothesis)."""
 
-import math
-
 from hypothesis import given, settings, strategies as st
 
 from tscal.expr import parse
@@ -77,9 +75,6 @@ def test_cells_telescope_from_lo_to_hi(case):
 @given(scales_and_bounds())
 def test_run_points_are_scale_points_each_jumping_to_the_next(case):
     ts, lo, hi = case
-    # sigma takes t + mu where decompose takes q**(k+1) on the geometric
-    # lattices and (k+1)*(a+b) after a block, so there they agree only to ulps
-    exact = isinstance(ts, (UniformLattice, FiniteSet))
     for cell in ts.decompose(lo, hi):
         if not isinstance(cell, Jumps):
             continue
@@ -88,10 +83,7 @@ def test_run_points_are_scale_points_each_jumping_to_the_next(case):
         assert all(ts.contains(p) for p in points)
         for t, nxt in zip(points, points[1:]):
             assert t < nxt
-            if exact:
-                assert ts.sigma(t) == nxt
-            else:
-                assert abs(ts.sigma(t) - nxt) <= 4 * math.ulp(nxt)
+            assert ts.sigma(t) == nxt
 
 
 @CONTRACT

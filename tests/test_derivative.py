@@ -1,5 +1,6 @@
 """Conformable derivative: closed forms, limits, higher orders, witnesses."""
 
+import importlib
 import json
 import math
 import random
@@ -164,8 +165,40 @@ def test_delta_derivative_examples():
     assert delta_derivative_n(parse("t^3"), R, 2.0, 2) == pytest.approx(12.0, rel=1e-14)
     with pytest.raises(ValueError):
         delta_derivative_n(parse("t"), HZ1, 1.0, 0)
-    with pytest.raises(NotInKappa):
-        delta_derivative_n(parse("t^2"), FiniteSet((1.0, 2.0)), 1.0, 2)
+    # a right-dense point without continuum room has no delta derivative
+    for t, n in ((1.0, 2), (2.0, 1)):
+        with pytest.raises(NotInKappa):
+            delta_derivative_n(parse("t^2"), FiniteSet((1.0, 2.0)), t, n)
+    # f is evaluated along the chain from t, so f(t)'s error comes first
+    with pytest.raises(DomainError, match=r"at t=1\.0$"):
+        delta_derivative_n(parse("log(t-5)"), HZ1, 1.0, 1)
+
+
+def test_dense_end_of_a_chain_needs_only_the_jet():
+    # on Pab(1, 2) the block end 4 jumps to 6, where the chain stops; the
+    # second delta derivative at 4 needs only f'(6), which the jet gives
+    f, ts = parse("abs(t-5)"), PeriodicUnion(1.0, 2.0)
+    assert delta_derivative_n(f, ts, 4.0, 2) == 0.5
+    assert t_alpha_higher(f, ts, 4.0, AlphaOrder(1.5)) == 1.0
+
+
+def test_a_dense_point_answers_each_order_once(monkeypatch):
+    points = []
+
+    def counting_evaluate(e, t):
+        points.append(t)
+        return evaluate(e, t)
+
+    monkeypatch.setattr(importlib.import_module("tscal.derivative"), "evaluate",
+                        counting_evaluate)
+    f = parse("t^3")
+    # f, f'' and f''' at 2; f' comes from the jet
+    assert delta_derivative_n(f, R, 2.0, 3) == 6.0
+    assert points == [2.0] * 3
+    points.clear()
+    # 3 for the primary path, then f and f'' at the cross path's 4 quotient points
+    t_alpha_higher(f, R, 2.0, AlphaOrder(2.1))
+    assert len(points) == 3 + 4 * 2
 
 
 def test_higher_order_example():
@@ -187,7 +220,8 @@ def test_higher_order_paths_agree():
 
 def test_higher_order_abs_fails_on_dense_points_only():
     f = parse("abs(t-3)")
-    # a dense chain needs f', which does not exist; the failure is not kept
+    # the dense point needs f'' from the symbolic derivative, which rejects
+    # abs; the failure is not kept
     for _ in range(2):
         with pytest.raises(NotDifferentiable):
             t_alpha_higher(f, R, 1.0, AlphaOrder(2.5))
