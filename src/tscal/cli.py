@@ -75,8 +75,7 @@ def _json(value, indent: int = 0) -> str:
 
 
 def _tolerances(args) -> tuple[DerivConfig, IntegralConfig, dict]:
-    dcfg = DerivConfig()
-    icfg = IntegralConfig()
+    dcfg, icfg = DerivConfig(), IntegralConfig()
     override = os.environ.get("TSCAL_TOL")
     tol = args.tol
     if tol is None and override is not None:
@@ -92,7 +91,7 @@ def _tolerances(args) -> tuple[DerivConfig, IntegralConfig, dict]:
     return dcfg, icfg, _tol_meta(dcfg, icfg)
 
 
-def _tol_meta(dcfg: DerivConfig, icfg: IntegralConfig) -> dict:
+def _tol_meta(dcfg=DerivConfig(), icfg=IntegralConfig()) -> dict:
     return {"deriv_tol": dcfg.tol, "quad_tol": icfg.quad_tol,
             "membership_rtol": MEMBERSHIP_RTOL}
 
@@ -172,7 +171,7 @@ def _cmd_deriv(args) -> int:
         if t == 0.0:
             row["value"] = t_alpha_at_zero(f, ts, alpha, dcfg)
         elif alpha <= 1.0:
-            row["value"] = t_alpha(f, ts, t, alpha, dcfg)
+            row["value"] = t_alpha(f, ts, t, alpha)
         else:
             row["value"] = t_alpha_higher(f, ts, t, AlphaOrder(alpha), dcfg)
         rows.append(row)
@@ -203,7 +202,7 @@ def _cmd_integ(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    dcfg, _, tol_meta = _tolerances(args)
+    tol_meta = _tol_meta()  # a witness reads no tolerance, not even TSCAL_TOL
     ts = parse_scale(args.scale)
     f = parse_expr(args.f)
     g = parse_expr(args.g)
@@ -213,7 +212,7 @@ def _cmd_witness(args) -> int:
     rows = []
     for raw in args.at:
         t, snap = _snap(ts, float(raw))
-        c, residual, _ = _chain_witness(f, g, ts, t, alpha, dcfg)
+        c, residual, _ = _chain_witness(f, g, ts, t, alpha)
         row = _point_row(ts, t, snap)
         row.update({"value": c, "c": c, "residual": residual})
         rows.append(row)
@@ -225,7 +224,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_verify(args) -> int:
     # the suites run at the library defaults, so --tol and TSCAL_TOL do not apply
-    tol_meta = _tol_meta(DerivConfig(), IntegralConfig())
+    tol_meta = _tol_meta()
     if args.trials < 1:
         raise _UsageError("--trials must be at least 1")
     requested = args.law if args.law else list(LAWS)
@@ -270,8 +269,9 @@ def _build_parser() -> _Parser:
             p.add_argument("--expr", required=True, help="function of t")
         p.add_argument("--alpha", type=float, required=True)
         p.add_argument("--output", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override derivative and quadrature tolerances")
+        if with_expr:  # a witness reads no tolerance
+            p.add_argument("--tol", type=float, default=None,
+                           help="override derivative and quadrature tolerances")
 
     p_deriv = sub.add_parser("deriv", help="tabulate the derivative")
     common(p_deriv)

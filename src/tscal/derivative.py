@@ -1,25 +1,20 @@
 """Conformable fractional derivatives of functions on time scales.
 
 At a right-scattered point the derivative of order alpha is the exact forward
-quotient times t**(1-alpha). At a right-dense point with a continuum
-neighbourhood the delta derivative is the classical f'(t), taken exactly from
-a first-order jet (one forward pass over the tree) and scaled the same way.
-Where the jet raises (abs or sqrt of 0, a non-integer power of 0, a domain
-error) the derivative is the limit of the difference quotient taken inside
-the scale, computed from a geometric step sequence with Richardson
-extrapolation, and inside a continuum the two one-sided limits must agree
-as well; that limit also serves ftc_check and the cross path of the
-higher orders. Orders above 1 split as alpha = n + beta and reduce to the
-order-beta derivative of the n-th delta derivative: forward quotients
-along t, sigma(t), ... up to the first right-dense point, which gives order 1
-as above and higher orders from the symbolic derivative.
+quotient times t**(1-alpha). At a right-dense point it is the classical f'(t),
+scaled the same way and taken exactly from first-order jets on the sides
+where the scale is a continuum. Orders above 1 split as alpha = n + beta and
+reduce to the order-beta derivative of the n-th delta derivative: forward
+quotients along t, sigma(t), ... up to the first right-dense point, which
+gives order 1 from the jets and higher orders from the symbolic derivative.
+A Richardson limit of difference quotients serves only the higher orders'
+cross path and ftc_check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 from .errors import (
@@ -30,7 +25,6 @@ from .errors import (
     NotInKappa,
     NoWitnessFound,
     PoleAtPoint,
-    TscalError,
     ZeroNotInScale,
 )
 from .expr import Expr, _jet, evaluate, nth_derivative, substitute
@@ -46,7 +40,6 @@ _EPS = 2.220446049250313e-16
 _NOISE_SAFETY = 8.0
 _DENSE_STEPS = 20
 _DENSE_H0 = 1e-3  # the quotient's first step, scaled by max(1, |t|)
-_KINK_RTOL = 1e-6
 _RICHARDSON_DEPTH = 2
 _ZERO_LIMIT_POINTS = 12
 
@@ -56,14 +49,13 @@ WITNESS_GRID_POINTS = 10_000
 
 @dataclass(frozen=True)
 class DerivConfig:
-    """Numerical policy for the difference-quotient limit at right-dense points.
+    """Tolerance of the limits the jets do not replace.
 
-    The limit runs only where the jet cannot give f'(t) and on the cross
-    path of t_alpha_higher_paths, so tol governs only those. The quotient
-    step starts at 1e-3 max(1, |t|) and halves, at most 20 times. The limit
-    is accepted once two successive Richardson corners agree to tol
-    (relative), or to the rounding floor of the sampled function values if
-    that is larger.
+    tol (relative) governs the extrapolation of t_alpha_at_zero and the
+    Richardson limit on the cross path of t_alpha_higher_paths (ftc_check's
+    runs at the default): its step starts at 1e-3 max(1, |t|) and halves, at
+    most 20 times, until two successive corners agree to tol or to the
+    rounding floor of the sampled values, whichever is larger.
     """
     tol: float = 1e-9
 
@@ -180,57 +172,44 @@ def _delta1(g: Callable[[float], float], site: Site, cfg: DerivConfig) -> float:
     return _dense_limit(g, site, cfg)
 
 
-def _expr_delta1(f: Expr, site: Site, cfg: DerivConfig) -> float:
+def _expr_delta1(f: Expr, site: Site) -> float:
     """First delta derivative of an expression at a scale point.
 
-    At a dense point with continuum room on either side it is f'(t) from the
-    jet. Where f(t) itself is undefined the jet's DomainError is raised, as
-    no derivative exists there. Wherever the jet raises NotDifferentiable,
-    _delta1's limit runs instead, so every input the jet cannot handle gets
-    the limit's value or error. With room on both sides the two one-sided
-    limits are taken as well: where both exist and differ by more than
-    _KINK_RTOL of the larger slope and of |f(t)| / max(1, |t|), t is a kink
-    and NotDifferentiable is raised.
+    The exact forward quotient where scattered; where dense, f'(t) from the
+    jet of the side with continuum room, or with room on both sides the
+    two-sided jet, else two one-sided jets that must agree exactly.
     """
-    if site.mu == 0.0 and (site.left_room > 0.0 or site.right_room > 0.0):
-        try:
-            return _jet(f, site.t)[1]
-        except NotDifferentiable:
-            pass
-    g = partial(evaluate, f)
-    value = _delta1(g, site, cfg)
-    if site.mu == 0.0 and site.left_room > 0.0 and site.right_room > 0.0:
-        try:
-            right = _dense_limit(g, site._replace(left_room=0.0), cfg)
-            left = _dense_limit(g, site._replace(right_room=0.0), cfg)
-        except TscalError:  # without both limits there is no evidence of a kink
-            return value
-        # each one-sided limit carries rounding noise of about eps |f(t)| / h
-        t = site.t
-        scale = max(1.0, abs(right), abs(left), abs(g(t)) / max(1.0, abs(t)))
-        if abs(right - left) > _KINK_RTOL * scale:
-            raise NotDifferentiable(
-                f"one-sided derivatives {left!r} and {right!r} differ at t={t!r}")
-    return value
+    t, on_left, on_right = site.t, site.left_room > 0.0, site.right_room > 0.0
+    if site.mu > 0.0:
+        return (evaluate(f, site.sigma) - evaluate(f, t)) / site.mu
+    if not (on_left or on_right):
+        raise LimitDiverged(f"no continuum neighborhood of {t!r} inside the scale")
+    if not (on_left and on_right):
+        return _jet(f, t, 1 if on_right else -1)[1]
+    try:
+        return _jet(f, t)[1]
+    except NotDifferentiable:
+        right, left = _jet(f, t, 1)[1], _jet(f, t, -1)[1]
+    if right != left:
+        raise NotDifferentiable(
+            f"one-sided derivatives {left!r} and {right!r} differ at t={t!r}")
+    return right
 
 
-def _t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float,
-             cfg: DerivConfig | None) -> tuple[float, Site]:
+def _t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float) -> tuple[float, Site]:
     """t_alpha's value and the site it was taken at."""
-    cfg = cfg or DEFAULT_CONFIG
     _check_alpha(alpha)
     if t <= 0.0:
         raise NonPositivePoint(
             f"order-{alpha} derivative needs t > 0, got {t!r}; "
             "use t_alpha_at_zero for t = 0")
     site = ts.kappa_site(t)
-    return _expr_delta1(f, site, cfg) * _power(t, alpha), site
+    return _expr_delta1(f, site) * _power(t, alpha), site
 
 
-def t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float,
-            cfg: DerivConfig | None = None) -> float:
+def t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float) -> float:
     """Conformable derivative of order alpha in (0, 1] at a point t > 0."""
-    return _t_alpha(f, ts, t, alpha, cfg)[0]
+    return _t_alpha(f, ts, t, alpha)[0]
 
 
 def _points_toward_zero(ts: TimeScale, count: int) -> list[float]:
@@ -281,7 +260,7 @@ def t_alpha_at_zero(f: Expr, ts: TimeScale, alpha: float,
     pts = _points_toward_zero(ts, _ZERO_LIMIT_POINTS)
     if len(pts) < 3:
         raise LimitDiverged("too few scale points approaching 0+")
-    vals = [t_alpha(f, ts, x, alpha, cfg) for x in pts]
+    vals = [t_alpha(f, ts, x, alpha) for x in pts]
     if abs(vals[-1]) > 2.0 * abs(vals[0]) + 1.0:
         raise LimitDiverged("derivative values grow toward 0+; no finite limit")
     limit, err = _aitken_limit(vals)
@@ -290,8 +269,7 @@ def t_alpha_at_zero(f: Expr, ts: TimeScale, alpha: float,
     return limit
 
 
-def _delta_table(f: Expr, ts: TimeScale, site: Site, n: int,
-                 cfg: DerivConfig) -> float:
+def _delta_table(f: Expr, ts: TimeScale, site: Site, n: int) -> float:
     """n-th delta derivative via the nested forward-quotient triangle.
 
     The chain t, sigma(t), ... stops after n right-scattered points or at the
@@ -311,17 +289,16 @@ def _delta_table(f: Expr, ts: TimeScale, site: Site, n: int,
     for k in range(1, n + 1):
         level = [(b - a) / s.mu for s, a, b in zip(sites, level, level[1:])]
         if dense and k <= n - (len(sites) - 1):
-            level.append(_expr_delta1(f, end, cfg) if k == 1
+            level.append(_expr_delta1(f, end) if k == 1
                          else evaluate(nth_derivative(f, k), end.t))
     return level[0]
 
 
-def delta_derivative_n(f: Expr, ts: TimeScale, t: float, n: int,
-                       cfg: DerivConfig | None = None) -> float:
+def delta_derivative_n(f: Expr, ts: TimeScale, t: float, n: int) -> float:
     """Iterated delta derivative of order n >= 1 at t."""
     if n < 1 or n != int(n):
         raise ValueError("n must be a positive integer")
-    return _delta_table(f, ts, ts.site(t), int(n), cfg or DEFAULT_CONFIG)
+    return _delta_table(f, ts, ts.site(t), int(n))
 
 
 def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float, order: AlphaOrder,
@@ -341,10 +318,10 @@ def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float, order: AlphaOrder,
     site = ts.kappa_site(t)
 
     factor = _power(t, beta)
-    primary = factor * _delta_table(f, ts, site, n + 1, cfg)
+    primary = factor * _delta_table(f, ts, site, n + 1)
 
     def g_n(x: float) -> float:
-        return _delta_table(f, ts, ts.site(x), n, cfg)
+        return _delta_table(f, ts, ts.site(x), n)
 
     return primary, _delta1(g_n, site, cfg) * factor
 
@@ -383,10 +360,9 @@ def power_rule(ts: TimeScale, t: float, alpha: float, m: int, c: float = 0.0,
     return _power(t, alpha) * total
 
 
-def sigma_shift(f: Expr, ts: TimeScale, t: float, alpha: float,
-                cfg: DerivConfig | None = None) -> float:
+def sigma_shift(f: Expr, ts: TimeScale, t: float, alpha: float) -> float:
     """f(t) + mu(t) * t**(alpha-1) * t_alpha(f)(t); equals f(sigma(t))."""
-    value, site = _t_alpha(f, ts, t, alpha, cfg)
+    value, site = _t_alpha(f, ts, t, alpha)
     return evaluate(f, t) + site.mu * t ** (alpha - 1.0) * value
 
 
@@ -407,13 +383,12 @@ def _bisect_root(fn: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def _chain_witness(f: Expr, g: Expr, ts: TimeScale, t: float, alpha: float,
-                   cfg: DerivConfig | None = None) -> tuple[float, float, float]:
+def _chain_witness(f: Expr, g: Expr, ts: TimeScale, t: float,
+                   alpha: float) -> tuple[float, float, float]:
     """chain_rule_witness's c, with |residual(c)| and T_alpha(f o g)(t)."""
-    cfg = cfg or DEFAULT_CONFIG
     composed = substitute(f, g)
-    lhs = t_alpha(composed, ts, t, alpha, cfg)
-    tg = t_alpha(g, ts, t, alpha, cfg)
+    lhs = t_alpha(composed, ts, t, alpha)
+    tg = t_alpha(g, ts, t, alpha)
     st = ts.sigma(t)
     tol = 1e-8 * (1.0 + abs(lhs))
 
@@ -451,25 +426,26 @@ def _chain_witness(f: Expr, g: Expr, ts: TimeScale, t: float, alpha: float,
         f"no c in [{t!r}, {st!r}] met the residual tolerance {tol!r}")
 
 
-def chain_rule_witness(f: Expr, g: Expr, ts: TimeScale, t: float, alpha: float,
-                       cfg: DerivConfig | None = None) -> float:
+def chain_rule_witness(f: Expr, g: Expr, ts: TimeScale, t: float,
+                       alpha: float) -> float:
     """A point c in [t, sigma(t)] with T_alpha(f o g) = f'(g(c)) * T_alpha(g).
 
-    Searches by bisection on the residual's sign change, falling back to a
-    dense grid scan. Among admissible points the smallest is returned.
+    The first admissible (|residual| <= 1e-8 (1 + |T_alpha(f o g)(t)|)) of: t;
+    sigma(t) if its residual has t's sign; if not, the root that bisecting
+    [t, sigma(t)] reaches, not always the smallest; the first grid point or
+    bisected sign change of a 10,000-cell scan upward from t.
     """
-    return _chain_witness(f, g, ts, t, alpha, cfg)[0]
+    return _chain_witness(f, g, ts, t, alpha)[0]
 
 
-def naive_chain_gap(f: Expr, g: Expr, ts: TimeScale, t: float, alpha: float,
-                    cfg: DerivConfig | None = None) -> float:
+def naive_chain_gap(f: Expr, g: Expr, ts: TimeScale, t: float,
+                    alpha: float) -> float:
     """T_alpha(f o g)(t) - T_alpha(f)(g(t)) * T_alpha(g)(t).
 
     Nonzero in general: the classical chain-rule shape fails for this
     derivative, and this gap quantifies by how much.
     """
-    cfg = cfg or DEFAULT_CONFIG
     composed = substitute(f, g)
-    lhs = t_alpha(composed, ts, t, alpha, cfg)
+    lhs = t_alpha(composed, ts, t, alpha)
     gt = evaluate(g, t)
-    return lhs - t_alpha(f, ts, gt, alpha, cfg) * t_alpha(g, ts, t, alpha, cfg)
+    return lhs - t_alpha(f, ts, gt, alpha) * t_alpha(g, ts, t, alpha)

@@ -47,7 +47,7 @@ class DomainError(TscalError):
 
 
 class NotDifferentiable(TscalError):
-    """The expression has no exact classical derivative (abs node present)."""
+    """No derivative exists at the point, or none can be decided exactly."""
 
 
 class NotInKappa(TscalError):

@@ -1,8 +1,8 @@
 """Expression trees for real functions of t.
 
 Provides a small recursive-descent parser, exact evaluation with domain
-checking, a first-order jet (value and exact slope), constant folding, and
-exact symbolic differentiation, each rule kept on its node class. Grammar:
+checking, one- or two-sided first-order jets (value and exact slope), constant
+folding and exact symbolic differentiation, each on its node class. Grammar:
 
     expr   := term (("+"|"-") term)*
     term   := factor (("*"|"/") factor)*
@@ -56,10 +56,10 @@ class Expr:
     """Base node of the expression tree; each rule lives on the node class.
 
     _eval(t) raises DomainError at the first node that leaves the real domain
-    or overflows (evaluate() rejects NaN at the root). _jet(t) is the bare
-    forward-mode rule: _eval's value and the slope, NaN where the node has no
-    two-sided derivative; it runs only where evaluate() succeeded. _fold, _d,
-    _substitute and _render back fold, derivative, substitute and render.
+    or overflows (evaluate() rejects NaN at the root). _jet(t, side) is the
+    bare forward-mode rule: _eval's value and the slope from side (0: both),
+    NaN where there is none; it runs only where evaluate() succeeded. _fold,
+    _d, _substitute and _render back fold, derivative, substitute and render.
     """
 
     def _eval(self, *args):
@@ -75,7 +75,7 @@ class Const(Expr):
     def _eval(self, t: float) -> float:
         return self.value
 
-    def _jet(self, t: float) -> tuple[float, float]:
+    def _jet(self, t: float, side: int) -> tuple[float, float]:
         return self.value, 0.0
 
     def _fold(self) -> Expr:
@@ -99,7 +99,7 @@ class Var(Expr):
     def _eval(self, t: float) -> float:
         return float(t)
 
-    def _jet(self, t: float) -> tuple[float, float]:
+    def _jet(self, t: float, side: int) -> tuple[float, float]:
         return float(t), 1.0
 
     def _fold(self) -> Expr:
@@ -145,9 +145,9 @@ class Add(_Binary):
             raise DomainError("overflow", self, t)
         return v
 
-    def _jet(self, t: float) -> tuple[float, float]:
-        a, da = self.left._jet(t)
-        b, db = self.right._jet(t)
+    def _jet(self, t: float, side: int) -> tuple[float, float]:
+        a, da = self.left._jet(t, side)
+        b, db = self.right._jet(t, side)
         return a + b, da + db
 
     def _d(self) -> Expr:
@@ -167,9 +167,9 @@ class Sub(_Binary):
             raise DomainError("overflow", self, t)
         return v
 
-    def _jet(self, t: float) -> tuple[float, float]:
-        a, da = self.left._jet(t)
-        b, db = self.right._jet(t)
+    def _jet(self, t: float, side: int) -> tuple[float, float]:
+        a, da = self.left._jet(t, side)
+        b, db = self.right._jet(t, side)
         return a - b, da - db
 
     def _d(self) -> Expr:
@@ -189,9 +189,9 @@ class Mul(_Binary):
             raise DomainError("overflow", self, t)
         return v
 
-    def _jet(self, t: float) -> tuple[float, float]:
-        a, da = self.left._jet(t)
-        b, db = self.right._jet(t)
+    def _jet(self, t: float, side: int) -> tuple[float, float]:
+        a, da = self.left._jet(t, side)
+        b, db = self.right._jet(t, side)
         return a * b, da * b + a * db
 
     def _d(self) -> Expr:
@@ -216,9 +216,9 @@ class Div(_Binary):
             raise DomainError("overflow", self, t)
         return v
 
-    def _jet(self, t: float) -> tuple[float, float]:
-        den, dden = self.right._jet(t)
-        a, da = self.left._jet(t)
+    def _jet(self, t: float, side: int) -> tuple[float, float]:
+        den, dden = self.right._jet(t, side)
+        a, da = self.left._jet(t, side)
         v = a / den
         return v, (da - v * dden) / den
 
@@ -255,12 +255,12 @@ class Pow(Expr):
             raise DomainError("overflow", self, t)
         return v
 
-    def _jet(self, t: float) -> tuple[float, float]:
-        base, dbase = self.base._jet(t)
+    def _jet(self, t: float, side: int) -> tuple[float, float]:
+        base, dbase = self.base._jet(t, side)
         exp = self.exponent.value
         v = base ** exp
         if base == 0.0 and exp != round(exp):
-            return v, math.nan  # a non-integer power of 0
+            return v, _root_slope(self.base, t, dbase, side, exp)
         try:
             return v, exp * base ** (exp - 1.0) * dbase
         except (OverflowError, ZeroDivisionError):
@@ -315,8 +315,8 @@ class Apply(Expr):
             return abs(x)
         raise DomainError(f"unknown function {func!r}", self, t)
 
-    def _jet(self, t: float) -> tuple[float, float]:
-        x, dx = self.arg._jet(t)
+    def _jet(self, t: float, side: int) -> tuple[float, float]:
+        x, dx = self.arg._jet(t, side)
         func = self.func
         if func == "log":
             return math.log(x), dx / x
@@ -329,9 +329,11 @@ class Apply(Expr):
             return math.cos(x), -math.sin(x) * dx
         if func == "sqrt":
             v = math.sqrt(x)
-            return v, dx / (2.0 * v) if x > 0.0 else math.nan
+            return v, dx / (2.0 * v) if v else _root_slope(self.arg, t, dx, side, 0.5)
         # abs, the one name left: evaluate has rejected any other
-        return abs(x), dx if x > 0.0 else -dx if x < 0.0 else math.nan
+        if x == 0.0 and dx != 0.0:  # a kink: only one-sided slopes
+            return 0.0, side * abs(dx) if side else math.nan
+        return abs(x), dx if x > 0.0 else -dx if x < 0.0 else 0.0
 
     def _fold(self) -> Expr:
         node = Apply(self.func, self.arg._fold())
@@ -362,6 +364,7 @@ class Apply(Expr):
 
 
 _FUNCS = ("log", "exp", "sin", "cos", "sqrt", "abs")
+_ROOT_ORDER_CAP = 8  # the highest Taylor order _root_slope asks for
 
 _NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -497,16 +500,37 @@ def evaluate(e: Expr, t: float) -> float:
     return v
 
 
-def _jet(e: Expr, t: float) -> tuple[float, float]:
+def _root_slope(u: Expr, t: float, du: float, side: int, c: float) -> float:
+    """One-sided slope of u**c, c > 0 not an integer, where u(t) == 0.
+
+    u(t + side*h) ~ lead * h**k, with a_k u's first non-zero Taylor coefficient
+    and lead = a_k * side**k, so u**c ~ lead**c * h**(k*c). NaN where lead <= 0
+    (two-sided, lead is 0) and where no a_k up to _ROOT_ORDER_CAP is found.
+    """
+    k, a = 1, du
+    while a == 0.0 and k < _ROOT_ORDER_CAP:
+        k += 1
+        try:
+            a = evaluate(nth_derivative(u, k), t) / math.factorial(k)
+        except (DomainError, NotDifferentiable):
+            return math.nan
+    lead = a * side ** k
+    if not 0.0 < lead < math.inf:
+        return math.nan
+    return 0.0 if k * c > 1.0 else side * lead ** c if k * c == 1.0 else math.inf
+
+
+def _jet(e: Expr, t: float, side: int = 0) -> tuple[float, float]:
     """e(t) and e'(t): evaluate's value, then the slope from one forward pass.
 
     evaluate(e, t) runs first, so the value and every DomainError are its
-    own. A node that is not analytic on both sides of its argument (abs or
-    sqrt of 0, a non-integer power of 0) gives a NaN slope, which every later
-    node propagates; that, or a slope that overflows, raises NotDifferentiable.
+    own. side is 0 for the two-sided slope, +1 or -1 for a one-sided one; it
+    matters only at a zero of abs (slope side * |u'|), sqrt or a non-integer
+    power (_root_slope). A node with no slope gives NaN, which later nodes
+    propagate; that, or an overflow, raises NotDifferentiable.
     """
     v = evaluate(e, t)
-    s = e._jet(t)[1]
+    s = e._jet(t, side)[1]
     if not math.isfinite(s):
         raise NotDifferentiable(f"no finite derivative at t={t!r}")
     return v, s

@@ -27,8 +27,7 @@ from .errors import (
     ReversedBounds,
 )
 from .derivative import (
-    _EPS, DEFAULT_CONFIG as _DENSE, DerivConfig, _check_alpha, _power, _richardson,
-    t_alpha,
+    _EPS, DEFAULT_CONFIG as _DENSE, _check_alpha, _power, _richardson, t_alpha,
 )
 from .expr import Expr, evaluate
 from .timescale import (MEMBERSHIP_RTOL, Q_ENUM_FLOOR, Jumps, QLatticeClosure, Site,
@@ -386,14 +385,13 @@ def _sample_scale_points(ts: TimeScale, lo: float, hi: float) -> list[float]:
     return out
 
 
-def monotonicity_check(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
-                       cfg: DerivConfig | None = None) -> MonotonicityReport:
+def monotonicity_check(f: Expr, ts: TimeScale, a: float, b: float,
+                       alpha: float) -> MonotonicityReport:
     """If the order-alpha derivative is nonnegative on [a, b], f must increase.
 
     Samples the scale within [a, b]; when the derivative hypothesis holds at
     every sample, scans for ordered pairs where f decreases beyond tolerance.
     """
-    cfg = cfg or DerivConfig()
     _check_alpha(alpha)
     if not ts.contains(a) or not ts.contains(b):
         raise NotInScale(f"bounds must be scale points: {a!r}, {b!r}")
@@ -406,7 +404,7 @@ def monotonicity_check(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
     for t in samples:
         if t <= 0.0 or not ts.in_kappa(t):
             continue
-        deriv_min = min(deriv_min, t_alpha(f, ts, t, alpha, cfg))
+        deriv_min = min(deriv_min, t_alpha(f, ts, t, alpha))
     hypothesis_ok = deriv_min >= -HYPOTHESIS_TOL
     if not hypothesis_ok:
         return MonotonicityReport("hypothesis-violated", False, deriv_min,

@@ -253,6 +253,19 @@ def test_verify_reports_the_tolerances_its_suites_run_with(monkeypatch):
     assert meta["deriv_tol"] == 1e-9 and meta["quad_tol"] == 1e-10
 
 
+def test_witness_reads_no_tolerance(monkeypatch):
+    # a witness takes its slopes from the jet, so witness takes no --tol,
+    # ignores TSCAL_TOL and reports the library defaults
+    args = ["witness", "--scale", "qN0(q=2)", "--f", "t^2", "--g", "t",
+            "--alpha", "0.5", "--at", "4"]
+    code, out, err = run_cli(args + ["--tol", "1e-3"])
+    assert code == 1 and out == "" and "--tol" in err
+    code, out, _ = run_cli(args, env={"TSCAL_TOL": "1e-7"}, monkeypatch=monkeypatch)
+    assert code == 0
+    meta = json.loads(out)["meta"]["tolerances"]
+    assert meta["deriv_tol"] == 1e-9 and meta["quad_tol"] == 1e-10
+
+
 def test_only_verify_takes_a_seed():
     # deriv, integ and witness draw nothing at random (their meta says seed 0)
     code, out, err = run_cli(["deriv", "--scale", "R", "--expr", "t^2",
@@ -326,6 +339,9 @@ TABLE_COMMANDS = {
     "table_hZ_abs_higher.json": ["deriv", "--scale", "hZ(h=1)", "--expr",
                                  "abs(t-3)", "--alpha", "2.5", "--from", "1",
                                  "--to", "6", "--count", "6"],
+    # a kink at the start of R[3,5]: the right jet, exactly 1
+    "deriv_abs_one_sided.json": ["deriv", "--scale", "R[3,5]", "--expr", "abs(t-3)",
+                                 "--alpha", "1", "--at", "3"],
 }
 
 
@@ -386,6 +402,14 @@ def test_unrepresentable_results_exit_3_without_output(args):
     code, out, err = run_cli(args)
     assert (code, out) == (3, "")
     assert err.startswith("tscal: NotRepresentable: ")
+
+
+def test_kink_inside_a_continuum_exits_3_without_output():
+    code, out, err = run_cli(["deriv", "--scale", "R", "--expr", "abs(t-3)",
+                              "--alpha", "0.5", "--at", "3"])
+    assert (code, out) == (3, "")
+    assert err == ("tscal: NotDifferentiable: one-sided derivatives -1.0 and 1.0 "
+                   "differ at t=3.0\n")
 
 
 @pytest.mark.parametrize("src", ["t^(-0.48)", "t^(-0.49)"])

@@ -1,8 +1,12 @@
-"""Property contracts of decompose and cauchy on all six shapes (hypothesis)."""
+"""Property contracts (hypothesis): decompose and cauchy on all six shapes, and
+the one-sided jets against mpmath."""
 
+import mpmath
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from tscal.expr import parse
+from tscal.errors import NotDifferentiable
+from tscal.expr import _jet, parse
 from tscal.integral import cauchy
 from tscal.timescale import (
     FiniteSet,
@@ -96,3 +100,59 @@ def test_cauchy_uses_one_cell_per_step_and_segment(case):
     steps = sum(len(c.points) - 1 for c in cells if isinstance(c, Jumps))
     segments = sum(isinstance(c, Segment) for c in cells)
     assert cauchy(ONE, ts, lo, hi, 1.0).cells_used == steps + segments
+
+
+# smooth terms of g, each in the parser's syntax; "^" becomes "**" for mpmath
+_SMOOTH_TERMS = ("({a})", "({a})*t", "({a})*t^2", "({a})*sin(({b})*t)",
+                 "({a})*cos(({b})*t)", "({a})*exp(({b})*t)")
+_KINKS = ("({g})*abs(t-({t0}))^({c})", "abs(({g})*(t-({t0})))",
+          "sqrt(({g})*(t-({t0}))^2)")
+_MP = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp,
+       "abs": mpmath.fabs, "sqrt": mpmath.sqrt}
+_COEF = st.integers(-300, 300).map(lambda k: k / 100)
+
+
+@st.composite
+def one_sided_cases(draw):
+    """g, a function with a zero of abs, sqrt or a power at t0, t0 and a side."""
+    terms = draw(st.lists(st.sampled_from(_SMOOTH_TERMS), min_size=1, max_size=3))
+    g = " + ".join(term.format(a=draw(_COEF), b=draw(_COEF)) for term in terms)
+    t0 = draw(st.integers(-400, 400).map(lambda k: k / 100))
+    c = draw(st.sampled_from((0.5, 0.75, 1.5, 2.5, 3.5)))
+    text = draw(st.sampled_from(_KINKS)).format(g=g, t0=t0, c=c)
+    return g, text, t0, draw(st.sampled_from((1, -1)))
+
+
+def _mp(text, x):
+    return eval(text.replace("^", "**"), dict(_MP, t=x))  # noqa: S307 - own strings
+
+
+def _one_sided(text, t0, side, dps):
+    with mpmath.workdps(dps):
+        return mpmath.diff(lambda x: _mp(text, x), mpmath.mpf(t0), direction=side)
+
+
+def _close(x, y):
+    return abs(x - y) <= 1e-12 * max(1, abs(y))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(one_sided_cases())
+def test_one_sided_jets_match_mpmath(case):
+    # mpmath's one-sided derivative at 30 digits is the oracle; where it is
+    # not real (sqrt of a negative) or moves at 40 digits (a root's infinite
+    # slope) no derivative exists and the jet must raise. Where g(t0) == 0
+    # the product rule meets 0 * inf, and the jet may raise too.
+    g, text, t0, side = case
+    f = parse(text)
+    exact = _one_sided(text, t0, side, 30)
+    if not isinstance(exact, mpmath.mpf) or not _close(_one_sided(text, t0, side, 40), exact):
+        with pytest.raises(NotDifferentiable):
+            _jet(f, t0, side)
+        return
+    try:
+        got = _jet(f, t0, side)[1]
+    except NotDifferentiable:
+        assert _mp(g, mpmath.mpf(t0)) == 0, (text, side, exact)
+        return
+    assert _close(got, exact), (text, side, exact)

@@ -299,6 +299,15 @@ def test_chain_witness_examples():
     assert c == 3.0
 
 
+def test_chain_witness_bisects_end_residuals_of_opposite_sign():
+    # the residual changes sign near 1.00175 too, but the ends of [1, 2]
+    # differ in sign, so the root bisection reaches is returned, not the smallest
+    f, g = parse("sin(8*t)"), parse("t")
+    lhs = t_alpha(f, HZ1, 1.0, 1.0)
+    assert _jet(f, 1.0017)[1] - lhs > 0.0 > _jet(f, 1.0018)[1] - lhs
+    assert chain_rule_witness(f, g, HZ1, 1.0, 1.0) == 1.7871888539744796
+
+
 def test_chain_witness_degenerate_constant_inner():
     c = chain_rule_witness(parse("t^2"), parse("4"), HZ1, 2.0, 0.5)
     assert c == 2.0
@@ -362,7 +371,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # holds the values below as recorded while the derivative and the FTC check
 # still ran separate Richardson loops, and while t_alpha and delta1 still took
 # every dense value from the limit. Those rows now call the limit directly:
-# it still backs the jet's fallback, the higher-order cross path and ftc.
+# the jets give every dense first derivative, and the limit backs only the
+# higher-order cross path and ftc.
 DENSE_SITES = [
     ("central", RealInterval(), 2.0),
     ("right", PeriodicUnion(1.0, 2.0), 3.0),
@@ -433,15 +443,23 @@ def test_dense_points_match_mpmath():
                     assert abs(got - expected) <= 1e-14 * abs(expected), (text, alpha)
 
 
-# points where the jet raises: t_alpha must give exactly what the limit gives,
-# except at a kink, where the one-sided limits differ, and where f(t) itself
-# is undefined, where evaluate's DomainError stands
+# points where the two-sided jet raises: t_alpha gives the one-sided jets'
+# outcome, or evaluate's DomainError where f(t) itself is undefined
 FALLBACK_CASES = [
-    ("abs(t-3)", 3.0),    # NotDifferentiable: the one-sided limits of |h|/h
-    ("sqrt(t-2)", 2.0),   # NotDifferentiable: sqrt of 0
-    ("(t-3)^1.5", 3.0),   # NotDifferentiable: a non-integer power of 0
-    ("1/(t-2)", 2.0),     # DomainError at the point itself
+    ("abs(t-3)", 3.0),
+    ("sqrt(t-2)", 2.0),
+    ("(t-3)^1.5", 3.0),
+    ("1/(t-2)", 2.0),
 ]
+JET_OUTCOMES = {
+    # the one-sided slopes of |h| differ
+    "abs(t-3)": "NotDifferentiable: one-sided derivatives -1.0 and 1.0 differ at t=3.0",
+    # an infinite right slope; sqrt is undefined to the left
+    "sqrt(t-2)": "NotDifferentiable: no finite derivative at t=2.0",
+    # the right slope is 0, but the power is undefined to the left
+    "(t-3)^1.5": "NotDifferentiable: no finite derivative at t=3.0",
+    "1/(t-2)": "DomainError: division by zero at t=2.0",
+}
 
 
 def _outcome_text(fn):
@@ -456,19 +474,9 @@ def test_jet_failures_fall_back_to_the_limit(text, t):
     f = parse(text)
     with pytest.raises((NotDifferentiable, DomainError)):
         _jet(f, t)
-    site = R.kappa_site(t)
-    expected = None
-    if text == "abs(t-3)":  # the central quotient is 0 at every step
-        expected = ("NotDifferentiable: one-sided derivatives -1.000000000000038 "
-                    "and 1.000000000000038 differ at t=3.0")
-    if text == "1/(t-2)":  # f(2) is undefined; the limit alone raises LimitDiverged
-        expected = "DomainError: division by zero at t=2.0"
     for alpha in (0.5, 1.0):
-        limit = _outcome_text(
-            lambda: _dense_limit(partial(evaluate, f), site, DEFAULT_CONFIG) * _power(t, alpha))
-        assert _outcome_text(lambda: t_alpha(f, R, t, alpha)) == (expected or limit)
-    assert _outcome_text(lambda: delta_derivative_n(f, R, t, 1)) == (expected or _outcome_text(
-        lambda: _dense_limit(partial(evaluate, f), R.site(t), DEFAULT_CONFIG)))
+        assert _outcome_text(lambda: t_alpha(f, R, t, alpha)) == JET_OUTCOMES[text]
+    assert _outcome_text(lambda: delta_derivative_n(f, R, t, 1)) == JET_OUTCOMES[text]
 
 
 def test_no_derivative_where_f_is_undefined():
@@ -484,12 +492,42 @@ def test_no_derivative_where_f_is_undefined():
 
 def test_only_a_kink_with_room_on_both_sides_raises():
     # abs(t-3) at 3 raises above; abs of 0 inside a smooth
-    # square has equal one-sided limits, and at the start of a block or of
-    # R[3,5] there is only the right-sided limit
+    # square has equal one-sided slopes, and at the start of a block or of
+    # R[3,5] there is only the right jet, exact
     assert t_alpha(parse("abs(t-3)^2"), R, 3.0, 0.5) == 0.0
     assert delta_derivative_n(parse("abs(t-3)^2"), R, 3.0, 1) == 0.0
     for ts in (PeriodicUnion(1.0, 2.0), RealInterval(3.0, 5.0)):
-        assert t_alpha(parse("abs(t-3)"), ts, 3.0, 1.0) == 1.000000000000038
+        assert t_alpha(parse("abs(t-3)"), ts, 3.0, 1.0) == 1.0
+
+
+ONE_SIDED_SCALES = {"R": R, "R[3,5]": RealInterval(3.0, 5.0),
+                    "R[1,3]": RealInterval(1.0, 3.0), "Pab(1,2)": PeriodicUnion(1.0, 2.0)}
+_KINK = "NotDifferentiable: one-sided derivatives -1.0 and 1.0 differ at t=3.0"
+_NO_SLOPE = "NotDifferentiable: no finite derivative at t=3.0"
+# t_alpha(f, ts, 3.0, 1.0) on R, R[3,5] (right only), R[1,3] (left only) and
+# Pab(1,2) (a block start, right only)
+ONE_SIDED_CASES = {
+    "abs(t-3)": (_KINK, "1.0", "-1.0", "1.0"),
+    "abs(t-3)*(t-3)": ("0.0", "0.0", "0.0", "0.0"),
+    "sqrt(abs(t-3))": (_NO_SLOPE,) * 4,
+    "(t-3)^1.5": (_NO_SLOPE, "0.0", _NO_SLOPE, "0.0"),
+    "(t-3)^2.5": (_NO_SLOPE, "0.0", _NO_SLOPE, "0.0"),
+    "sqrt(t-3)": (_NO_SLOPE,) * 4,
+    "sqrt((t-3)^2)": (_KINK, "1.0", "-1.0", "1.0"),  # needs the order-2 coefficient
+    "((t-3)^2)^0.75": ("0.0",) * 4,
+    "sqrt((t-3)^4)": ("0.0",) * 4,
+    "abs((t-3)^2)": ("0.0",) * 4,
+    # the answer is +-1 on the one-sided scales, but nth_derivative refuses abs
+    "sqrt(abs(t-3)^2)": (_NO_SLOPE,) * 4,
+}
+
+
+@pytest.mark.parametrize("text", ONE_SIDED_CASES)
+def test_one_sided_jets_decide_dense_points(text):
+    f = parse(text)
+    got = tuple(_outcome_text(lambda: t_alpha(f, ts, 3.0, 1.0))
+                for ts in ONE_SIDED_SCALES.values())
+    assert got == ONE_SIDED_CASES[text]
 
 
 def test_cancelling_terms_have_zero_derivative():
