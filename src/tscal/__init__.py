@@ -14,7 +14,6 @@ Typical use:
 
 from .derivative import (
     AlphaOrder,
-    DerivConfig,
     chain_rule_witness,
     delta_derivative_n,
     naive_chain_gap,
@@ -64,7 +63,7 @@ from .timescale import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaOrder", "DerivConfig", "IntegralConfig", "IntegralResult",
+    "AlphaOrder", "IntegralConfig", "IntegralResult",
     "FtcReport", "MonotonicityReport", "VerificationReport", "LAWS",
     "TimeScale", "RealInterval", "UniformLattice", "QLatticeClosure",
     "QPowers", "PeriodicUnion", "FiniteSet", "PointClass", "Jumps", "Segment",

@@ -14,12 +14,10 @@ import argparse
 import csv
 import functools
 import math
-import os
 import sys
-from dataclasses import replace
 
 from . import __version__
-from .derivative import AlphaOrder, DerivConfig, _chain_witness, t_alpha, \
+from .derivative import LIMIT_RTOL, AlphaOrder, _chain_witness, t_alpha, \
     t_alpha_at_zero, t_alpha_higher
 from .errors import ExprSyntaxError, ScaleSpecError, TscalError, UnknownLaw
 from .expr import parse as parse_expr
@@ -74,30 +72,11 @@ def _json(value, indent: int = 0) -> str:
     return f'"{escaped}"'
 
 
-def _tolerances(args) -> tuple[DerivConfig, IntegralConfig, dict]:
-    dcfg, icfg = DerivConfig(), IntegralConfig()
-    override = os.environ.get("TSCAL_TOL")
-    tol = args.tol
-    if tol is None and override is not None:
-        try:
-            tol = float(override)
-        except ValueError:
-            raise _UsageError(f"TSCAL_TOL is not a number: {override!r}") from None
-    if tol is not None:
-        if not (tol > 0 and math.isfinite(tol)):
-            raise _UsageError(f"tolerance must be positive and finite, got {tol!r}")
-        dcfg = replace(dcfg, tol=tol)
-        icfg = replace(icfg, quad_tol=tol)
-    return dcfg, icfg, _tol_meta(dcfg, icfg)
-
-
-def _tol_meta(dcfg=DerivConfig(), icfg=IntegralConfig()) -> dict:
-    return {"deriv_tol": dcfg.tol, "quad_tol": icfg.quad_tol,
-            "membership_rtol": MEMBERSHIP_RTOL}
-
-
-def _meta(args, tol_meta: dict) -> dict:
-    return {"tolerances": tol_meta, "seed": getattr(args, "seed", 0),
+def _meta(args, quad_tol: float = IntegralConfig.quad_tol) -> dict:
+    # only integ sets a tolerance (--tol); the derivative's limits have a fixed one
+    tolerances = {"deriv_tol": LIMIT_RTOL, "quad_tol": quad_tol,
+                  "membership_rtol": MEMBERSHIP_RTOL}
+    return {"tolerances": tolerances, "seed": getattr(args, "seed", 0),
             "version": __version__}
 
 
@@ -156,7 +135,6 @@ def _emit(doc: dict, rows: list[dict], args) -> None:
 
 
 def _cmd_deriv(args) -> int:
-    dcfg, _, tol_meta = _tolerances(args)
     ts = parse_scale(args.scale)
     f = parse_expr(args.expr)
     alpha = args.alpha
@@ -169,20 +147,22 @@ def _cmd_deriv(args) -> int:
     for t, snap in points:
         row = _point_row(ts, t, snap)
         if t == 0.0:
-            row["value"] = t_alpha_at_zero(f, ts, alpha, dcfg)
+            row["value"] = t_alpha_at_zero(f, ts, alpha)
         elif alpha <= 1.0:
             row["value"] = t_alpha(f, ts, t, alpha)
         else:
-            row["value"] = t_alpha_higher(f, ts, t, AlphaOrder(alpha), dcfg)
+            row["value"] = t_alpha_higher(f, ts, t, AlphaOrder(alpha))
         rows.append(row)
     doc = {"scale": args.scale, "alpha": alpha, "expr": args.expr,
-           "results": rows, "meta": _meta(args, tol_meta)}
+           "results": rows, "meta": _meta(args)}
     _emit(doc, rows, args)
     return 0
 
 
 def _cmd_integ(args) -> int:
-    _, icfg, tol_meta = _tolerances(args)
+    tol = args.tol
+    if not (tol > 0 and math.isfinite(tol)):
+        raise _UsageError(f"--tol must be positive and finite, got {tol!r}")
     ts = parse_scale(args.scale)
     f = parse_expr(args.expr)
     alpha = args.alpha
@@ -190,19 +170,18 @@ def _cmd_integ(args) -> int:
         raise _UsageError("--alpha must lie in (0, 1] for integrals")
     a, snap_a = _snap(ts, args.range_from)
     b, snap_b = _snap(ts, args.range_to)
-    result = cauchy(f, ts, a, b, alpha, icfg)
+    result = cauchy(f, ts, a, b, alpha, IntegralConfig(quad_tol=tol))
     row = _point_row(ts, b, snap_b)
     row.update({"from": a, "to": b, "snap_from": snap_a,
                 "value": result.value, "est_error": result.est_error,
                 "cells_used": result.cells_used})
     doc = {"scale": args.scale, "alpha": alpha, "expr": args.expr,
-           "results": [row], "meta": _meta(args, tol_meta)}
+           "results": [row], "meta": _meta(args, tol)}
     _emit(doc, [row], args)
     return 0
 
 
 def _cmd_witness(args) -> int:
-    tol_meta = _tol_meta()  # a witness reads no tolerance, not even TSCAL_TOL
     ts = parse_scale(args.scale)
     f = parse_expr(args.f)
     g = parse_expr(args.g)
@@ -217,14 +196,13 @@ def _cmd_witness(args) -> int:
         row.update({"value": c, "c": c, "residual": residual})
         rows.append(row)
     doc = {"scale": args.scale, "alpha": alpha, "f": args.f, "g": args.g,
-           "results": rows, "meta": _meta(args, tol_meta)}
+           "results": rows, "meta": _meta(args)}
     _emit(doc, rows, args)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    # the suites run at the library defaults, so --tol and TSCAL_TOL do not apply
-    tol_meta = _tol_meta()
+    # the suites run at the library defaults, so verify takes no --tol
     if args.trials < 1:
         raise _UsageError("--trials must be at least 1")
     requested = args.law if args.law else list(LAWS)
@@ -250,7 +228,7 @@ def _cmd_verify(args) -> int:
             "failure_count": len(report.failures),
             "passed": report.passed,
         })
-    doc = {"laws": reports, "meta": _meta(args, tol_meta)}
+    doc = {"laws": reports, "meta": _meta(args)}
     print(_json(doc))
     return 0 if all_passed else _VERIFY_EXIT
 
@@ -269,9 +247,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--expr", required=True, help="function of t")
         p.add_argument("--alpha", type=float, required=True)
         p.add_argument("--output", choices=("json", "csv"), default="json")
-        if with_expr:  # a witness reads no tolerance
-            p.add_argument("--tol", type=float, default=None,
-                           help="override derivative and quadrature tolerances")
 
     p_deriv = sub.add_parser("deriv", help="tabulate the derivative")
     common(p_deriv)
@@ -287,6 +262,8 @@ def _build_parser() -> _Parser:
     common(p_integ)
     p_integ.add_argument("--from", dest="range_from", type=float, required=True)
     p_integ.add_argument("--to", dest="range_to", type=float, required=True)
+    p_integ.add_argument("--tol", type=float, default=IntegralConfig.quad_tol,
+                         help="quadrature tolerance quad_tol")
     p_integ.set_defaults(fn=_cmd_integ)
 
     p_wit = sub.add_parser("witness", help="chain-rule intermediate point")

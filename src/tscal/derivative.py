@@ -8,7 +8,8 @@ reduce to the order-beta derivative of the n-th delta derivative: forward
 quotients along t, sigma(t), ... up to the first right-dense point, which
 gives order 1 from the jets and higher orders from the symbolic derivative.
 A Richardson limit of difference quotients serves only the higher orders'
-cross path and ftc_check.
+cross path and ftc_check; it and the extrapolation of t_alpha_at_zero stop at
+the one relative tolerance LIMIT_RTOL.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .expr import Expr, _jet, evaluate, nth_derivative, substitute
 from .timescale import Site, TimeScale
 
 __all__ = [
-    "DerivConfig", "AlphaOrder", "t_alpha", "t_alpha_at_zero",
+    "AlphaOrder", "t_alpha", "t_alpha_at_zero",
     "delta_derivative_n", "t_alpha_higher", "t_alpha_higher_paths",
     "power_rule", "sigma_shift", "chain_rule_witness", "naive_chain_gap",
 ]
@@ -44,27 +45,10 @@ _RICHARDSON_DEPTH = 2
 _ZERO_LIMIT_POINTS = 12
 
 HIGHER_ORDER_AGREEMENT_RTOL = 1e-9
+# Every numeric limit stops at this relative tolerance: t_alpha_higher holds
+# the cross path's limit to HIGHER_ORDER_AGREEMENT_RTOL, so it cannot be looser.
+LIMIT_RTOL = 1e-9
 WITNESS_GRID_POINTS = 10_000
-
-
-@dataclass(frozen=True)
-class DerivConfig:
-    """Tolerance of the limits the jets do not replace.
-
-    tol (relative) governs the extrapolation of t_alpha_at_zero and the
-    Richardson limit on the cross path of t_alpha_higher_paths (ftc_check's
-    runs at the default): its step starts at 1e-3 max(1, |t|) and halves, at
-    most 20 times, until two successive corners agree to tol or to the
-    rounding floor of the sampled values, whichever is larger.
-    """
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-
-
-DEFAULT_CONFIG = DerivConfig()
 
 
 @dataclass(frozen=True)
@@ -98,7 +82,7 @@ def _power(t: float, alpha: float) -> float:
 
 
 def _richardson(quotient: Callable[[int, float], tuple[float, float]],
-                site: Site, tol: float) -> float:
+                site: Site) -> float:
     """Limit as h -> 0 of a difference quotient at a right-dense point site.t.
 
     Central quotients (side 0) are used when the scale is a continuum on both
@@ -106,7 +90,8 @@ def _richardson(quotient: Callable[[int, float], tuple[float, float]],
     quotient(side, h) returns the quotient at step h and its noise floor. The
     step halves from _DENSE_H0 max(1, |t|); a depth-2 Richardson table
     accelerates the sequence, and the limit is its corner once two successive
-    corners agree to tol (relative) or to the noise floor, whichever is larger.
+    corners agree to LIMIT_RTOL (relative) or to the noise floor, whichever is
+    larger.
     """
     t, left_room, right_room = site.t, site.left_room, site.right_room
     h0 = _DENSE_H0 * max(1.0, abs(t))
@@ -128,7 +113,7 @@ def _richardson(quotient: Callable[[int, float], tuple[float, float]],
             c = 2.0 ** (p * j)
             row.append((c * row[j - 1] - prev_row[j - 1]) / (c - 1.0))
         corner = row[-1]
-        if k >= 1 and abs(corner - prev_corner) <= max(tol * abs(corner), floor):
+        if k >= 1 and abs(corner - prev_corner) <= max(LIMIT_RTOL * abs(corner), floor):
             return corner
         prev_row, prev_corner = row, corner
         h *= 0.5
@@ -136,8 +121,7 @@ def _richardson(quotient: Callable[[int, float], tuple[float, float]],
         f"difference quotient did not stabilize in {_DENSE_STEPS} steps at t={t!r}")
 
 
-def _dense_limit(g: Callable[[float], float], site: Site,
-                 cfg: DerivConfig) -> float:
+def _dense_limit(g: Callable[[float], float], site: Site) -> float:
     """Limit of the difference quotient of g at a right-dense point site.t.
 
     The noise floor is the cancellation error of the sampled values,
@@ -162,14 +146,7 @@ def _dense_limit(g: Callable[[float], float], site: Site,
             value = side * (a - gt) / h
         return value, _NOISE_SAFETY * _EPS * fmax / h
 
-    return _richardson(quotient, site, cfg.tol)
-
-
-def _delta1(g: Callable[[float], float], site: Site, cfg: DerivConfig) -> float:
-    """First delta derivative of a callable at a scale point."""
-    if site.mu > 0.0:
-        return (g(site.sigma) - g(site.t)) / site.mu
-    return _dense_limit(g, site, cfg)
+    return _richardson(quotient, site)
 
 
 def _expr_delta1(f: Expr, site: Site) -> float:
@@ -246,14 +223,12 @@ def _aitken_limit(vals: list[float]) -> tuple[float, float]:
     return seq[-1], abs(seq[-1] - prev_last)
 
 
-def t_alpha_at_zero(f: Expr, ts: TimeScale, alpha: float,
-                    cfg: DerivConfig | None = None) -> float:
+def t_alpha_at_zero(f: Expr, ts: TimeScale, alpha: float) -> float:
     """Order-alpha derivative at 0, as the limit of t_alpha along t -> 0+.
 
     Requires 0 to be the minimum of the scale. Values are taken at scale
     points shrinking geometrically toward 0 and extrapolated.
     """
-    cfg = cfg or DEFAULT_CONFIG
     _check_alpha(alpha)
     if not (ts.contains(0.0) and ts.site(0.0).is_min):
         raise ZeroNotInScale(f"0 is not the minimum of {ts!r}")
@@ -264,7 +239,7 @@ def t_alpha_at_zero(f: Expr, ts: TimeScale, alpha: float,
     if abs(vals[-1]) > 2.0 * abs(vals[0]) + 1.0:
         raise LimitDiverged("derivative values grow toward 0+; no finite limit")
     limit, err = _aitken_limit(vals)
-    if err > max(cfg.tol * max(1.0, abs(limit)), 64.0 * _EPS * max(map(abs, vals))):
+    if err > max(LIMIT_RTOL * max(1.0, abs(limit)), 64.0 * _EPS * max(map(abs, vals))):
         raise LimitDiverged(f"zero-limit extrapolation error {err!r} above tolerance")
     return limit
 
@@ -301,15 +276,14 @@ def delta_derivative_n(f: Expr, ts: TimeScale, t: float, n: int) -> float:
     return _delta_table(f, ts, ts.site(t), int(n))
 
 
-def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float, order: AlphaOrder,
-                         cfg: DerivConfig | None = None) -> tuple[float, float]:
+def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float,
+                         order: AlphaOrder) -> tuple[float, float]:
     """Both evaluations of a higher-order conformable derivative.
 
     The first value applies t**(1+n-alpha) to the (n+1)-th delta derivative;
     the second takes the order-beta derivative of the n-th delta derivative.
     They coincide in exact arithmetic.
     """
-    cfg = cfg or DEFAULT_CONFIG
     n, beta = order.n, order.beta
     if n < 1:
         raise ValueError("order must exceed 1; use t_alpha below that")
@@ -323,13 +297,14 @@ def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float, order: AlphaOrder,
     def g_n(x: float) -> float:
         return _delta_table(f, ts, ts.site(x), n)
 
-    return primary, _delta1(g_n, site, cfg) * factor
+    cross = ((g_n(site.sigma) - g_n(site.t)) / site.mu if site.mu > 0.0
+             else _dense_limit(g_n, site))
+    return primary, cross * factor
 
 
-def t_alpha_higher(f: Expr, ts: TimeScale, t: float, order: AlphaOrder,
-                   cfg: DerivConfig | None = None) -> float:
+def t_alpha_higher(f: Expr, ts: TimeScale, t: float, order: AlphaOrder) -> float:
     """Conformable derivative of order alpha in (n, n+1], cross-checked."""
-    primary, cross = t_alpha_higher_paths(f, ts, t, order, cfg)
+    primary, cross = t_alpha_higher_paths(f, ts, t, order)
     scale = max(1.0, abs(primary), abs(cross))
     if abs(primary - cross) > HIGHER_ORDER_AGREEMENT_RTOL * scale:
         raise InternalDisagreement(

@@ -26,9 +26,7 @@ from .errors import (
     QuadratureBudgetExceeded,
     ReversedBounds,
 )
-from .derivative import (
-    _EPS, DEFAULT_CONFIG as _DENSE, _check_alpha, _power, _richardson, t_alpha,
-)
+from .derivative import _EPS, _check_alpha, _power, _richardson, t_alpha
 from .expr import Expr, evaluate
 from .timescale import (MEMBERSHIP_RTOL, Q_ENUM_FLOOR, Jumps, QLatticeClosure, Site,
                         TimeScale)
@@ -47,22 +45,21 @@ class IntegralConfig:
     absolute bound: the panel with the largest G7K15 error is bisected until
     the sum is within it. Each panel's estimate includes its roundoff floor
     50*eps*int|g|, and panels at the floor are final, so est_error can exceed
-    quad_tol for integrands near 1e9. max_subdivisions bounds the total number
-    of G7K15 panels; q_tail_cutoff is the smallest geometric-lattice point
-    enumerated near 0 (q**-Q_ENUM_FLOOR, as in decompose, when omitted).
+    quad_tol for integrands near 1e9. q_tail_cutoff is the smallest
+    geometric-lattice point enumerated near 0 (q**-Q_ENUM_FLOOR, as in
+    decompose, when omitted). An integral that needs more than 2**20 G7K15
+    panels raises QuadratureBudgetExceeded.
     """
     quad_tol: float = 1e-10
-    max_subdivisions: int = 1 << 20
     q_tail_cutoff: float | None = None
 
     def __post_init__(self):
         if not self.quad_tol > 0:
             raise ValueError("quad_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
 
 
 DEFAULT_CONFIG = IntegralConfig()
+_MAX_SUBDIVISIONS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -235,7 +232,7 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
     if isinstance(ts, QLatticeClosure) and lo == 0.0:
         value, err, used = _q_series_from_zero(f, ts, hi, alpha, cfg)
     else:
-        budget = [cfg.max_subdivisions]
+        budget = [_MAX_SUBDIVISIONS]
         contributions: list[float] = []
         err_parts: list[float] = []
         for cell in ts.decompose(lo, hi):
@@ -314,7 +311,7 @@ def _ftc_dense_value(f: Expr, ts: TimeScale, site: Site, alpha: float,
         width = 2.0 * h if side == 0 else h
         return cauchy(f, ts, lo, hi, alpha, tight).value / width, 8.0 * tight.quad_tol / h
 
-    return _richardson(quotient, site, _DENSE.tol) * _power(t, alpha)
+    return _richardson(quotient, site) * _power(t, alpha)
 
 
 def ftc_check(f: Expr, ts: TimeScale, points: list[float], alpha: float,
@@ -322,7 +319,7 @@ def ftc_check(f: Expr, ts: TimeScale, points: list[float], alpha: float,
     """Differentiate the integral accumulator at each point and compare to f.
 
     Scattered points use the exact jump quotient of the accumulator; dense
-    points differentiate it numerically with the default derivative policy.
+    points differentiate it numerically, to the derivative's LIMIT_RTOL.
     Per-point errors are collected, never raised.
     """
     icfg = icfg or DEFAULT_CONFIG

@@ -66,6 +66,12 @@ def test_deriv_range_points():
     doc = json.loads(out)
     assert [r["t"] for r in doc["results"]] == [1.0, 2.0, 3.0, 4.0]
     assert all(r["value"] == 1.0 for r in doc["results"])
+    # one point is the row at --from
+    code, out, _ = run_cli(["deriv", "--scale", "hZ(h=1)", "--expr", "t",
+                            "--alpha", "1", "--from", "2", "--to", "5",
+                            "--count", "1"])
+    assert code == 0
+    assert [r["t"] for r in json.loads(out)["results"]] == [2.0]
 
 
 def test_json_numbers_carry_full_precision():
@@ -194,16 +200,26 @@ def test_usage_error_exit_code():
     assert code == 1
 
 
-# numbers argparse accepts but the command cannot use
+DERIV_R = ["deriv", "--scale", "R", "--expr", "t^2", "--alpha", "0.5"]
+INTEG_R = ["integ", "--scale", "R", "--expr", "t", "--alpha", "0.5",
+           "--from", "1", "--to", "2"]
+
+# numbers and options argparse accepts but the command cannot use
 UNUSABLE_NUMBERS = {
     "alpha_nan": ["deriv", "--scale", "R", "--expr", "t^2", "--alpha", "nan",
                   "--at", "1"],
     "alpha_inf": ["deriv", "--scale", "R", "--expr", "t^2", "--alpha", "inf",
                   "--at", "1"],
-    "tol_nan": ["deriv", "--scale", "R", "--expr", "t^2", "--alpha", "0.5",
-                "--at", "1", "--tol", "nan"],
-    "env_tol_nan": ["deriv", "--scale", "R", "--expr", "t^2", "--alpha", "0.5",
-                    "--at", "1"],
+    "tol_nan": INTEG_R + ["--tol", "nan"],
+    "deriv_tol": DERIV_R + ["--at", "1", "--tol", "1e-6"],  # deriv reads no tolerance
+    "points_not_a_number": DERIV_R + ["--points", "1,x"],
+    "from_without_to": DERIV_R + ["--from", "1"],
+    "count_zero": DERIV_R + ["--from", "1", "--to", "3", "--count", "0"],
+    "from_above_to": DERIV_R + ["--from", "3", "--to", "1"],
+    "integ_alpha_above_1": ["integ", "--scale", "R", "--expr", "t", "--alpha", "1.5",
+                            "--from", "1", "--to", "2"],
+    "witness_alpha_zero": ["witness", "--scale", "qN0(q=2)", "--f", "t^2",
+                           "--g", "t", "--alpha", "0", "--at", "4"],
     "trials_zero": ["verify", "--law", "sum", "--trials", "0"],
     "hZ_at_nan": ["deriv", "--scale", "hZ(h=1)", "--expr", "t^2",
                   "--alpha", "0.5", "--at", "nan"],
@@ -217,9 +233,8 @@ UNUSABLE_NUMBERS = {
 
 
 @pytest.mark.parametrize("name", sorted(UNUSABLE_NUMBERS))
-def test_unusable_numbers_are_usage_errors(name, monkeypatch):
-    env = {"TSCAL_TOL": "nan"} if name == "env_tol_nan" else None
-    code, out, err = run_cli(UNUSABLE_NUMBERS[name], env, monkeypatch)
+def test_unusable_numbers_are_usage_errors(name):
+    code, out, err = run_cli(UNUSABLE_NUMBERS[name])
     assert (code, out) == (1, "")
     assert err.startswith("tscal: usage error: ")
 
@@ -240,27 +255,25 @@ def test_parser_reuse_repeats_usage_errors():
     assert first[0] == 1 and "--expr" in first[2]
 
 
-def test_verify_reports_the_tolerances_its_suites_run_with(monkeypatch):
-    # the suites run at the library defaults, so verify takes no --tol and
-    # ignores TSCAL_TOL
+def test_verify_reports_the_tolerances_its_suites_run_with():
+    # the suites run at the library defaults, so verify takes no --tol
     code, out, err = run_cli(["verify", "--law", "sum", "--trials", "3",
                               "--tol", "1e-3"])
     assert code == 1 and out == "" and "--tol" in err
-    code, out, _ = run_cli(["verify", "--law", "sum", "--trials", "3"],
-                           env={"TSCAL_TOL": "1e-7"}, monkeypatch=monkeypatch)
+    code, out, _ = run_cli(["verify", "--law", "sum", "--trials", "3"])
     assert code == 0
     meta = json.loads(out)["meta"]["tolerances"]
     assert meta["deriv_tol"] == 1e-9 and meta["quad_tol"] == 1e-10
 
 
-def test_witness_reads_no_tolerance(monkeypatch):
-    # a witness takes its slopes from the jet, so witness takes no --tol,
-    # ignores TSCAL_TOL and reports the library defaults
+def test_witness_reads_no_tolerance():
+    # a witness takes its slopes from the jet, so witness takes no --tol and
+    # reports the library defaults
     args = ["witness", "--scale", "qN0(q=2)", "--f", "t^2", "--g", "t",
             "--alpha", "0.5", "--at", "4"]
     code, out, err = run_cli(args + ["--tol", "1e-3"])
     assert code == 1 and out == "" and "--tol" in err
-    code, out, _ = run_cli(args, env={"TSCAL_TOL": "1e-7"}, monkeypatch=monkeypatch)
+    code, out, _ = run_cli(args)
     assert code == 0
     meta = json.loads(out)["meta"]["tolerances"]
     assert meta["deriv_tol"] == 1e-9 and meta["quad_tol"] == 1e-10
@@ -271,17 +284,6 @@ def test_only_verify_takes_a_seed():
     code, out, err = run_cli(["deriv", "--scale", "R", "--expr", "t^2",
                               "--alpha", "0.5", "--at", "2", "--seed", "3"])
     assert code == 1 and out == "" and "--seed" in err
-
-
-def test_parser_reuse_reads_env_tolerance_per_call(monkeypatch):
-    args = ["deriv", "--scale", "R", "--expr", "t^2", "--alpha", "0.5",
-            "--at", "2"]
-    monkeypatch.delenv("TSCAL_TOL", raising=False)
-    _, out, _ = run_cli(args)
-    assert json.loads(out)["meta"]["tolerances"]["deriv_tol"] == 1e-9
-    monkeypatch.setenv("TSCAL_TOL", "1e-7")
-    _, out, _ = run_cli(args)
-    assert json.loads(out)["meta"]["tolerances"]["deriv_tol"] == 1e-7
 
 
 def test_byte_identical_reruns():
@@ -319,7 +321,6 @@ def test_readme_command_in_fresh_interpreter():
     # a new process builds the parser on its first call
     root = GOLDEN.parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    env.pop("TSCAL_TOL", None)
     proc = subprocess.run(
         [sys.executable, "-m", "tscal.cli", *README_COMMANDS["readme_deriv_higher"]],
         cwd=root, env=env, capture_output=True, check=True)
@@ -360,19 +361,23 @@ def test_snap_is_echoed(tmp_path):
     assert json.loads(out)["results"][0]["snap"] == 0.0
 
 
-def test_env_tolerance_override(monkeypatch):
-    code, out, _ = run_cli(["deriv", "--scale", "R", "--expr", "t^2",
-                            "--alpha", "0.5", "--at", "2"],
-                           env={"TSCAL_TOL": "1e-7"}, monkeypatch=monkeypatch)
-    assert code == 0
-    meta = json.loads(out)["meta"]["tolerances"]
-    assert meta["deriv_tol"] == 1e-7 and meta["quad_tol"] == 1e-7
+def test_no_command_reads_tscal_tol(monkeypatch):
+    # the environment sets no tolerance: the README commands print their goldens
+    monkeypatch.setenv("TSCAL_TOL", "nan")
+    for name, args in README_COMMANDS.items():
+        code, out, _ = run_cli(args)
+        assert code == 0, name
+        assert out.encode() == (GOLDEN / f"{name}.json").read_bytes(), name
 
-    # an explicit flag wins over the environment
-    code, out, _ = run_cli(["deriv", "--scale", "R", "--expr", "t^2",
-                            "--alpha", "0.5", "--at", "2", "--tol", "1e-8"],
-                           env={"TSCAL_TOL": "1e-7"}, monkeypatch=monkeypatch)
-    assert json.loads(out)["meta"]["tolerances"]["deriv_tol"] == 1e-8
+
+def test_integ_tol_sets_quad_tol_only():
+    code, out, _ = run_cli(INTEG_R + ["--tol", "1e-8"])
+    assert code == 0
+    doc = json.loads(out)
+    # the integral of t**(1/2) from 1 to 2
+    assert doc["results"][0]["value"] == pytest.approx((2 ** 1.5 - 1) * 2 / 3, abs=1e-8)
+    meta = doc["meta"]["tolerances"]
+    assert meta["deriv_tol"] == 1e-9 and meta["quad_tol"] == 1e-8
 
 
 def test_finite_scale_from_file(tmp_path):

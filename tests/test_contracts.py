@@ -1,13 +1,15 @@
 """Property contracts (hypothesis): decompose and cauchy on all six shapes, and
-the one-sided jets against mpmath."""
+the one-sided jets against mpmath; and the typed errors of outside inputs."""
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tscal.errors import NotDifferentiable
+from tscal.derivative import AlphaOrder, power_rule, t_alpha_higher_paths
+from tscal.errors import NonPositivePoint, NotDifferentiable
 from tscal.expr import _jet, parse
-from tscal.integral import cauchy
+from tscal.integral import IntegralConfig, cauchy, monotonicity_check
+from tscal.laws import definition_scan
 from tscal.timescale import (
     FiniteSet,
     Jumps,
@@ -156,3 +158,36 @@ def test_one_sided_jets_match_mpmath(case):
         assert _mp(g, mpmath.mpf(t0)) == 0, (text, side, exact)
         return
     assert _close(got, exact), (text, side, exact)
+
+
+T2 = parse("t^2")
+R = RealInterval()
+
+# outside inputs, each with the typed error it raises and that error's message
+PRECONDITIONS = {
+    "higher_paths_at_0": (lambda: t_alpha_higher_paths(T2, R, 0.0, AlphaOrder(1.5)),
+                          NonPositivePoint, "higher-order derivative needs t > 0"),
+    "power_rule_m_0": (lambda: power_rule(R, 1.0, 0.5, 0),
+                       ValueError, "m must be a positive integer"),
+    "power_rule_at_0": (lambda: power_rule(R, 0.0, 0.5, 2),
+                        NonPositivePoint, "power rule needs t > 0"),
+    "quad_tol_0": (lambda: IntegralConfig(quad_tol=0),
+                   ValueError, "quad_tol must be positive"),
+    "monotonicity_from_0": (lambda: monotonicity_check(T2, RealInterval(0.0, 4.0),
+                                                       0.0, 1.0, 0.5),
+                            NonPositivePoint, "needs a > 0"),
+    "definition_scan_at_0": (lambda: definition_scan(T2, R, 0.0, 0.5, 0.0, 1e-6),
+                             NonPositivePoint, "definition scan needs t > 0"),
+    "q_lattice_q_1": (lambda: QLatticeClosure(1.0), ValueError, "q must exceed 1"),
+    # the cap is checked before the one Jumps run of 2**22 + 2 points is built
+    "decompose_over_cap": (lambda: UniformLattice(1.0).decompose(0.0, 2.0 ** 22 + 1),
+                           ValueError, "decomposition would need 4194305 cells"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRECONDITIONS))
+def test_outside_inputs_raise_typed_errors(name):
+    call, error, message = PRECONDITIONS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value).startswith(message)

@@ -11,9 +11,7 @@ import mpmath
 import pytest
 
 from tscal.derivative import (
-    DEFAULT_CONFIG,
     AlphaOrder,
-    DerivConfig,
     _dense_limit,
     _power,
     chain_rule_witness,
@@ -351,9 +349,10 @@ def test_q_lattice_square_closed_form():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        DerivConfig(tol=-1.0)
-    with pytest.raises(ValueError):
         AlphaOrder(0.0)
+    # the derivatives take no configuration: their limits stop at LIMIT_RTOL
+    with pytest.raises(TypeError):
+        t_alpha_higher(parse("t^3"), R, 2.0, AlphaOrder(2.1), None)
 
 
 @pytest.mark.parametrize("h", [1e-16, 1e-300])
@@ -372,7 +371,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # still ran separate Richardson loops, and while t_alpha and delta1 still took
 # every dense value from the limit. Those rows now call the limit directly:
 # the jets give every dense first derivative, and the limit backs only the
-# higher-order cross path and ftc.
+# higher-order cross path and ftc. The rows' "cfg" key dates from when the
+# limit took a configuration; it now has one fixed tolerance, LIMIT_RTOL.
 DENSE_SITES = [
     ("central", RealInterval(), 2.0),
     ("right", PeriodicUnion(1.0, 2.0), 3.0),
@@ -398,10 +398,10 @@ def _dense_rows():
             key = {"mode": mode, "t": repr(t), "f": text}
             for alpha in (0.5, 1.0):
                 rows.append({**key, "what": "t_alpha", "cfg": "default", "alpha": alpha,
-                             "value": _outcome(lambda: _dense_limit(
-                                 g, site, DEFAULT_CONFIG) * _power(t, alpha))})
+                             "value": _outcome(
+                                 lambda: _dense_limit(g, site) * _power(t, alpha))})
             rows.append({**key, "what": "delta1", "cfg": "default", "value": _outcome(
-                lambda: _dense_limit(g, site, DEFAULT_CONFIG))})
+                lambda: _dense_limit(g, site))})
             for alpha in (1.5, 2.3):
                 rows.append({**key, "what": "higher_paths", "cfg": "default", "alpha": alpha,
                              "value": _outcome(lambda: t_alpha_higher_paths(
@@ -482,7 +482,7 @@ def test_jet_failures_fall_back_to_the_limit(text, t):
 def test_no_derivative_where_f_is_undefined():
     # the central quotient never evaluates f(3) and gives 0.0 at every step
     f = parse("sin(t-3)/(t-3)")
-    assert _dense_limit(partial(evaluate, f), R.site(3.0), DEFAULT_CONFIG) == 0.0
+    assert _dense_limit(partial(evaluate, f), R.site(3.0)) == 0.0
     for call in (lambda: t_alpha(f, R, 3.0, 0.5), lambda: delta_derivative_n(f, R, 3.0, 1)):
         with pytest.raises(DomainError) as info:
             call()

@@ -256,10 +256,10 @@ def test_integral_preconditions():
         cauchy(f, HZ1, 1.0, 2.0, 1.5)
 
 
-def test_quadrature_budget_guard():
-    cfg = IntegralConfig(max_subdivisions=4)
+def test_quadrature_budget_guard(monkeypatch):
+    monkeypatch.setattr(integral_module, "_MAX_SUBDIVISIONS", 4)
     with pytest.raises(QuadratureBudgetExceeded):
-        cauchy(parse("sin(50*t)"), R, 0.5, 4.0, 0.9, cfg)
+        cauchy(parse("sin(50*t)"), R, 0.5, 4.0, 0.9)
 
 
 def test_periodic_union_mixes_cells():
