@@ -35,7 +35,6 @@ from .expr import (
 )
 from .integral import (
     FtcReport,
-    IntegralConfig,
     IntegralResult,
     MonotonicityReport,
     cauchy,
@@ -49,7 +48,6 @@ from .timescale import (
     FiniteSet,
     Jumps,
     PeriodicUnion,
-    PointClass,
     QLatticeClosure,
     QPowers,
     RealInterval,
@@ -63,10 +61,10 @@ from .timescale import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaOrder", "IntegralConfig", "IntegralResult",
+    "AlphaOrder", "IntegralResult",
     "FtcReport", "MonotonicityReport", "VerificationReport", "LAWS",
     "TimeScale", "RealInterval", "UniformLattice", "QLatticeClosure",
-    "QPowers", "PeriodicUnion", "FiniteSet", "PointClass", "Jumps", "Segment",
+    "QPowers", "PeriodicUnion", "FiniteSet", "Jumps", "Segment",
     "Expr", "parse_expr", "parse_scale", "finite_from_file",
     "evaluate", "derivative", "nth_derivative", "substitute", "render",
     "t_alpha", "t_alpha_at_zero", "t_alpha_higher", "t_alpha_higher_paths",

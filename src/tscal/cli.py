@@ -21,7 +21,7 @@ from .derivative import LIMIT_RTOL, AlphaOrder, _chain_witness, t_alpha, \
     t_alpha_at_zero, t_alpha_higher
 from .errors import ExprSyntaxError, ScaleSpecError, TscalError, UnknownLaw
 from .expr import parse as parse_expr
-from .integral import IntegralConfig, cauchy
+from .integral import QUAD_TOL, cauchy
 from .laws import LAWS, run_law_suite
 from .timescale import MEMBERSHIP_RTOL, TimeScale, parse_scale
 
@@ -72,7 +72,7 @@ def _json(value, indent: int = 0) -> str:
     return f'"{escaped}"'
 
 
-def _meta(args, quad_tol: float = IntegralConfig.quad_tol) -> dict:
+def _meta(args, quad_tol: float = QUAD_TOL) -> dict:
     # only integ sets a tolerance (--tol); the derivative's limits have a fixed one
     tolerances = {"deriv_tol": LIMIT_RTOL, "quad_tol": quad_tol,
                   "membership_rtol": MEMBERSHIP_RTOL}
@@ -118,7 +118,7 @@ def _resolve_points(args) -> list[float]:
 def _point_row(ts: TimeScale, t: float, snap: float) -> dict:
     site = ts.site(t)
     return {"t": t, "sigma": site.sigma, "mu": site.mu,
-            "class": site.point_class.label, "snap": snap}
+            "class": site.label, "snap": snap}
 
 
 def _emit(doc: dict, rows: list[dict], args) -> None:
@@ -170,7 +170,7 @@ def _cmd_integ(args) -> int:
         raise _UsageError("--alpha must lie in (0, 1] for integrals")
     a, snap_a = _snap(ts, args.range_from)
     b, snap_b = _snap(ts, args.range_to)
-    result = cauchy(f, ts, a, b, alpha, IntegralConfig(quad_tol=tol))
+    result = cauchy(f, ts, a, b, alpha, quad_tol=tol)
     row = _point_row(ts, b, snap_b)
     row.update({"from": a, "to": b, "snap_from": snap_a,
                 "value": result.value, "est_error": result.est_error,
@@ -262,7 +262,7 @@ def _build_parser() -> _Parser:
     common(p_integ)
     p_integ.add_argument("--from", dest="range_from", type=float, required=True)
     p_integ.add_argument("--to", dest="range_to", type=float, required=True)
-    p_integ.add_argument("--tol", type=float, default=IntegralConfig.quad_tol,
+    p_integ.add_argument("--tol", type=float, default=QUAD_TOL,
                          help="quadrature tolerance quad_tol")
     p_integ.set_defaults(fn=_cmd_integ)
 

@@ -6,14 +6,15 @@ mu(t), one term per step. Over a continuum segment it is globally adaptive
 Gauss-Kronrod G7K15 quadrature (QUADPACK) in the variable u = t**alpha, where
 the integrand becomes (1/alpha) * f(u**(1/alpha)): the weight, singular at a
 zero endpoint when alpha < 1, disappears exactly. Geometric lattices
-accumulating at 0 are summed as a series with a tail bound.
+accumulating at 0 are summed as a series that stops on an observed geometric
+tail estimate.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -32,33 +33,12 @@ from .timescale import (MEMBERSHIP_RTOL, Q_ENUM_FLOOR, Jumps, QLatticeClosure, S
                         TimeScale)
 
 __all__ = [
-    "IntegralConfig", "IntegralResult", "cauchy", "single_grain", "indefinite",
+    "IntegralResult", "cauchy", "single_grain", "indefinite",
     "ftc_check", "FtcReport", "monotonicity_check", "MonotonicityReport",
 ]
 
 
-@dataclass(frozen=True)
-class IntegralConfig:
-    """Quadrature policy.
-
-    quad_tol is the target for the summed error estimate of an integral, an
-    absolute bound: the panel with the largest G7K15 error is bisected until
-    the sum is within it. Each panel's estimate includes its roundoff floor
-    50*eps*int|g|, and panels at the floor are final, so est_error can exceed
-    quad_tol for integrands near 1e9. q_tail_cutoff is the smallest
-    geometric-lattice point enumerated near 0 (q**-Q_ENUM_FLOOR, as in
-    decompose, when omitted). An integral that needs more than 2**20 G7K15
-    panels raises QuadratureBudgetExceeded.
-    """
-    quad_tol: float = 1e-10
-    q_tail_cutoff: float | None = None
-
-    def __post_init__(self):
-        if not self.quad_tol > 0:
-            raise ValueError("quad_tol must be positive")
-
-
-DEFAULT_CONFIG = IntegralConfig()
+QUAD_TOL = 1e-10
 _MAX_SUBDIVISIONS = 1 << 20
 
 
@@ -150,11 +130,11 @@ def _kronrod(g: Callable[[float], float], lo: float, hi: float,
 
 
 def _segment_piece(f: Expr, alpha: float, lo: float, hi: float,
-                   cfg: IntegralConfig, budget: list[int]) -> tuple[float, float]:
+                   quad_tol: float, budget: list[int]) -> tuple[float, float]:
     """Integral of f(t) t**(alpha-1) over [lo, hi]; below alpha = 1 it is
     (1/alpha) f(u**(1/alpha)) over [lo**alpha, hi**alpha], with u = t**alpha."""
     if alpha == 1.0:
-        return _kronrod(partial(evaluate, f), lo, hi, cfg.quad_tol, budget)
+        return _kronrod(partial(evaluate, f), lo, hi, quad_tol, budget)
     inv = 1.0 / alpha
 
     def integrand(u: float) -> float:
@@ -167,41 +147,43 @@ def _segment_piece(f: Expr, alpha: float, lo: float, hi: float,
                     "cannot be resolved toward the 0 endpoint in floats") from None
             raise
 
-    return _kronrod(integrand, lo ** alpha, hi ** alpha, cfg.quad_tol, budget)
+    return _kronrod(integrand, lo ** alpha, hi ** alpha, quad_tol, budget)
 
 
 def _q_series_from_zero(f: Expr, ts: QLatticeClosure, hi: float, alpha: float,
-                        cfg: IntegralConfig) -> tuple[float, float, int]:
+                        quad_tol: float) -> tuple[float, float, int]:
     """Jump-series value of the integral over [0, hi] on q**Z with 0 attached.
 
     Terms f(q**j) * (q**j)**(alpha-1) * mu(q**j) are summed downward from hi
-    until the geometric tail bound drops below quad_tol or the enumeration
-    cutoff is reached.
+    until the geometric tail estimate drops below quad_tol. Only a ratio of two
+    consecutive nonzero terms of at least q**-(alpha+8), the least that f with
+    a zero of order at most 8 at 0 shows, estimates the tail: a single term at
+    or near a zero of f never stops the series. A tail above quad_tol at
+    q**-Q_ENUM_FLOOR, or no such ratio by then, raises EndpointSingularity.
     """
     q = ts.q
-    cutoff = cfg.q_tail_cutoff if cfg.q_tail_cutoff is not None else q ** -Q_ENUM_FLOOR
-    r_theory = q ** (-alpha)
+    cutoff = q ** -Q_ENUM_FLOOR
+    r_theory, r_floor = q ** -alpha, q ** -(alpha + 8.0)
     k_top = round(math.log(hi) / math.log(q))
     terms: list[float] = []
-    prev_mag = None
+    prev_mag, tail = 0.0, math.inf
     j = k_top - 1
     while True:
         t_j = q ** j
         term = evaluate(f, t_j) * _weight(t_j, alpha) * ((q - 1.0) * t_j)
         terms.append(term)
         mag = abs(term)
-        ratio = r_theory
-        if prev_mag is not None and prev_mag > 0.0:
-            ratio = max(mag / prev_mag, r_theory)
-        converging = ratio < 0.995
-        tail = mag * ratio / (1.0 - ratio) if converging else math.inf
-        if converging and (tail <= 0.5 * cfg.quad_tol or mag == 0.0):
-            break
+        ratio = mag / prev_mag if prev_mag > 0.0 else 0.0
+        if ratio >= r_floor:
+            ratio = max(ratio, r_theory)
+            tail = mag * ratio / (1.0 - ratio) if ratio < 0.995 else math.inf
+            if tail <= 0.5 * quad_tol:
+                break
         if t_j <= cutoff:
-            if tail > cfg.quad_tol:
+            if tail > quad_tol:
                 raise EndpointSingularity(
                     f"series tail bound {tail!r} above quad_tol at the "
-                    f"enumeration cutoff; deepen q_tail_cutoff or loosen quad_tol")
+                    "enumeration cutoff; loosen quad_tol")
             break
         prev_mag = mag
         j -= 1
@@ -209,14 +191,24 @@ def _q_series_from_zero(f: Expr, ts: QLatticeClosure, hi: float, alpha: float,
     return value, tail, len(terms)
 
 
+def _check_quad_tol(quad_tol: float) -> None:
+    if not quad_tol > 0:  # NaN too
+        raise ValueError("quad_tol must be positive")
+
+
 def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
-           cfg: IntegralConfig | None = None) -> IntegralResult:
+           quad_tol: float = QUAD_TOL) -> IntegralResult:
     """Integral of f of order alpha from a to b, both scale points >= 0.
 
     Computed over the sorted endpoints and signed afterward, so reversing the
-    bounds negates the value exactly.
+    bounds negates the value exactly. quad_tol is the target for the summed
+    error estimate, an absolute bound: the panel with the largest G7K15 error
+    is bisected until the sum is within it. Each panel's estimate includes its
+    roundoff floor 50*eps*int|g|, and panels at the floor are final, so
+    est_error can exceed quad_tol for integrands near 1e9. An integral that
+    needs more than 2**20 G7K15 panels raises QuadratureBudgetExceeded.
     """
-    cfg = cfg or DEFAULT_CONFIG
+    _check_quad_tol(quad_tol)
     _check_alpha(alpha)
     for endpoint in (a, b):
         if not ts.contains(endpoint):
@@ -230,7 +222,7 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
     lo, hi = (a, b) if a < b else (b, a)
 
     if isinstance(ts, QLatticeClosure) and lo == 0.0:
-        value, err, used = _q_series_from_zero(f, ts, hi, alpha, cfg)
+        value, err, used = _q_series_from_zero(f, ts, hi, alpha, quad_tol)
     else:
         budget = [_MAX_SUBDIVISIONS]
         contributions: list[float] = []
@@ -245,7 +237,7 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
                     contributions.append(evaluate(f, t) * _weight(t, alpha) * (s - t))
                     t = s
             else:
-                v, e = _segment_piece(f, alpha, cell.lo, cell.hi, cfg, budget)
+                v, e = _segment_piece(f, alpha, cell.lo, cell.hi, quad_tol, budget)
                 contributions.append(v)
                 err_parts.append(e)
         # one contribution per step and per segment
@@ -266,9 +258,9 @@ def single_grain(f: Expr, ts: TimeScale, t: float, alpha: float) -> float:
 
 
 def indefinite(f: Expr, ts: TimeScale, base: float, t: float, alpha: float,
-               cfg: IntegralConfig | None = None) -> float:
+               quad_tol: float = QUAD_TOL) -> float:
     """Accumulator F(t) normalized so F(base) = 0."""
-    return cauchy(f, ts, base, t, alpha, cfg).value
+    return cauchy(f, ts, base, t, alpha, quad_tol).value
 
 
 @dataclass(frozen=True)
@@ -296,33 +288,34 @@ FTC_TOLERANCE = 1e-6
 
 
 def _ftc_dense_value(f: Expr, ts: TimeScale, site: Site, alpha: float,
-                     icfg: IntegralConfig) -> float:
+                     quad_tol: float) -> float:
     """Derivative of the integral accumulator at a right-dense point.
 
     Quotients are formed from short local integrals, so no large-value
     cancellation occurs; their noise floor is 8 quad_tol / h.
     """
-    tight = replace(icfg, quad_tol=max(icfg.quad_tol * 1e-3, 1e-14))
+    tight = max(quad_tol * 1e-3, 1e-14)
     t = site.t
 
     def quotient(side: int, h: float) -> tuple[float, float]:
         lo = t if side > 0 else t - h
         hi = t if side < 0 else t + h
         width = 2.0 * h if side == 0 else h
-        return cauchy(f, ts, lo, hi, alpha, tight).value / width, 8.0 * tight.quad_tol / h
+        return cauchy(f, ts, lo, hi, alpha, tight).value / width, 8.0 * tight / h
 
     return _richardson(quotient, site) * _power(t, alpha)
 
 
 def ftc_check(f: Expr, ts: TimeScale, points: list[float], alpha: float,
-              icfg: IntegralConfig | None = None) -> FtcReport:
+              quad_tol: float = QUAD_TOL) -> FtcReport:
     """Differentiate the integral accumulator at each point and compare to f.
 
     Scattered points use the exact jump quotient of the accumulator; dense
     points differentiate it numerically, to the derivative's LIMIT_RTOL.
-    Per-point errors are collected, never raised.
+    Per-point errors are collected, never raised; a quad_tol that is not
+    positive raises ValueError before any point.
     """
-    icfg = icfg or DEFAULT_CONFIG
+    _check_quad_tol(quad_tol)
     entries: list[FtcEntry] = []
     failures: list[tuple[float, str]] = []
     for t in points:
@@ -332,10 +325,10 @@ def ftc_check(f: Expr, ts: TimeScale, points: list[float], alpha: float,
                 raise NonPositivePoint(f"needs t > 0, got {t!r}")
             expected = evaluate(f, t)
             if site.mu > 0.0:
-                grain = cauchy(f, ts, t, site.sigma, alpha, icfg).value
+                grain = cauchy(f, ts, t, site.sigma, alpha, quad_tol).value
                 actual = grain / site.mu * _power(t, alpha)
             else:
-                actual = _ftc_dense_value(f, ts, site, alpha, icfg)
+                actual = _ftc_dense_value(f, ts, site, alpha, quad_tol)
             dev = abs(actual - expected) / max(1.0, abs(expected))
             entries.append(FtcEntry(t, expected, actual, dev))
         except Exception as exc:  # noqa: BLE001 - aggregate, never abort

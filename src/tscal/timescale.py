@@ -1,4 +1,4 @@
-"""Time-scale structures: membership, jump operators, classification, decomposition.
+"""Time-scale structures: membership, jump operators, point sites, decomposition.
 
 A time scale is a nonempty closed subset of the reals. Six concrete shapes are
 supported: the continuum (whole line or a closed interval), the uniform lattice
@@ -20,7 +20,7 @@ from .errors import NotInKappa, NotInScale, NotRepresentable, ReversedBounds, \
 
 __all__ = [
     "TimeScale", "RealInterval", "UniformLattice", "QLatticeClosure",
-    "QPowers", "PeriodicUnion", "FiniteSet", "PointClass", "Site", "Jumps",
+    "QPowers", "PeriodicUnion", "FiniteSet", "Site", "Jumps",
     "Segment", "parse_scale", "finite_from_file",
 ]
 
@@ -40,25 +40,6 @@ def _slack(t: float, gap: float) -> float:
     # conditionals, not min/max calls: decompose's loops call this per cell
     s = MEMBERSHIP_RTOL * (gap if gap > abs(t) else abs(t))
     return s if s < 0.25 * gap else 0.25 * gap
-
-
-@dataclass(frozen=True)
-class PointClass:
-    """Right/left structure of a scale point."""
-    right_scattered: bool
-    left_scattered: bool
-    is_min: bool = False
-    is_max: bool = False
-
-    @property
-    def label(self) -> str:
-        s = ("rs" if self.right_scattered else "rd") + "-" + \
-            ("ls" if self.left_scattered else "ld")
-        if self.is_min:
-            s += ",min"
-        if self.is_max:
-            s += ",max"
-        return s
 
 
 class Site(NamedTuple):
@@ -82,8 +63,10 @@ class Site(NamedTuple):
         return not (self.is_max and self.left_scattered)
 
     @property
-    def point_class(self) -> PointClass:
-        return PointClass(self.mu > 0.0, self.left_scattered, self.is_min, self.is_max)
+    def label(self) -> str:
+        """Right then left structure, as in "rs-ld", with ",min" and ",max"."""
+        return ("rs-" if self.mu > 0.0 else "rd-") + ("ls" if self.left_scattered else "ld") \
+            + (",min" if self.is_min else "") + (",max" if self.is_max else "")
 
 
 @dataclass(frozen=True)
@@ -145,17 +128,9 @@ class TimeScale:
         """Graininess sigma(t) - t, from the variant's closed form."""
         return self.site(t).mu
 
-    def classify(self, t: float) -> PointClass:
-        return self.site(t).point_class
-
     def in_kappa(self, t: float) -> bool:
         """True unless t is a left-scattered maximum of the scale."""
         return self.site(t).in_kappa
-
-    def continuum_reach(self, t: float) -> tuple[float, float]:
-        """How far the scale extends as a continuum on each side of t."""
-        s = self.site(t)
-        return (s.left_room, s.right_room)
 
     def kappa_site(self, t: float) -> Site:
         """The site of t, which must lie in T^kappa (not a left-scattered maximum)."""

@@ -317,6 +317,21 @@ def test_readme_commands_match_golden_output(name):
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
+def test_readme_library_example():
+    # run the README's Python block line by line; a "  # " comment is the
+    # repr of the expression before it
+    readme = (GOLDEN.parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, shown = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        if comment:
+            shown.append((repr(eval(code, namespace)), comment.strip()))
+        else:
+            exec(line, namespace)
+    assert shown == [("7.0710678118654755", "7.0710678118654755"), ("6.0", "6.0")]
+
+
 def test_readme_command_in_fresh_interpreter():
     # a new process builds the parser on its first call
     root = GOLDEN.parent.parent

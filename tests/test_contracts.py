@@ -1,6 +1,8 @@
 """Property contracts (hypothesis): decompose and cauchy on all six shapes, and
 the one-sided jets against mpmath; and the typed errors of outside inputs."""
 
+import math
+
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tscal.derivative import AlphaOrder, power_rule, t_alpha_higher_paths
 from tscal.errors import NonPositivePoint, NotDifferentiable
 from tscal.expr import _jet, parse
-from tscal.integral import IntegralConfig, cauchy, monotonicity_check
+from tscal.integral import cauchy, ftc_check, indefinite, monotonicity_check
 from tscal.laws import definition_scan
 from tscal.timescale import (
     FiniteSet,
@@ -171,8 +173,6 @@ PRECONDITIONS = {
                        ValueError, "m must be a positive integer"),
     "power_rule_at_0": (lambda: power_rule(R, 0.0, 0.5, 2),
                         NonPositivePoint, "power rule needs t > 0"),
-    "quad_tol_0": (lambda: IntegralConfig(quad_tol=0),
-                   ValueError, "quad_tol must be positive"),
     "monotonicity_from_0": (lambda: monotonicity_check(T2, RealInterval(0.0, 4.0),
                                                        0.0, 1.0, 0.5),
                             NonPositivePoint, "needs a > 0"),
@@ -183,6 +183,20 @@ PRECONDITIONS = {
     "decompose_over_cap": (lambda: UniformLattice(1.0).decompose(0.0, 2.0 ** 22 + 1),
                            ValueError, "decomposition would need 4194305 cells"),
 }
+
+# a quad_tol that is not positive, NaN included, in each function that takes
+# one; ftc_check raises it before any point instead of collecting a failure
+_QUAD_TOL_USERS = {
+    "": lambda tol: cauchy(T2, R, 1.0, 2.0, 0.5, quad_tol=tol),
+    "indefinite_": lambda tol: indefinite(T2, R, 1.0, 2.0, 0.5, quad_tol=tol),
+    "ftc_": lambda tol: ftc_check(T2, R, [2.0], 0.5, quad_tol=tol),
+}
+PRECONDITIONS.update({
+    f"{prefix}quad_tol_{label}": (lambda use=use, tol=tol: use(tol),
+                                  ValueError, "quad_tol must be positive")
+    for prefix, use in _QUAD_TOL_USERS.items()
+    for label, tol in (("0", 0.0), ("negative", -1.0), ("nan", math.nan))
+})
 
 
 @pytest.mark.parametrize("name", sorted(PRECONDITIONS))

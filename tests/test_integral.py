@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 import tscal.integral as integral_module
@@ -16,7 +17,7 @@ from tscal.errors import (
     ReversedBounds,
 )
 from tscal.integral import (
-    IntegralConfig,
+    QUAD_TOL,
     cauchy,
     ftc_check,
     indefinite,
@@ -178,14 +179,14 @@ def test_zero_endpoint_meets_quad_tol():
         res = cauchy(parse("t^2 + 1"), R, 0.0, 10.0, alpha)
         exact = 10.0 ** (alpha + 2.0) / (alpha + 2.0) + 10.0 ** alpha / alpha
         assert abs(res.value - exact) <= 1e-10
-        assert res.est_error <= IntegralConfig().quad_tol
+        assert res.est_error <= QUAD_TOL
 
 
 def test_log_singularity_at_zero():
     # integral over [0, 1] of log(t) t**(-1/2) dt = -4
     res = cauchy(parse("log(t)"), RealInterval(0.0, 2.0), 0.0, 1.0, 0.5)
     assert abs(res.value + 4.0) <= 1e-10
-    assert res.est_error <= IntegralConfig().quad_tol
+    assert res.est_error <= QUAD_TOL
 
 
 def test_large_integrands_are_relatively_accurate():
@@ -223,15 +224,46 @@ def test_q_series_from_zero():
     assert res.value == pytest.approx(expected, abs=1e-10)
     assert res.cells_used > 0
 
-    # small alpha cannot reach quad_tol at the default enumeration cutoff
+    # small alpha cannot reach quad_tol at the enumeration cutoff
     with pytest.raises(EndpointSingularity):
         cauchy(parse("1"), QZ2, 0.0, 1.0, 0.3)
 
-    # a deeper cutoff converges; series value computed directly
-    expected = sum((q - 1) * (q ** -k) ** 0.3 for k in range(1, 3000))
-    cfg = IntegralConfig(q_tail_cutoff=2.0 ** -200)
-    res = cauchy(parse("1"), QZ2, 0.0, 1.0, 0.3, cfg)
-    assert res.value == pytest.approx(expected, abs=1e-9)
+
+def _series_from_zero(f, q, hi, alpha):
+    """Direct 50-digit sum of f(t) t**(alpha-1) mu(t) over t = q**j < hi."""
+    with mpmath.workdps(50):
+        q, alpha = mpmath.mpf(q), mpmath.mpf(alpha)
+        top = int(mpmath.nint(mpmath.log(hi) / mpmath.log(q)))
+        return float(mpmath.fsum(f(q ** j) * (q ** j) ** alpha * (q - 1)
+                                 for j in range(top - 1, top - 2000, -1)))
+
+
+# f is zero or tiny at a lattice point near the top; the term there must not
+# stop the series
+SERIES_ROWS = [
+    ("1-t", lambda t: 1 - t, 2.0, 2.0, 1.0),
+    ("t-8", lambda t: t - 8, 2.0, 16.0, 1.0),
+    ("t^2-5*t", lambda t: t ** 2 - 5 * t, 5.0, 25.0, 1.0),
+    ("exp(-t)", lambda t: mpmath.exp(-t), 2.0, 64.0, 1.0),
+    ("exp(-t)*t^2", lambda t: mpmath.exp(-t) * t ** 2, 4.0, 256.0, 0.5),
+    ("t-0.5", lambda t: t - 0.5, 2.0, 4.0, 1.0),
+    ("(t-1)*(t-2)", lambda t: (t - 1) * (t - 2), 2.0, 8.0, 1.0),
+    ("(t-1.0000001)^2", lambda t: (t - mpmath.mpf("1.0000001")) ** 2, 2.0, 4.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("src,f,q,hi,alpha", SERIES_ROWS, ids=[row[0] for row in SERIES_ROWS])
+def test_q_series_from_zero_passes_zeros_of_f(src, f, q, hi, alpha):
+    res = cauchy(parse(src), QLatticeClosure(q), 0.0, hi, alpha)
+    assert abs(res.value - _series_from_zero(f, q, hi, alpha)) <= QUAD_TOL
+    assert 0.0 < res.est_error <= QUAD_TOL
+
+
+def test_q_series_from_zero_raises_without_a_settled_tail():
+    # the terms fall by 2**-0.5 a step, so the tail still exceeds quad_tol at
+    # the cutoff; the zero term at 0.25 must not stop the series first
+    with pytest.raises(EndpointSingularity, match="loosen quad_tol"):
+        cauchy(parse("t-0.25"), QZ2, 0.0, 4.0, 0.5)
 
 
 def test_jump_at_zero_rejected_for_fractional_alpha():
@@ -286,7 +318,7 @@ def test_ftc_unsettled_dense_quotient_is_a_failure(monkeypatch):
     # the Richardson corners settle: the point fails after 20 halvings
     calls = []
 
-    def alternating(f, ts, lo, hi, alpha, cfg=None):
+    def alternating(f, ts, lo, hi, alpha, quad_tol=None):
         calls.append(hi - lo)
         return integral_module.IntegralResult((hi - lo) * (len(calls) % 2) * 2.0, 0.0, 1)
 

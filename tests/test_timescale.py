@@ -43,19 +43,13 @@ def test_mu_examples():
 
 
 def test_classify_examples():
-    c = UniformLattice(1.0).classify(2.0)
-    assert c.right_scattered and c.left_scattered
-
-    c = QLatticeClosure(2.0).classify(0.0)
-    assert not c.right_scattered and c.is_min
-
-    c = PeriodicUnion(1.0, 2.0).classify(0.5)
-    assert not c.right_scattered and not c.left_scattered
+    assert UniformLattice(1.0).site(2.0).label == "rs-ls"
+    assert QLatticeClosure(2.0).site(0.0).label == "rd-ld,min"
+    assert PeriodicUnion(1.0, 2.0).site(0.5).label == "rd-ld"
 
 
 def test_classify_block_end_is_scattered():
-    c = PeriodicUnion(1.0, 2.0).classify(1.0)
-    assert c.right_scattered and not c.left_scattered
+    assert PeriodicUnion(1.0, 2.0).site(1.0).label == "rs-ld"
 
 
 def test_in_kappa_examples():
@@ -161,7 +155,7 @@ def test_lattices_always_right_scattered():
     rng = random.Random(1)
     for ts in (UniformLattice(0.5), QPowers(2.0)):
         for t in _random_in_scale_points(ts, rng, count=200):
-            assert ts.classify(t).right_scattered
+            assert ts.site(t).mu > 0.0
 
 
 def test_real_interval_interior_dense_both_sides():
@@ -169,8 +163,7 @@ def test_real_interval_interior_dense_both_sides():
     rng = random.Random(2)
     for _ in range(200):
         t = rng.uniform(0.1, 9.9)
-        c = ts.classify(t)
-        assert not c.right_scattered and not c.left_scattered
+        assert ts.site(t).label == "rd-ld"
 
 
 @pytest.mark.parametrize("ts,lo,hi", [
@@ -208,8 +201,8 @@ def test_finite_set_semantics():
     assert fs.sigma(4.0) == 4.0
     assert fs.mu(4.0) == 0.0
     assert fs.sigma(2.5) == 4.0
-    assert fs.classify(1.0).is_min
-    assert fs.classify(4.0).is_max
+    assert fs.site(1.0).is_min
+    assert fs.site(4.0).is_max
     with pytest.raises(NotInScale):
         fs.sigma(3.0)
 
@@ -313,8 +306,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Ordinary scale points (ends, block edges, 0, minima and maxima) on every
 # shape; tests/golden/scale_sites.json holds their primitives as recorded
-# before sigma, mu, classify, in_kappa and continuum_reach were derived from
-# one site per point.
+# before sigma, mu, the class label, in_kappa and the continuum reach were
+# derived from one site per point.
 SITE_GRID = [
     (RealInterval(), (-3.5, 0.0, 1.0, 2.5, 1e6)),
     (RealInterval(0.0, 4.0), (0.0, 1.5, 4.0)),
@@ -337,11 +330,11 @@ def _site_rows():
     rows = []
     for ts, points in SITE_GRID:
         for t in points:
-            left, right = ts.continuum_reach(t)
+            site = ts.site(t)
             rows.append({
                 "scale": repr(ts), "t": repr(t), "sigma": repr(ts.sigma(t)),
-                "mu": repr(ts.mu(t)), "class": ts.classify(t).label,
-                "in_kappa": ts.in_kappa(t), "reach": [repr(left), repr(right)],
+                "mu": repr(ts.mu(t)), "class": site.label, "in_kappa": ts.in_kappa(t),
+                "reach": [repr(site.left_room), repr(site.right_room)],
             })
     return rows
 
@@ -373,15 +366,15 @@ def test_finite_slack_is_relative_to_the_nearest_neighbour():
     with pytest.raises(NotInScale):
         fs.sigma(1 + 2.5e-13)
     assert fs.sigma(1.0) == 1 + 5e-13
-    assert fs.classify(1 + 5e-13).label == "rs-ls"
+    assert fs.site(1 + 5e-13).label == "rs-ls"
 
 
 def test_left_scattered_points_near_a_coarse_slack():
     # classification comes from the scale's structure, not from a comparison
     # of the backward gap with an absolute slack of 1e-12
-    assert QLatticeClosure(2.0).classify(2.0 ** -50).label == "rs-ls"
-    assert UniformLattice(1e-13).classify(1.0).label == "rs-ls"
-    assert FiniteSet((0.0, 1e-13)).classify(1e-13).label == "rd-ls,max"
+    assert QLatticeClosure(2.0).site(2.0 ** -50).label == "rs-ls"
+    assert UniformLattice(1e-13).site(1.0).label == "rs-ls"
+    assert FiniteSet((0.0, 1e-13)).site(1e-13).label == "rd-ls,max"
 
 
 @pytest.mark.parametrize("h", [1e-16, 1e-300])
