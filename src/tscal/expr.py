@@ -1,8 +1,9 @@
 """Expression trees for real functions of t.
 
 Provides a small recursive-descent parser, exact evaluation with domain
-checking, one- or two-sided first-order jets (value and exact slope), constant
-folding and exact symbolic differentiation, each on its node class. Grammar:
+checking (and without, over many points in one walk), one- or two-sided
+first-order jets (value and exact slope), constant folding and exact symbolic
+differentiation, each on its node class. Grammar:
 
     expr   := term (("+"|"-") term)*
     term   := factor (("*"|"/") factor)*
@@ -18,6 +19,7 @@ derivative exact for every accepted input.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -56,7 +58,14 @@ class Expr:
     """Base node of the expression tree; each rule lives on the node class.
 
     _eval(t) raises DomainError at the first node that leaves the real domain
-    or overflows (evaluate() rejects NaN at the root). _jet(t, side) is the
+    or overflows (evaluate() rejects NaN at the root). _eval_many(ts) is the
+    same arithmetic at every t of a list in one walk, without _eval's checks:
+    a value that leaves the domain stays inf or NaN, or the walk raises. Only
+    three operands could turn such a value back into a finite result, and
+    their nodes raise unless every value is finite: a Div's denominator
+    (x/inf), a Pow's base under a negative or fractional exponent (inf**-c;
+    a fractional power also raises on a negative base, which would give a
+    complex number) and exp's argument (exp(-inf)). _jet(t, side) is the
     bare forward-mode rule: _eval's value and the slope from side (0: both),
     NaN where there is none; it runs only where evaluate() succeeded. _fold,
     _d, _substitute and _render back fold, derivative, substitute and render.
@@ -65,7 +74,7 @@ class Expr:
     def _eval(self, *args):
         raise TypeError(f"not an expression node: {self!r}")
 
-    _jet = _fold = _d = _substitute = _render = _eval
+    _eval_many = _jet = _fold = _d = _substitute = _render = _eval
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,9 @@ class Const(Expr):
 
     def _eval(self, t: float) -> float:
         return self.value
+
+    def _eval_many(self, ts: list[float]) -> list[float]:
+        return [self.value] * len(ts)
 
     def _jet(self, t: float, side: int) -> tuple[float, float]:
         return self.value, 0.0
@@ -99,6 +111,9 @@ class Var(Expr):
     def _eval(self, t: float) -> float:
         return float(t)
 
+    def _eval_many(self, ts: list[float]) -> list[float]:
+        return list(map(float, ts))
+
     def _jet(self, t: float, side: int) -> tuple[float, float]:
         return float(t), 1.0
 
@@ -121,6 +136,9 @@ class _Binary(Expr):
     left: Expr
     right: Expr
 
+    def _eval_many(self, ts: list[float]) -> list[float]:
+        return list(map(self._op, self.left._eval_many(ts), self.right._eval_many(ts)))
+
     def _fold(self) -> Expr:
         left, right = self.left._fold(), self.right._fold()
         if isinstance(left, Const) and isinstance(right, Const):
@@ -137,7 +155,7 @@ class _Binary(Expr):
 
 @dataclass(frozen=True)
 class Add(_Binary):
-    _symbol = "+"
+    _symbol, _op = "+", operator.add
 
     def _eval(self, t: float) -> float:
         v = self.left._eval(t) + self.right._eval(t)
@@ -159,7 +177,7 @@ class Add(_Binary):
 
 @dataclass(frozen=True)
 class Sub(_Binary):
-    _symbol = "-"
+    _symbol, _op = "-", operator.sub
 
     def _eval(self, t: float) -> float:
         v = self.left._eval(t) - self.right._eval(t)
@@ -181,7 +199,7 @@ class Sub(_Binary):
 
 @dataclass(frozen=True)
 class Mul(_Binary):
-    _symbol = "*"
+    _symbol, _op = "*", operator.mul
 
     def _eval(self, t: float) -> float:
         v = self.left._eval(t) * self.right._eval(t)
@@ -215,6 +233,10 @@ class Div(_Binary):
         if math.isinf(v):
             raise DomainError("overflow", self, t)
         return v
+
+    def _eval_many(self, ts: list[float]) -> list[float]:
+        den = _finite(self.right._eval_many(ts))  # x / inf == 0.0
+        return list(map(operator.truediv, self.left._eval_many(ts), den))
 
     def _jet(self, t: float, side: int) -> tuple[float, float]:
         den, dden = self.right._jet(t, side)
@@ -254,6 +276,15 @@ class Pow(Expr):
         if math.isinf(v):
             raise DomainError("overflow", self, t)
         return v
+
+    def _eval_many(self, ts: list[float]) -> list[float]:
+        base, exp = self.base._eval_many(ts), self.exponent.value
+        if exp != round(exp):  # a negative base gives a complex number
+            if min(_finite(base)) < 0.0:
+                raise ArithmeticError("negative base with fractional exponent")
+        elif exp <= 0.0:  # inf**-c == 0.0
+            _finite(base)
+        return [b ** exp for b in base]
 
     def _jet(self, t: float, side: int) -> tuple[float, float]:
         base, dbase = self.base._jet(t, side)
@@ -315,6 +346,13 @@ class Apply(Expr):
             return abs(x)
         raise DomainError(f"unknown function {func!r}", self, t)
 
+    def _eval_many(self, ts: list[float]) -> list[float]:
+        xs = self.arg._eval_many(ts)
+        if self.func == "exp":  # exp(-inf) == 0.0
+            _finite(xs)
+        func = _MANY.get(self.func)  # an unknown name: NaN, so evaluate raises
+        return list(map(func, xs)) if func else [math.nan] * len(xs)
+
     def _jet(self, t: float, side: int) -> tuple[float, float]:
         x, dx = self.arg._jet(t, side)
         func = self.func
@@ -364,6 +402,10 @@ class Apply(Expr):
 
 
 _FUNCS = ("log", "exp", "sin", "cos", "sqrt", "abs")
+# math raises where _eval raises DomainError: log of x <= 0, exp overflow,
+# sqrt of x < 0, and also on sin and cos of inf
+_MANY = {"log": math.log, "exp": math.exp, "sin": math.sin, "cos": math.cos,
+         "sqrt": math.sqrt, "abs": abs}
 _ROOT_ORDER_CAP = 8  # the highest Taylor order _root_slope asks for
 
 _NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
@@ -498,6 +540,27 @@ def evaluate(e: Expr, t: float) -> float:
     if math.isnan(v):
         raise DomainError("evaluation produced NaN", e, t)
     return v
+
+
+def _finite(xs: list[float]) -> list[float]:
+    """xs if every value is finite: the operand of a node whose finite result
+    could hide an inf or NaN."""
+    if not all(map(math.isfinite, xs)):
+        raise ArithmeticError("an operand is not finite")
+    return xs
+
+
+def _evaluate_many(e: Expr, ts: list[float]) -> list[float] | None:
+    """[evaluate(e, t) for t in ts] in one walk, or None if any of them raises.
+
+    None means some point left the domain or overflowed; the caller replays
+    the points with evaluate, in order, for the first error and its message.
+    """
+    try:
+        vs = e._eval_many(ts)
+    except (ArithmeticError, ValueError):
+        return None
+    return vs if all(map(math.isfinite, vs)) else None
 
 
 def _root_slope(u: Expr, t: float, du: float, side: int, c: float) -> float:

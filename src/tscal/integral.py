@@ -2,12 +2,15 @@
 
 The order-alpha integral of f is the delta integral of f(t) * t**(alpha-1).
 Over a run of isolated points it is the exact sum of f(t) * t**(alpha-1) *
-mu(t), one term per step. Over a continuum segment it is globally adaptive
-Gauss-Kronrod G7K15 quadrature (QUADPACK) in the variable u = t**alpha, where
-the integrand becomes (1/alpha) * f(u**(1/alpha)): the weight, singular at a
-zero endpoint when alpha < 1, disappears exactly. Geometric lattices
-accumulating at 0 are summed as a series that stops on an observed geometric
-tail estimate.
+mu(t), one term per step. From _BATCH_MIN steps in one call, f is evaluated
+at the steps of all its runs in one walk of its tree per _BATCH_SIZE steps;
+if any step fails, the call walks its cells again in order, so values and the
+first error are identical to evaluating each step on its own. Over a continuum segment it is
+globally adaptive Gauss-Kronrod G7K15 quadrature (QUADPACK) in the variable
+u = t**alpha, where the integrand becomes (1/alpha) * f(u**(1/alpha)): the
+weight, singular at a zero endpoint when alpha < 1, disappears exactly.
+Geometric lattices accumulating at 0 are summed as a series that stops on an
+observed geometric tail estimate.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, islice
 from typing import Callable
 
 from .errors import (
@@ -28,7 +32,7 @@ from .errors import (
     ReversedBounds,
 )
 from .derivative import _EPS, _check_alpha, _power, _richardson, t_alpha
-from .expr import Expr, evaluate
+from .expr import Expr, _evaluate_many, evaluate
 from .timescale import (MEMBERSHIP_RTOL, Q_ENUM_FLOOR, Jumps, QLatticeClosure, Site,
                         TimeScale)
 
@@ -40,6 +44,14 @@ __all__ = [
 
 QUAD_TOL = 1e-10
 _MAX_SUBDIVISIONS = 1 << 20
+# Fewest steps in one cauchy call that are evaluated in one walk of the tree.
+# One walk ran at this speed against one evaluate per point, on five trees
+# from t+1 to exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1) (Python 3.11.7): 0.24-
+# 0.35x at 1 point, 0.68-0.78x at 4, 0.88-1.18x at 8 and 1.06-1.58x at 16.
+_BATCH_MIN = 8
+# Most steps evaluated in one walk, so a walk's lists stay small however many
+# steps the call has.
+_BATCH_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -224,15 +236,24 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
     if isinstance(ts, QLatticeClosure) and lo == 0.0:
         value, err, used = _q_series_from_zero(f, ts, hi, alpha, quad_tol)
     else:
+        cells = ts.decompose(lo, hi)
+        runs = [cell.points for cell in cells if isinstance(cell, Jumps)]
+        if runs and runs[0][0] <= 0.0 and alpha < 1.0:  # points rise: only the first is 0
+            raise EndpointSingularity(
+                "an isolated jump at 0 has no finite order-alpha weight")
+        # every step in walks of _BATCH_SIZE; if a step fails (None), the loop
+        # below walks the cells in order and raises the first error
+        terms = None
+        if sum(map(len, runs)) - len(runs) >= _BATCH_MIN:
+            terms = _jump_terms(f, runs, alpha)
         budget = [_MAX_SUBDIVISIONS]
-        contributions: list[float] = []
+        contributions: list[float] = [] if terms is None else terms
         err_parts: list[float] = []
-        for cell in ts.decompose(lo, hi):
+        for cell in cells:
             if isinstance(cell, Jumps):
+                if terms is not None:
+                    continue
                 t = cell.points[0]
-                if t <= 0.0 and alpha < 1.0:  # the points rise: only the first can be 0
-                    raise EndpointSingularity(
-                        "an isolated jump at 0 has no finite order-alpha weight")
                 for s in cell.points[1:]:
                     contributions.append(evaluate(f, t) * _weight(t, alpha) * (s - t))
                     t = s
@@ -246,6 +267,23 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
         raise NotRepresentable(
             f"integral from {a!r} to {b!r} is not finite: {value!r} +- {err!r}")
     return IntegralResult(sign * value, err, used)
+
+
+def _jump_terms(f: Expr, runs: list[list[float]], alpha: float) -> list[float] | None:
+    """Every step's term f(t) * t**(alpha-1) * (s - t) over the runs, from one
+    walk of f's tree per _BATCH_SIZE steps, or None if any step fails.
+    t ** 0.0 == 1.0, so the terms equal the cell loop's bit for bit."""
+    w = alpha - 1.0
+    starts = chain.from_iterable(islice(points, len(points) - 1) for points in runs)
+    ends = chain.from_iterable(islice(points, 1, None) for points in runs)
+    terms: list[float] = []
+    while batch := list(islice(starts, _BATCH_SIZE)):
+        values = _evaluate_many(f, batch)
+        if values is None:
+            return None
+        # zip stops on values first, so ends advances by exactly len(batch)
+        terms.extend(v * t ** w * (s - t) for v, t, s in zip(values, batch, ends))
+    return terms
 
 
 def single_grain(f: Expr, ts: TimeScale, t: float, alpha: float) -> float:
@@ -353,26 +391,39 @@ _MAX_SAMPLES = 10_000
 
 
 def _sample_scale_points(ts: TimeScale, lo: float, hi: float) -> list[float]:
-    """In-scale sample of [lo, hi]: every isolated point and a uniform fill of
-    each continuum segment, thinned evenly to at most _MAX_SAMPLES points that
-    end at hi."""
-    points: list[float] = [lo]
+    """In-scale sample of [lo, hi]: lo, hi, every isolated point and
+    _CONTINUUM_SAMPLES + 1 evenly spaced points on each continuum segment,
+    sorted without repeats and, past _MAX_SAMPLES, thinned to every stride-th
+    point and hi.
+
+    Only the ends (lo, hi, the isolated points and each segment's outer fill
+    points) are built and sorted. A segment's interior fill points lie between
+    its outer ones, so their places in the sorted sample are counted and only
+    the kept ones are built: the work grows with the cells, not the fill."""
+    n = _CONTINUUM_SAMPLES
+    ends = {lo, hi}
+    widths: dict[float, float] = {}  # segment's first point -> its width
     for cell in ts.decompose(lo, hi):
         if isinstance(cell, Jumps):
-            points.extend(cell.points)
+            ends.update(cell.points)
         else:
-            n = _CONTINUUM_SAMPLES
             width = cell.hi - cell.lo
-            points.extend(cell.lo + width * i / n for i in range(n + 1))
-    points.append(hi)
+            ends.update((cell.lo, cell.lo + width))
+            widths[cell.lo] = width
+    last = len(ends) + (n - 1) * len(widths) - 1  # place of the largest point
+    stride = math.ceil((last + 1) / _MAX_SAMPLES)
     out: list[float] = []
-    for p in sorted(points):
-        if not out or p > out[-1]:
+    k = 0  # place of p in the sorted sample
+    for p in sorted(ends):
+        if k % stride == 0 or k == last:
             out.append(p)
-    if len(out) > _MAX_SAMPLES:
-        stride = math.ceil(len(out) / _MAX_SAMPLES)
-        out = out[:-1:stride] + [out[-1]]  # hi last, and only once
-    return out
+        width = widths.get(p)
+        if width is not None:
+            out.extend(p + width * i / n for i in range(stride - k % stride, n, stride))
+            k += n - 1
+        k += 1
+    # interior fill points repeat only on a segment too narrow to split n ways
+    return [p for p, q in zip(out, [-math.inf] + out) if p > q]
 
 
 def monotonicity_check(f: Expr, ts: TimeScale, a: float, b: float,

@@ -368,6 +368,17 @@ def test_tables_match_golden_output(name):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
+# a lattice integral of 10,000 steps, all evaluated in one walk of the tree
+LATTICE_INTEG = ["integ", "--scale", "hZ(h=0.01)", "--expr", "1.5 + 0.25*t - 0.01*t^2",
+                 "--alpha", "0.8", "--from", "1", "--to", "101"]
+
+
+def test_lattice_integral_matches_golden_output():
+    code, out, _ = run_cli(LATTICE_INTEG)
+    assert code == 0
+    assert out.encode() == (GOLDEN / "integ_hZ_lattice.json").read_bytes()
+
+
 def test_snap_is_echoed(tmp_path):
     # 2**-3 typed as decimal text snaps onto the lattice point exactly
     code, out, _ = run_cli(["deriv", "--scale", "qZbar(q=2)", "--expr", "t",

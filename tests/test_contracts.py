@@ -1,5 +1,6 @@
-"""Property contracts (hypothesis): decompose and cauchy on all six shapes, and
-the one-sided jets against mpmath; and the typed errors of outside inputs."""
+"""Property contracts (hypothesis): decompose and cauchy on all six shapes,
+cauchy's one walk per call against its cells in order, and the one-sided jets
+against mpmath; and the typed errors of outside inputs."""
 
 import math
 
@@ -7,10 +8,17 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tscal.integral as integral_module
 from tscal.derivative import AlphaOrder, power_rule, t_alpha_higher_paths
-from tscal.errors import NonPositivePoint, NotDifferentiable
-from tscal.expr import _jet, parse
-from tscal.integral import cauchy, ftc_check, indefinite, monotonicity_check
+from tscal.errors import (
+    EndpointSingularity,
+    NonPositivePoint,
+    NotDifferentiable,
+    NotRepresentable,
+    TscalError,
+)
+from tscal.expr import Const, Sub, Var, _jet, evaluate, parse, render, substitute
+from tscal.integral import QUAD_TOL, cauchy, ftc_check, indefinite, monotonicity_check
 from tscal.laws import definition_scan
 from tscal.timescale import (
     FiniteSet,
@@ -22,6 +30,7 @@ from tscal.timescale import (
     Segment,
     UniformLattice,
 )
+from test_expr import _random_tree  # the evaluation tests' random trees
 
 CONTRACT = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 ONE = parse("1")
@@ -104,6 +113,84 @@ def test_cauchy_uses_one_cell_per_step_and_segment(case):
     steps = sum(len(c.points) - 1 for c in cells if isinstance(c, Jumps))
     segments = sum(isinstance(c, Segment) for c in cells)
     assert cauchy(ONE, ts, lo, hi, 1.0).cells_used == steps + segments
+
+
+def _cells_in_order(f, ts, lo, hi, alpha):
+    """cauchy's sum over lo < hi with every step evaluated on its own, cell
+    by cell, in traversal order: the reference for one walk per call."""
+    budget = [integral_module._MAX_SUBDIVISIONS]
+    parts, errs = [], []
+    for cell in ts.decompose(lo, hi):
+        if isinstance(cell, Jumps):
+            if cell.points[0] <= 0.0 and alpha < 1.0:
+                raise EndpointSingularity(
+                    "an isolated jump at 0 has no finite order-alpha weight")
+            for t, s in zip(cell.points, cell.points[1:]):
+                parts.append(evaluate(f, t) * integral_module._weight(t, alpha) * (s - t))
+        else:
+            v, e = integral_module._segment_piece(f, alpha, cell.lo, cell.hi, QUAD_TOL,
+                                                  budget)
+            parts.append(v)
+            errs.append(e)
+    value, err = math.fsum(parts), math.fsum(errs)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise NotRepresentable(
+            f"integral from {lo!r} to {hi!r} is not finite: {value!r} +- {err!r}")
+    return value, err, len(parts)
+
+
+@st.composite
+def batched_sums(draw):
+    """A random tree and lo < hi at least _BATCH_MIN steps apart on one of the
+    six shapes; on R, which has no steps, a segment."""
+    f = _random_tree(draw(st.randoms(use_true_random=False)))
+    steps = draw(st.integers(integral_module._BATCH_MIN, 40))
+    shape = draw(st.sampled_from(["R", "hZ", "qZbar", "qN0", "Pab", "finite"]))
+    if shape == "R":
+        ts = RealInterval()
+        lo = draw(st.floats(0.0, 40.0))
+        hi = lo + draw(st.floats(0.5, 10.0))
+    elif shape == "hZ":
+        ts = UniformLattice(draw(st.floats(0.01, 5.0)))
+        k = draw(st.integers(0, 100))
+        lo, hi = k * ts.h, (k + steps) * ts.h
+    elif shape in ("qZbar", "qN0"):
+        q = draw(st.floats(1.01, 8.0))
+        ts = QLatticeClosure(q) if shape == "qZbar" else QPowers(q)
+        k = draw(st.integers(-30 if shape == "qZbar" else 0, 10))
+        lo, hi = q ** k, q ** (k + steps)
+    elif shape == "Pab":
+        ts = PeriodicUnion(draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0)))
+        k = draw(st.integers(0, 20))  # from block k's end, across `steps` gaps
+        lo = k * ts.period + ts.a
+        hi = (k + steps) * ts.period + draw(st.floats(0.0, 1.0)) * ts.a
+    else:
+        pts = sorted(draw(st.lists(st.floats(0.0, 1e3), min_size=steps + 1,
+                                   max_size=60, unique=True)))
+        ts, lo, hi = FiniteSet(tuple(pts)), pts[0], pts[-1]
+    # f(t - c) leaves the domain on some steps and not on others
+    c = draw(st.sampled_from((0.0, 0.25, 0.5))) * (lo + hi)
+    f = substitute(f, Sub(Var(), Const(c)))
+    return f, ts, lo, hi, draw(st.sampled_from((1.0, 0.5, 0.257363)))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except TscalError as exc:
+        return type(exc), str(exc), getattr(exc, "t", None), getattr(exc, "expr", None)
+
+
+@CONTRACT
+@given(batched_sums())
+def test_one_walk_per_call_equals_the_cells_in_order(case):
+    # the same value, error estimate and cells, or the same first error: its
+    # type, message, point and node
+    f, ts, lo, hi, alpha = case
+    got = _outcome(lambda: cauchy(f, ts, lo, hi, alpha))
+    if not isinstance(got, tuple):
+        got = (got.value, got.est_error, got.cells_used)
+    assert got == _outcome(lambda: _cells_in_order(f, ts, lo, hi, alpha)), render(f)
 
 
 # smooth terms of g, each in the parser's syntax; "^" becomes "**" for mpmath

@@ -24,9 +24,10 @@ from tscal.integral import (
     monotonicity_check,
     single_grain,
 )
-from tscal.expr import parse
+from tscal.expr import Add, Apply, Expr, Var, parse
 from tscal.timescale import (
     FiniteSet,
+    Jumps,
     PeriodicUnion,
     QLatticeClosure,
     QPowers,
@@ -367,6 +368,50 @@ def test_thinned_samples_end_at_hi_once(ts, lo, hi, n):
     assert samples[0] == lo and samples[-1] == hi and samples.count(hi) == 1
 
 
+def _full_fill_sample(ts, lo, hi):
+    """Every isolated point and 512 fill intervals per segment, all built,
+    sorted and thinned by one stride to at most 10,000 points that end at hi."""
+    points = [lo, hi]
+    for cell in ts.decompose(lo, hi):
+        if isinstance(cell, Jumps):
+            points.extend(cell.points)
+        else:
+            width = cell.hi - cell.lo
+            points.extend(cell.lo + width * i / 512 for i in range(513))
+    out = sorted(set(points))
+    stride = math.ceil(len(out) / 10_000)
+    return out if stride == 1 else out[:-1:stride] + [out[-1]]
+
+
+P11 = PeriodicUnion(1.0, 1.0)
+
+
+@pytest.mark.parametrize("ts,lo,hi,n", [
+    (P11, 0.5, 38.0, 9748),  # 19 blocks: no thinning
+    (P11, 0.5, 40.0, 5131),  # 20 blocks: a stride of 2
+    (P11, 0.5, 42.0, 5388),
+    (P11, 0.5, 1000.0, 9867),
+    (P11, 0.5, 10000.0, 9982),  # 5,000 blocks: a stride of 257
+    (PeriodicUnion(0.7, 0.4), 0.7, 22.7, 5131),
+    (PeriodicUnion(0.3, 1.7), 0.1, 3000.3, 9873),
+    (HZ1, 1.0, 30001.0, 7501),
+    (R, 1.0, 1.0 + 1e-14, 46),  # a segment too narrow for 512 distinct points
+])
+def test_samples_are_the_full_fill_thinned(ts, lo, hi, n):
+    samples = integral_module._sample_scale_points(ts, lo, hi)
+    assert len(samples) == n
+    assert samples == _full_fill_sample(ts, lo, hi)
+
+
+def test_many_blocks_keep_every_fill_phase():
+    # the stride of 257 drifts by one place per block of 513 points, so a
+    # negative window inside the blocks is sampled as with the full fill
+    rep = monotonicity_check(parse("t - 0.9*sin(3.141592653589793*t)^2"), P11,
+                             0.5, 10000.0, 0.5)
+    assert rep.status == "hypothesis-violated" and not rep.hypothesis_ok
+    assert rep.samples_used == 9982
+
+
 def test_monotonicity_counts_each_sample_once():
     rep = monotonicity_check(parse("t"), HZ1, 1.0, 30001.0, 0.5)
     assert rep.status == "monotone" and rep.samples_used == 7501
@@ -442,3 +487,87 @@ def test_jump_runs_raise_the_pinned_first_error(text, ts, lo, hi, alpha, message
         cauchy(parse(text), ts, lo, hi, alpha)
     assert type(info.value) is DomainError
     assert (str(info.value), info.value.t) == (message, t)
+
+
+# From _BATCH_MIN steps on, cauchy evaluates every step of a call in one walk
+# of the tree; below it, and wherever a step fails, it walks the cells in
+# order. Each row was computed when every step was evaluated on its own.
+SMOOTH = "exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1)"
+FS9 = FiniteSet((0.25, 0.5, 1.25, 2.0, 3.5, 7.5, 8.0, 13.0, 13.5))
+BATCH_FLOOR_SUMS = [  # (scale, lo, hi, steps, alpha, (value, est_error, cells_used))
+    (UniformLattice(0.5), 1.0, 4.5, 7, 1.0, (0.8092944708988424, 0.0, 7)),
+    (UniformLattice(0.5), 1.0, 4.5, 7, 0.6, (0.6988675691743537, 0.0, 7)),
+    (UniformLattice(0.5), 1.0, 5.0, 8, 1.0, (0.8711246751022628, 0.0, 8)),
+    (UniformLattice(0.5), 1.0, 5.0, 8, 0.6, (0.7327454062672857, 0.0, 8)),
+    (QPowers(1.5), 1.0, 1.5 ** 7, 7, 1.0, (1.2328328165837414, 0.0, 7)),
+    (QPowers(1.5), 1.0, 1.5 ** 7, 7, 0.6, (0.9199904536991138, 0.0, 7)),
+    (QPowers(1.5), 1.0, 1.5 ** 8, 8, 1.0, (1.3178926691702153, 0.0, 8)),
+    (QPowers(1.5), 1.0, 1.5 ** 8, 8, 0.6, (0.9473223082153415, 0.0, 8)),
+    (FS9, 0.25, 13.0, 7, 1.0, (2.3623438074121856, 0.0, 7)),
+    (FS9, 0.25, 13.0, 7, 0.6, (2.240860059966456, 0.0, 7)),
+    (FS9, 0.25, 13.5, 8, 1.0, (2.370678970865277, 0.0, 8)),
+    (FS9, 0.25, 13.5, 8, 0.6, (2.2438477585408787, 0.0, 8)),
+    # one step per gap, between segments: 7 or 8 runs of one step
+    (PA, 1.0, 21.0, 7, 1.0, (2.850465207485128, 3.574955436381994e-15, 13)),
+    (PA, 1.0, 21.0, 7, 0.6, (2.3444321691258705, 1.9070980156676904e-15, 13)),
+    (PA, 1.0, 24.0, 8, 1.0, (2.870103350482898, 3.649425629037589e-15, 15)),
+    (PA, 1.0, 24.0, 8, 0.6, (2.3501538596270737, 1.928929296214064e-15, 15)),
+]
+
+
+@pytest.mark.parametrize("ts,lo,hi,steps,alpha,expected", BATCH_FLOOR_SUMS)
+def test_sums_either_side_of_the_batch_floor_match_pinned_sums(ts, lo, hi, steps, alpha,
+                                                               expected):
+    assert integral_module._BATCH_MIN == 8
+    cells = ts.decompose(lo, hi)
+    assert sum(len(c.points) - 1 for c in cells if isinstance(c, Jumps)) == steps
+    res = cauchy(parse(SMOOTH), ts, lo, hi, alpha)
+    assert (res.value, res.est_error, res.cells_used) == expected
+
+
+# 19 steps on hZ(1) over [1, 20], so one walk; each tree hides an overflow or a
+# domain error under a node whose finite result could absorb it (x/inf,
+# exp(-inf), inf**-c, a complex power, sin(inf)), and must raise the error
+# evaluate raises at the first failing step, at the node that fails
+OVERFLOW = ("overflow at t=6.0", "t^200*t^200", 6.0)
+BATCH_TRAPS = [
+    ("t^200*t^200", *OVERFLOW),  # inf, and NaN below, at the root itself
+    ("1e400*0*t", "evaluation produced NaN at t=1.0", "1e400*0*t", 1.0),
+    ("1/(t^200*t^200)", *OVERFLOW),
+    ("exp(0-t^200*t^200)", *OVERFLOW),
+    ("(t^200*t^200)^-1", *OVERFLOW),
+    ("(t^200*t^200)^0.5", *OVERFLOW),
+    ("(t^200*t^200)^-0.5", *OVERFLOW),
+    ("sin(t^200*t^200)", *OVERFLOW),
+    ("abs((t-5)^0.5)", "negative base with fractional exponent at t=1.0", "(t-5)^0.5", 1.0),
+    ("1/(t-7)", "division by zero at t=7.0", "1/(t-7)", 7.0),
+]
+
+
+@pytest.mark.parametrize("text,message,node,t", BATCH_TRAPS)
+def test_one_walk_raises_the_first_error_of_the_steps(text, message, node, t):
+    with pytest.raises(DomainError) as info:
+        cauchy(parse(text), HZ1, 1.0, 20.0, 0.5)
+    assert type(info.value) is DomainError
+    assert (str(info.value), info.value.t) == (message, t)
+    assert info.value.expr == parse(node)
+
+
+def test_one_walk_keeps_a_finite_sum_near_overflow():
+    res = cauchy(parse("1e300*t*t"), HZ1, 1.0, 20.0, 0.5)
+    assert (res.value, res.est_error, res.cells_used) == (6.713539308642172e+302, 0.0, 19)
+
+
+def test_one_walk_replays_a_node_it_cannot_evaluate():
+    with pytest.raises(DomainError, match=r"^unknown function 'tan' at t=1\.0$"):
+        cauchy(Apply("tan", Var()), HZ1, 1.0, 20.0, 0.5)
+    with pytest.raises(TypeError, match=r"^not an expression node: Expr\(\)$"):
+        cauchy(Add(Var(), Expr()), HZ1, 1.0, 20.0, 0.5)
+
+
+def test_a_step_failing_in_a_later_walk_replays_the_whole_call():
+    # 9,999 steps: the first two walks of _BATCH_SIZE steps pass, the third fails
+    assert integral_module._BATCH_SIZE == 4096
+    with pytest.raises(DomainError) as info:
+        cauchy(parse("1/(t-9000)"), HZ1, 1.0, 10000.0, 0.5)
+    assert (str(info.value), info.value.t) == ("division by zero at t=9000.0", 9000.0)
