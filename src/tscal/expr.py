@@ -265,7 +265,7 @@ class Pow(Expr):
     def _eval(self, t: float) -> float:
         base = self.base._eval(t)
         exp = self.exponent.value
-        if base < 0.0 and exp != round(exp):
+        if base < 0.0 and not _is_whole(exp):
             raise DomainError("negative base with fractional exponent", self, t)
         if base == 0.0 and exp < 0.0:
             raise DomainError("zero base with negative exponent", self, t)
@@ -279,7 +279,7 @@ class Pow(Expr):
 
     def _eval_many(self, ts: list[float]) -> list[float]:
         base, exp = self.base._eval_many(ts), self.exponent.value
-        if exp != round(exp):  # a negative base gives a complex number
+        if not _is_whole(exp):  # a negative base gives a complex number
             if min(_finite(base)) < 0.0:
                 raise ArithmeticError("negative base with fractional exponent")
         elif exp <= 0.0:  # inf**-c == 0.0
@@ -290,7 +290,7 @@ class Pow(Expr):
         base, dbase = self.base._jet(t, side)
         exp = self.exponent.value
         v = base ** exp
-        if base == 0.0 and exp != round(exp):
+        if base == 0.0 and not _is_whole(exp):
             return v, _root_slope(self.base, t, dbase, side, exp)
         try:
             return v, exp * base ** (exp - 1.0) * dbase
@@ -540,6 +540,12 @@ def evaluate(e: Expr, t: float) -> float:
     if math.isnan(v):
         raise DomainError("evaluation produced NaN", e, t)
     return v
+
+
+def _is_whole(x: float) -> bool:
+    """x is an integer. inf and NaN are not, and never raise as round() would;
+    a hand-built Const may hold an int, which has no is_integer before 3.12."""
+    return isinstance(x, int) or x.is_integer()
 
 
 def _finite(xs: list[float]) -> list[float]:

@@ -8,7 +8,13 @@ if any step fails, the call walks its cells again in order, so values and the
 first error are identical to evaluating each step on its own. Over a continuum segment it is
 globally adaptive Gauss-Kronrod G7K15 quadrature (QUADPACK) in the variable
 u = t**alpha, where the integrand becomes (1/alpha) * f(u**(1/alpha)): the
-weight, singular at a zero endpoint when alpha < 1, disappears exactly.
+weight, singular at a zero endpoint when alpha < 1, disappears exactly. The
+15-point rule is unrolled, summing in QUADPACK's loop order bit for bit, and a
+first panel already within quad_tol is the answer. From _BATCH_MIN segments
+in one call, f is evaluated at the first-panel nodes of _BATCH_SIZE // 15
+segments in one walk of its tree, one walk at a time; refinement panels are
+evaluated node by node, and the segments of a walk that fails are integrated
+alone, in order, so values and the first error are again unchanged.
 Geometric lattices accumulating at 0 are summed as a series that stops on an
 observed geometric tail estimate.
 """
@@ -19,8 +25,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
-from typing import Callable
+from itertools import chain, islice, repeat
+from typing import Callable, Iterator
 
 from .errors import (
     DomainError,
@@ -33,8 +39,8 @@ from .errors import (
 )
 from .derivative import _EPS, _check_alpha, _power, _richardson, t_alpha
 from .expr import Expr, _evaluate_many, evaluate
-from .timescale import (MEMBERSHIP_RTOL, Q_ENUM_FLOOR, Jumps, QLatticeClosure, Site,
-                        TimeScale)
+from .timescale import (MEMBERSHIP_RTOL, Q_ENUM_FLOOR, Jumps, QLatticeClosure, Segment,
+                        Site, TimeScale)
 
 __all__ = [
     "IntegralResult", "cauchy", "single_grain", "indefinite",
@@ -44,13 +50,16 @@ __all__ = [
 
 QUAD_TOL = 1e-10
 _MAX_SUBDIVISIONS = 1 << 20
-# Fewest steps in one cauchy call that are evaluated in one walk of the tree.
-# One walk ran at this speed against one evaluate per point, on five trees
-# from t+1 to exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1) (Python 3.11.7): 0.24-
-# 0.35x at 1 point, 0.68-0.78x at 4, 0.88-1.18x at 8 and 1.06-1.58x at 16.
+# Fewest steps, and fewest segments, in one cauchy call that are evaluated in
+# walks of the tree. One walk ran at this speed against one evaluate per
+# point, on five trees from t+1 to exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1)
+# (Python 3.11.7): 0.24-0.35x at 1 point, 0.68-0.78x at 4, 0.88-1.18x at 8 and
+# 1.06-1.58x at 16. Segments share the floor: walking a lone segment's 15
+# nodes made law_verify's small integrals no faster (its ftc law read 6.7-7.3
+# ms a round either way).
 _BATCH_MIN = 8
-# Most steps evaluated in one walk, so a walk's lists stay small however many
-# steps the call has.
+# Most points evaluated in one walk, so a walk's lists stay small however many
+# steps or segments the call has.
 _BATCH_SIZE = 4096
 
 
@@ -69,49 +78,90 @@ def _weight(t: float, alpha: float) -> float:
 
 
 # Gauss-Kronrod 7/15 rule (QUADPACK qk15): the Kronrod abscissae in (0, 1) in
-# falling order, then the centre, with their Kronrod weights and their Gauss
-# weights (0.0 off the 7 Gauss abscissae).
+# falling order; their Kronrod weights, then the centre's; the Gauss weights
+# of the 3 of them that are Gauss abscissae, then the centre's.
 _XGK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
         0.7415311855993945, 0.5860872354676911, 0.4058451513773972, 0.20778495500789848)
-_WGK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
-        0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
-_WG = (0.0, 0.1294849661688697, 0.0, 0.27970539148927664, 0.0, 0.3818300505051189,
-       0.0, 0.4179591836734694)
+_K0, _K1, _K2, _K3, _K4, _K5, _K6, _KC = (
+    0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+    0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
+_G1, _G3, _G5, _GC = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189,
+                      0.4179591836734694)
 
 
-def _gk15(g: Callable[[float], float], a: float, b: float,
-          budget: list[int]) -> tuple[float, float, float]:
-    """G7K15 on [a, b]: value, QUADPACK error estimate, its floor 50*eps*int|g|."""
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise QuadratureBudgetExceeded(
-            "adaptive quadrature exhausted its subdivision budget")
-    centre, half = 0.5 * (a + b), 0.5 * (b - a)
-    fc = g(centre)
-    pairs = [(g(centre - half * x), g(centre + half * x)) for x in _XGK]
-    resk, resg, resabs = _WGK[7] * fc, _WG[7] * fc, _WGK[7] * abs(fc)
-    for wk, wg, (f1, f2) in zip(_WGK, _WG, pairs):
-        resk += wk * (f1 + f2)
-        resg += wg * (f1 + f2)
-        resabs += wk * (abs(f1) + abs(f2))
+def _gk15_nodes(a: float, b: float) -> list[float]:
+    """The 15 G7K15 abscissae on [a, b]: the centre, then c - h*x, c + h*x for
+    each x in _XGK, the order in which _gk15 evaluates them."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    d0, d1, d2, d3, d4, d5, d6 = [h * x for x in _XGK]
+    return [c, c - d0, c + d0, c - d1, c + d1, c - d2, c + d2, c - d3, c + d3,
+            c - d4, c + d4, c - d5, c + d5, c - d6, c + d6]
+
+
+def _gk15_rule(fs: list[float], half: float) -> tuple[float, float, float]:
+    """G7K15 from the 15 values at _gk15_nodes of a panel of half-width half:
+    value, QUADPACK error estimate, its floor 50*eps*int|g|.
+
+    Unrolled and bit-identical to the loop form: every sum runs in QUADPACK's
+    loop order, and resasc uses the builtin sum (compensated from Python
+    3.12) as the loop did. The terms 0.0 * (f1 + f2) of the zero Gauss weights
+    are left out of resg: they are not +-0.0 only where f1 + f2 is inf or NaN,
+    and then resk and so resasc are NaN, which sets the error estimate."""
+    fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 = fs
+    s0, s1, s2, s3, s4, s5, s6 = l0 + r0, l1 + r1, l2 + r2, l3 + r3, l4 + r4, l5 + r5, l6 + r6
+    resk = _KC * fc + _K0 * s0 + _K1 * s1 + _K2 * s2 + _K3 * s3 + _K4 * s4 + _K5 * s5 + _K6 * s6
+    resg = _GC * fc + _G1 * s1 + _G3 * s3 + _G5 * s5
+    resabs = (_KC * abs(fc) + _K0 * (abs(l0) + abs(r0)) + _K1 * (abs(l1) + abs(r1))
+              + _K2 * (abs(l2) + abs(r2)) + _K3 * (abs(l3) + abs(r3))
+              + _K4 * (abs(l4) + abs(r4)) + _K5 * (abs(l5) + abs(r5))
+              + _K6 * (abs(l6) + abs(r6)))
     mean = 0.5 * resk
-    resasc = half * (_WGK[7] * abs(fc - mean) + sum(
-        wk * (abs(f1 - mean) + abs(f2 - mean)) for wk, (f1, f2) in zip(_WGK, pairs)))
+    resasc = half * (_KC * abs(fc - mean) + sum((
+        _K0 * (abs(l0 - mean) + abs(r0 - mean)), _K1 * (abs(l1 - mean) + abs(r1 - mean)),
+        _K2 * (abs(l2 - mean) + abs(r2 - mean)), _K3 * (abs(l3 - mean) + abs(r3 - mean)),
+        _K4 * (abs(l4 - mean) + abs(r4 - mean)), _K5 * (abs(l5 - mean) + abs(r5 - mean)),
+        _K6 * (abs(l6 - mean) + abs(r6 - mean)))))
     err, floor = abs((resk - resg) * half), 50.0 * _EPS * resabs * half
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     return resk * half, max(err, floor), floor
 
 
-def _kronrod(g: Callable[[float], float], lo: float, hi: float,
-             tol: float, budget: list[int]) -> tuple[float, float]:
+def _spend(budget: list[int]) -> None:
+    """Count one G7K15 panel against the call's subdivision budget."""
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise QuadratureBudgetExceeded(
+            "adaptive quadrature exhausted its subdivision budget")
+
+
+def _gk15(g: Callable[[float], float], a: float, b: float,
+          budget: list[int]) -> tuple[float, float, float]:
+    """G7K15 on [a, b]: value, QUADPACK error estimate, its floor 50*eps*int|g|."""
+    _spend(budget)
+    return _gk15_rule(list(map(g, _gk15_nodes(a, b))), 0.5 * (b - a))
+
+
+def _kronrod(g: Callable[[float], float], lo: float, hi: float, tol: float,
+             budget: list[int], first: tuple[float, float, float] | None = None
+             ) -> tuple[float, float]:
     """Globally adaptive G7K15 on [lo, hi]; returns (value, error estimate).
 
-    The panel with the largest error is bisected until the summed error is
-    within tol. Panels at their roundoff floor are final: splitting cannot
-    lower it. A panel [0, w] that keeps 99 % of its value under bisection
-    eight times in a row means the integral diverges at 0.
+    first, if given, is the panel [lo, hi] already evaluated; it is counted
+    against the budget here. A first panel within tol or at its roundoff
+    floor is the result. Otherwise the panel with the largest error is
+    bisected until the summed error is within tol. Panels at their roundoff
+    floor are final: splitting cannot lower it. A panel [0, w] that keeps
+    99 % of its value under bisection eight times in a row means the integral
+    diverges at 0.
     """
+    if first is None:
+        first = _gk15(g, lo, hi, budget)
+    else:
+        _spend(budget)
+    value, err, floor = first
+    if not (err > tol and err > floor):  # the loop below would not run
+        return math.fsum((value,)), math.fsum((err,))
     heap: list[tuple[float, float, float, float, float]] = []
     total, streak = 0.0, 0
 
@@ -122,7 +172,7 @@ def _kronrod(g: Callable[[float], float], lo: float, hi: float,
         # final panels key 0.0 and sort after every panel still to split
         heapq.heappush(heap, (-err if err > floor else 0.0, a, b, value, err))
 
-    push(lo, hi, _gk15(g, lo, hi, budget))
+    push(lo, hi, first)
     while total > tol and heap[0][0] < 0.0:
         _, a, b, value, err = heapq.heappop(heap)
         m = 0.5 * (a + b)
@@ -141,12 +191,14 @@ def _kronrod(g: Callable[[float], float], lo: float, hi: float,
     return math.fsum(p[3] for p in heap), math.fsum(p[4] for p in heap)
 
 
-def _segment_piece(f: Expr, alpha: float, lo: float, hi: float,
-                   quad_tol: float, budget: list[int]) -> tuple[float, float]:
+def _segment_piece(f: Expr, alpha: float, lo: float, hi: float, quad_tol: float,
+                   budget: list[int], first: tuple[float, float, float] | None = None
+                   ) -> tuple[float, float]:
     """Integral of f(t) t**(alpha-1) over [lo, hi]; below alpha = 1 it is
-    (1/alpha) f(u**(1/alpha)) over [lo**alpha, hi**alpha], with u = t**alpha."""
+    (1/alpha) f(u**(1/alpha)) over [lo**alpha, hi**alpha], with u = t**alpha.
+    first is the first panel, if _first_panels has evaluated it."""
     if alpha == 1.0:
-        return _kronrod(partial(evaluate, f), lo, hi, quad_tol, budget)
+        return _kronrod(partial(evaluate, f), lo, hi, quad_tol, budget, first)
     inv = 1.0 / alpha
 
     def integrand(u: float) -> float:
@@ -159,7 +211,33 @@ def _segment_piece(f: Expr, alpha: float, lo: float, hi: float,
                     "cannot be resolved toward the 0 endpoint in floats") from None
             raise
 
-    return _kronrod(integrand, lo ** alpha, hi ** alpha, quad_tol, budget)
+    return _kronrod(integrand, lo ** alpha, hi ** alpha, quad_tol, budget, first)
+
+
+def _first_panels(f: Expr, segments: Iterator[Segment], alpha: float
+                  ) -> Iterator[tuple[float, float, float] | None]:
+    """Each segment's first G7K15 panel, as _segment_piece would evaluate it,
+    in order: f is evaluated at the nodes of _BATCH_SIZE // 15 segments in one
+    walk of its tree, one walk at a time, and every segment of a walk in which
+    any node fails yields None."""
+    per_walk = _BATCH_SIZE // 15
+    inv = 1.0 / alpha
+    while group := list(islice(segments, per_walk)):
+        bounds = [(s.lo, s.hi) if alpha == 1.0 else (s.lo ** alpha, s.hi ** alpha)
+                  for s in group]
+        nodes = [x for a, b in bounds for x in _gk15_nodes(a, b)]
+        try:
+            ts = nodes if alpha == 1.0 else [u ** inv for u in nodes]
+        except OverflowError:  # the segments alone raise it at its node, in order
+            ts = None
+        values = None if ts is None else _evaluate_many(f, ts)
+        if values is None:
+            yield from repeat(None, len(group))
+            continue
+        if alpha != 1.0:
+            values = [v * inv for v in values]
+        for k, (a, b) in enumerate(bounds):
+            yield _gk15_rule(values[15 * k:15 * k + 15], 0.5 * (b - a))
 
 
 def _q_series_from_zero(f: Expr, ts: QLatticeClosure, hi: float, alpha: float,
@@ -246,6 +324,11 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
         terms = None
         if sum(map(len, runs)) - len(runs) >= _BATCH_MIN:
             terms = _jump_terms(f, runs, alpha)
+        # every segment's first panel likewise, a walk at a time; a segment
+        # whose walk failed (None) is evaluated alone, in order
+        firsts = None
+        if len(cells) - len(runs) >= _BATCH_MIN:
+            firsts = _first_panels(f, (c for c in cells if not isinstance(c, Jumps)), alpha)
         budget = [_MAX_SUBDIVISIONS]
         contributions: list[float] = [] if terms is None else terms
         err_parts: list[float] = []
@@ -258,7 +341,8 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
                     contributions.append(evaluate(f, t) * _weight(t, alpha) * (s - t))
                     t = s
             else:
-                v, e = _segment_piece(f, alpha, cell.lo, cell.hi, quad_tol, budget)
+                first = None if firsts is None else next(firsts)
+                v, e = _segment_piece(f, alpha, cell.lo, cell.hi, quad_tol, budget, first)
                 contributions.append(v)
                 err_parts.append(e)
         # one contribution per step and per segment

@@ -379,6 +379,18 @@ def test_lattice_integral_matches_golden_output():
     assert out.encode() == (GOLDEN / "integ_hZ_lattice.json").read_bytes()
 
 
+# 200 Pab blocks, so one call evaluates every block's first G7K15 panel in a
+# walk of the tree; the golden was written when each node was evaluated alone
+PAB_BLOCKS_INTEG = ["integ", "--scale", "Pab(a=1,b=1)", "--expr", "1.5 + 0.25*t - 0.01*t^2",
+                    "--alpha", "0.75", "--from", "0.5", "--to", "398.5"]
+
+
+def test_pab_blocks_integral_matches_golden_output():
+    code, out, _ = run_cli(PAB_BLOCKS_INTEG)
+    assert code == 0
+    assert out.encode() == (GOLDEN / "integ_Pab_blocks.json").read_bytes()
+
+
 def test_snap_is_echoed(tmp_path):
     # 2**-3 typed as decimal text snaps onto the lattice point exactly
     code, out, _ = run_cli(["deriv", "--scale", "qZbar(q=2)", "--expr", "t",

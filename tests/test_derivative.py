@@ -490,6 +490,14 @@ def test_no_derivative_where_f_is_undefined():
         assert info.value.t == 3.0
 
 
+def test_infinite_exponent_at_a_zero_base_is_a_value_or_a_typed_error():
+    # the jet of u**c at u == 0 asks whether c is an integer; c is inf here
+    f = parse("(t-3)^1e400")
+    with pytest.raises(NotDifferentiable):
+        t_alpha(f, R, 3.0, 1.0)
+    assert t_alpha(f, RealInterval(3.0, 5.0), 3.0, 1.0) == 0.0
+
+
 def test_only_a_kink_with_room_on_both_sides_raises():
     # abs(t-3) at 3 raises above; abs of 0 inside a smooth
     # square has equal one-sided slopes, and at the start of a block or of

@@ -24,6 +24,7 @@ from tscal.expr import (
     Pow,
     Sub,
     Var,
+    _evaluate_many,
     _jet,
     derivative,
     evaluate,
@@ -432,6 +433,20 @@ def test_jet_raises_where_no_two_sided_derivative_exists():
     except DomainError as exc:
         err = exc
     assert str(err) == "division by zero at t=0.0"
+
+
+def test_infinite_exponent_is_not_an_integer_and_never_overflows():
+    # a literal above 1.8e308 parses to Const(inf); round(inf) would raise
+    with pytest.raises(DomainError, match=r"^negative base with fractional exponent at t=1\.0$"):
+        evaluate(parse("(t-5)^1e400"), 1.0)
+    assert _evaluate_many(parse("(t-5)^1e400"), [1.0, 2.0]) is None
+    assert evaluate(parse("(t-5)^1e400"), 5.5) == 0.0
+    assert _jet(parse("(t-3)^1e400"), 3.0, 1) == (0.0, 0.0)
+    # a hand-built exponent may be an int, which has no is_integer before 3.12
+    square = Pow(Sub(Var(), Const(5)), Const(2))
+    assert evaluate(square, 1.0) == 16.0
+    assert _evaluate_many(square, [1.0, 2.0]) == [16.0, 9.0]
+    assert _jet(square, 5.0) == (0.0, 0.0)
 
 
 def test_jet_slope_of_cancelling_terms_is_exact():

@@ -2,6 +2,8 @@
 
 import math
 import random
+import struct
+from functools import partial
 
 import mpmath
 import pytest
@@ -24,7 +26,7 @@ from tscal.integral import (
     monotonicity_check,
     single_grain,
 )
-from tscal.expr import Add, Apply, Expr, Var, parse
+from tscal.expr import Add, Apply, Const, Expr, Mul, Var, evaluate, parse
 from tscal.timescale import (
     FiniteSet,
     Jumps,
@@ -571,3 +573,150 @@ def test_a_step_failing_in_a_later_walk_replays_the_whole_call():
     with pytest.raises(DomainError) as info:
         cauchy(parse("1/(t-9000)"), HZ1, 1.0, 10000.0, 0.5)
     assert (str(info.value), info.value.t) == ("division by zero at t=9000.0", 9000.0)
+
+
+def test_infinite_exponent_sums_raise_a_domain_error():
+    with pytest.raises(DomainError, match=r"^negative base with fractional exponent at t=1\.0$"):
+        cauchy(parse("(t-5)^1e400"), HZ1, 1.0, 3.0, 1.0)
+
+
+# G7K15 as the loop over QUADPACK's tables that it was before the rule was
+# unrolled: the reference the unrolled rule must match bit for bit
+XGK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+       0.7415311855993945, 0.5860872354676911, 0.4058451513773972, 0.20778495500789848)
+WGK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+       0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
+WG = (0.0, 0.1294849661688697, 0.0, 0.27970539148927664, 0.0, 0.3818300505051189,
+      0.0, 0.4179591836734694)
+
+
+def _loop_gk15(g, a, b):
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    fc = g(centre)
+    pairs = [(g(centre - half * x), g(centre + half * x)) for x in XGK]
+    resk, resg, resabs = WGK[7] * fc, WG[7] * fc, WGK[7] * abs(fc)
+    for wk, wg, (f1, f2) in zip(WGK, WG, pairs):
+        resk += wk * (f1 + f2)
+        resg += wg * (f1 + f2)
+        resabs += wk * (abs(f1) + abs(f2))
+    mean = 0.5 * resk
+    resasc = half * (WGK[7] * abs(fc - mean) + sum(
+        wk * (abs(f1 - mean) + abs(f2 - mean)) for wk, (f1, f2) in zip(WGK, pairs)))
+    err, floor = abs((resk - resg) * half), 50.0 * 2.220446049250313e-16 * resabs * half
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return resk * half, max(err, floor), floor
+
+
+def test_unrolled_gk15_matches_the_loop_form_bit_for_bit():
+    rng = random.Random(18)
+    specials = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                1e300, -1e300, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan)
+
+    def value():
+        pick = rng.random()
+        if pick < 0.25:
+            return rng.choice(specials)
+        if pick < 0.5:  # any magnitude, either sign
+            return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 300)
+        return rng.gauss(0.0, 3.0)
+
+    for i in range(12_000):
+        a = rng.choice((0.0, rng.uniform(0.0, 10.0), rng.uniform(0.0, 1e300)))
+        b = a + rng.choice((5e-324, 1e-12, 1.0, 1e6, 1e300))
+        if i % 2:  # 15 drawn values: the estimate is mostly resasc itself
+            values = [value() for _ in range(15)]
+        else:  # a smooth g, whose estimate rests on resk - resg
+            a = rng.uniform(0.0, 10.0)
+            b, c, k = a + rng.uniform(0.5, 5.0), rng.uniform(-2.0, 2.0), rng.uniform(0.0, 3.0)
+            values = [c + math.sin(k * x) * 10.0 ** rng.choice((0, -150, 300))
+                      for x in integral_module._gk15_nodes(a, b)]
+        seen = [[], []]
+
+        def g(side):
+            it = iter(values)
+            return lambda t: seen[side].append(t) or next(it)
+
+        got = integral_module._gk15(g(0), a, b, [1])
+        want = _loop_gk15(g(1), a, b)
+        assert struct.pack("<3d", *got) == struct.pack("<3d", *want), (a, b, values)
+        assert struct.pack("<15d", *seen[0]) == struct.pack("<15d", *seen[1])
+
+
+# From _BATCH_MIN segments in one call, cauchy evaluates the first G7K15 panel
+# of every segment in walks of the tree; refinement panels stay scalar. Each
+# row was computed when every node was evaluated on its own.
+P11 = PeriodicUnion(1.0, 1.0)  # segment [2k, 2k+1], then one step to 2k+2
+SEGMENT_SUMS = [  # (segments, alpha, (value, est_error, cells_used)) from 0.5 on P11
+    (7, 1.0, (1.7861918533506702, 9.095798715575889e-15, 13)),
+    (7, 0.75, (1.684935935529441, 8.461055775190123e-15, 13)),
+    (8, 1.0, (1.8177532341236853, 9.261122624214795e-15, 15)),
+    (8, 0.75, (1.701500171873925, 8.547486292567234e-15, 15)),
+    (200, 1.0, (2.0583357307872476, 1.0581173892944457e-14, 399)),
+    (200, 0.75, (1.7989868418300692, 9.08076332495077e-15, 399)),
+]
+
+
+@pytest.mark.parametrize("segments,alpha,expected", SEGMENT_SUMS)
+def test_segment_first_panels_match_pinned_sums(segments, alpha, expected):
+    hi = 2.0 * (segments - 1) + 0.5
+    assert sum(1 for c in P11.decompose(0.5, hi) if not isinstance(c, Jumps)) == segments
+    res = cauchy(parse(SMOOTH), P11, 0.5, hi, alpha)
+    assert (res.value, res.est_error, res.cells_used) == expected
+
+
+def _first_panels(text, lo, hi, alpha):
+    cells = P11.decompose(lo, hi)
+    segments = (c for c in cells if not isinstance(c, Jumps))
+    return list(integral_module._first_panels(parse(text), segments, alpha))
+
+
+@pytest.mark.parametrize("alpha,t", [(1.0, 700.6038924775039), (0.75, 700.603849793623)])
+def test_a_segment_failing_in_a_later_walk_raises_in_cell_order(alpha, t):
+    # 400 segments: the first walk (273 segments, 4,095 nodes) passes, and the
+    # segment [700, 701] fails in the second; the steps between pass
+    text = "sqrt(abs(t - 700.6) - 0.05)"
+    assert integral_module._BATCH_SIZE // 15 == 273
+    panels = _first_panels(text, 0.5, 798.5, alpha)
+    assert None not in panels[:273] and panels[273:] == [None] * 127
+    with pytest.raises(DomainError) as info:
+        cauchy(parse(text), P11, 0.5, 798.5, alpha)
+    assert (str(info.value), info.value.t) == (f"sqrt of a negative value at t={t!r}", t)
+    assert info.value.expr == parse("sqrt(abs(t - 700.6) - 0.05)")
+
+
+@pytest.mark.parametrize("alpha,t", [(1.0, 20.53378389416006), (0.75, 20.532266682538367)])
+def test_a_refinement_panel_failing_after_every_first_panel_passed(alpha, t):
+    # no first-panel node of [20, 21] falls in (20.53, 20.57), where f fails;
+    # the kink at 20.55 makes the panel split until a node does
+    text = "sqrt(abs(t - 20.55) - 0.02)"
+    assert None not in _first_panels(text, 0.5, 30.5, alpha)
+    with pytest.raises(DomainError) as info:
+        cauchy(parse(text), P11, 0.5, 30.5, alpha)
+    assert (str(info.value), info.value.t) == (f"sqrt of a negative value at t={t!r}", t)
+
+
+@pytest.mark.parametrize("text,hi,alpha,panels", [
+    ("1.5 + 0.25*t - 0.01*t^2", 398.5, 1.0, 200),  # one panel per segment
+    ("1.5 + 0.25*t - 0.01*t^2", 398.5, 0.75, 200),
+    ("sqrt(abs(t - 20.55) + 0.02)", 30.5, 1.0, 54),  # refined at the kink
+    ("sqrt(abs(t - 20.55) + 0.02)", 30.5, 0.75, 52),
+])
+def test_segment_panels_count_against_the_budget_in_order(monkeypatch, text, hi, alpha,
+                                                          panels):
+    monkeypatch.setattr(integral_module, "_MAX_SUBDIVISIONS", panels)
+    cauchy(parse(text), P11, 0.5, hi, alpha)
+    monkeypatch.setattr(integral_module, "_MAX_SUBDIVISIONS", panels - 1)
+    with pytest.raises(QuadratureBudgetExceeded):
+        cauchy(parse(text), P11, 0.5, hi, alpha)
+
+
+def test_a_negative_zero_panel_sums_to_positive_zero():
+    # math.fsum([-0.0]) is 0.0: a first panel that needs no split keeps it
+    f = Mul(Const(-0.0), Var())
+    value, err = integral_module._kronrod(partial(evaluate, f), 1.0, 2.0, QUAD_TOL, [1])
+    assert (math.copysign(1.0, value), value, err) == (1.0, 0.0, 0.0)
+    res = cauchy(f, P11, 0.5, 14.5, 1.0)
+    assert (math.copysign(1.0, res.value), res.est_error, res.cells_used) == (1.0, 0.0, 15)
+    back = cauchy(f, P11, 14.5, 0.5, 0.75)
+    assert (math.copysign(1.0, back.value), back.est_error, back.cells_used) == (-1.0, 0.0, 15)
