@@ -74,13 +74,6 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
 
 
-def _power(t: float, alpha: float) -> float:
-    """t**(1-alpha); exactly 1.0 at alpha == 1 so order one degenerates cleanly."""
-    if alpha == 1.0:
-        return 1.0
-    return t ** (1.0 - alpha)
-
-
 def _richardson(quotient: Callable[[int, float], tuple[float, float]],
                 site: Site) -> float:
     """Limit as h -> 0 of a difference quotient at a right-dense point site.t.
@@ -181,7 +174,7 @@ def _t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float) -> tuple[float, Sit
             f"order-{alpha} derivative needs t > 0, got {t!r}; "
             "use t_alpha_at_zero for t = 0")
     site = ts.kappa_site(t)
-    return _expr_delta1(f, site) * _power(t, alpha), site
+    return _expr_delta1(f, site) * t ** (1.0 - alpha), site
 
 
 def t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float) -> float:
@@ -291,7 +284,7 @@ def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float,
         raise NonPositivePoint(f"higher-order derivative needs t > 0, got {t!r}")
     site = ts.kappa_site(t)
 
-    factor = _power(t, beta)
+    factor = t ** (1.0 - beta)
     primary = factor * _delta_table(f, ts, site, n + 1)
 
     def g_n(x: float) -> float:
@@ -329,10 +322,10 @@ def power_rule(ts: TimeScale, t: float, alpha: float, m: int, c: float = 0.0,
             raise PoleAtPoint(f"reciprocal power has a pole at t={t!r}, c={c!r}")
         total = math.fsum(
             1.0 / ((st - c) ** (p + 1) * (t - c) ** (m - p)) for p in range(m))
-        return -_power(t, alpha) * total
+        return -t ** (1.0 - alpha) * total
     total = math.fsum(
         (st - c) ** (m - 1 - p) * (t - c) ** p for p in range(m))
-    return _power(t, alpha) * total
+    return t ** (1.0 - alpha) * total
 
 
 def sigma_shift(f: Expr, ts: TimeScale, t: float, alpha: float) -> float:

@@ -101,7 +101,9 @@ class Const(Expr):
 
     def _render(self) -> str:
         v = self.value
-        return str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
+        if _is_whole(v) and abs(v) < 1e16:
+            return str(int(v))
+        return repr(v).replace("inf", "1e999")  # a literal above 1.8e308 parses to inf
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,18 @@
 
 The order-alpha integral of f is the delta integral of f(t) * t**(alpha-1).
 Over a run of isolated points it is the exact sum of f(t) * t**(alpha-1) *
-mu(t), one term per step. From _BATCH_MIN steps in one call, f is evaluated
-at the steps of all its runs in one walk of its tree per _BATCH_SIZE steps;
-if any step fails, the call walks its cells again in order, so values and the
-first error are identical to evaluating each step on its own. Over a continuum segment it is
-globally adaptive Gauss-Kronrod G7K15 quadrature (QUADPACK) in the variable
-u = t**alpha, where the integrand becomes (1/alpha) * f(u**(1/alpha)): the
-weight, singular at a zero endpoint when alpha < 1, disappears exactly. The
-15-point rule is unrolled, summing in QUADPACK's loop order bit for bit, and a
-first panel already within quad_tol is the answer. From _BATCH_MIN segments
-in one call, f is evaluated at the first-panel nodes of _BATCH_SIZE // 15
-segments in one walk of its tree, one walk at a time; refinement panels are
-evaluated node by node, and the segments of a walk that fails are integrated
-alone, in order, so values and the first error are again unchanged.
+mu(t), one term per step. Over a continuum segment it is globally adaptive
+Gauss-Kronrod G7K15 quadrature (QUADPACK) in the variable u = t**alpha, where
+the integrand becomes (1/alpha) * f(u**(1/alpha)): the weight, singular at a
+zero endpoint when alpha < 1, disappears exactly. The 15-point rule is
+unrolled, summing in QUADPACK's loop order bit for bit, and a first panel
+already within quad_tol is the answer. One first pass serves both cells: in
+cell order, each run's steps and each segment's 15 first-panel nodes are
+packed into walks of f's tree of at most _BATCH_SIZE points, a longer run cut
+into pieces, and a walk is taken from _BATCH_MIN points. Refinement panels are
+evaluated node by node, and every cell of a walk that fails or is not taken is
+integrated alone, in order, so values and the first error are identical to
+evaluating each point on its own.
 Geometric lattices accumulating at 0 are summed as a series that stops on an
 observed geometric tail estimate.
 """
@@ -25,8 +24,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
-from typing import Callable, Iterator
+from itertools import islice, repeat
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import (
     DomainError,
@@ -37,9 +36,9 @@ from .errors import (
     QuadratureBudgetExceeded,
     ReversedBounds,
 )
-from .derivative import _EPS, _check_alpha, _power, _richardson, t_alpha
+from .derivative import _EPS, _check_alpha, _richardson, t_alpha
 from .expr import Expr, _evaluate_many, evaluate
-from .timescale import (MEMBERSHIP_RTOL, Q_ENUM_FLOOR, Jumps, QLatticeClosure, Segment,
+from .timescale import (MEMBERSHIP_RTOL, Q_ENUM_FLOOR, Cell, Jumps, QLatticeClosure, Segment,
                         Site, TimeScale)
 
 __all__ = [
@@ -50,13 +49,13 @@ __all__ = [
 
 QUAD_TOL = 1e-10
 _MAX_SUBDIVISIONS = 1 << 20
-# Fewest steps, and fewest segments, in one cauchy call that are evaluated in
-# walks of the tree. One walk ran at this speed against one evaluate per
-# point, on five trees from t+1 to exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1)
-# (Python 3.11.7): 0.24-0.35x at 1 point, 0.68-0.78x at 4, 0.88-1.18x at 8 and
-# 1.06-1.58x at 16. Segments share the floor: walking a lone segment's 15
-# nodes made law_verify's small integrals no faster (its ftc law read 6.7-7.3
-# ms a round either way).
+# Fewest points in a walk of the tree that is taken. One walk ran at this
+# speed against one evaluate per point, on five trees from t+1 to
+# exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1) (Python 3.11.7): 0.24-0.35x at 1
+# point, 0.68-0.78x at 4, 0.88-1.18x at 8 and 1.06-1.58x at 16. A segment's 15
+# nodes clear it: a lone segment of exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1)
+# took 12-15 % less time walked than node by node, one of 3*t^2 + 2*t - 1
+# about the same.
 _BATCH_MIN = 8
 # Most points evaluated in one walk, so a walk's lists stay small however many
 # steps or segments the call has.
@@ -68,13 +67,6 @@ class IntegralResult:
     value: float
     est_error: float
     cells_used: int
-
-
-def _weight(t: float, alpha: float) -> float:
-    """The integrand factor t**(alpha-1); exactly 1.0 at alpha == 1."""
-    if alpha == 1.0:
-        return 1.0
-    return t ** (alpha - 1.0)
 
 
 # Gauss-Kronrod 7/15 rule (QUADPACK qk15): the Kronrod abscissae in (0, 1) in
@@ -196,7 +188,7 @@ def _segment_piece(f: Expr, alpha: float, lo: float, hi: float, quad_tol: float,
                    ) -> tuple[float, float]:
     """Integral of f(t) t**(alpha-1) over [lo, hi]; below alpha = 1 it is
     (1/alpha) f(u**(1/alpha)) over [lo**alpha, hi**alpha], with u = t**alpha.
-    first is the first panel, if _first_panels has evaluated it."""
+    first is the first panel, if _first_pass has evaluated it."""
     if alpha == 1.0:
         return _kronrod(partial(evaluate, f), lo, hi, quad_tol, budget, first)
     inv = 1.0 / alpha
@@ -214,30 +206,65 @@ def _segment_piece(f: Expr, alpha: float, lo: float, hi: float, quad_tol: float,
     return _kronrod(integrand, lo ** alpha, hi ** alpha, quad_tol, budget, first)
 
 
-def _first_panels(f: Expr, segments: Iterator[Segment], alpha: float
-                  ) -> Iterator[tuple[float, float, float] | None]:
-    """Each segment's first G7K15 panel, as _segment_piece would evaluate it,
-    in order: f is evaluated at the nodes of _BATCH_SIZE // 15 segments in one
-    walk of its tree, one walk at a time, and every segment of a walk in which
-    any node fails yields None."""
-    per_walk = _BATCH_SIZE // 15
-    inv = 1.0 / alpha
-    while group := list(islice(segments, per_walk)):
-        bounds = [(s.lo, s.hi) if alpha == 1.0 else (s.lo ** alpha, s.hi ** alpha)
-                  for s in group]
-        nodes = [x for a, b in bounds for x in _gk15_nodes(a, b)]
+if TYPE_CHECKING:  # a runtime alias would pin Segment in typing's cache
+    # One part of a call's cells: each step's (f(t), t, sigma(t)), then each
+    # segment with its first G7K15 panel, or None where it is still to evaluate.
+    _Part = tuple[Iterable[tuple[float, float, float]],
+                  Iterable[tuple[Segment, tuple[float, float, float] | None]]]
+
+
+def _first_pass(f: Expr, cells: list[Cell], alpha: float) -> Iterator[_Part]:
+    """The call's cells as parts, in order, each segment's panel as
+    _segment_piece would evaluate it. The cells are packed in order into
+    walks of at most _BATCH_SIZE points (a run's step starts and a segment's
+    15 first-panel nodes), a longer run cut into pieces of _BATCH_SIZE steps,
+    and a walk is evaluated only once the parts before it are consumed."""
+    walk: list[Cell] = []
+    size = 0
+    for cell in cells:
+        pieces: Iterable[Cell] = (cell,)
+        if isinstance(cell, Jumps) and len(cell.points) > _BATCH_SIZE + 1:
+            p = cell.points
+            pieces = (Jumps(p[i:i + _BATCH_SIZE + 1]) for i in range(0, len(p) - 1, _BATCH_SIZE))
+        for piece in pieces:
+            n = len(piece.points) - 1 if isinstance(piece, Jumps) else 15
+            if size + n > _BATCH_SIZE:
+                yield from _walk_parts(f, walk, size, alpha)
+                walk, size = [], 0
+            walk.append(piece)
+            size += n
+    yield from _walk_parts(f, walk, size, alpha)
+
+
+def _walk_parts(f: Expr, walk: list[Cell], size: int, alpha: float) -> list[_Part]:
+    """One walk of f's tree over the walk's size points, as one part. Every
+    cell of a walk under _BATCH_MIN points, or in which any point fails, is a
+    part of its own, with no panel, whose steps evaluate f one by one as they
+    are consumed, so errors come in cell order."""
+    if size >= _BATCH_MIN:
+        inv = 1.0 / alpha
+        runs = [c.points for c in walk if isinstance(c, Jumps)]
+        segments = [c for c in walk if not isinstance(c, Jumps)]
+        starts = [t for p in runs for t in p[:-1]]
         try:
-            ts = nodes if alpha == 1.0 else [u ** inv for u in nodes]
-        except OverflowError:  # the segments alone raise it at its node, in order
-            ts = None
-        values = None if ts is None else _evaluate_many(f, ts)
-        if values is None:
-            yield from repeat(None, len(group))
-            continue
-        if alpha != 1.0:
-            values = [v * inv for v in values]
-        for k, (a, b) in enumerate(bounds):
-            yield _gk15_rule(values[15 * k:15 * k + 15], 0.5 * (b - a))
+            nodes = [u ** inv for c in segments for u in _gk15_nodes(c.lo ** alpha, c.hi ** alpha)]
+            values = _evaluate_many(f, starts + nodes)
+        except OverflowError:  # its segment raises it alone, in order
+            values = None
+        if values is not None:
+            ends = [s for p in runs for s in p[1:]]
+            gs = [v * inv for v in islice(values, len(starts), None)]
+            panels = [(c, _gk15_rule(gs[15 * k:15 * k + 15], 0.5 * (c.hi ** alpha - c.lo ** alpha)))
+                      for k, c in enumerate(segments)]
+            return [(zip(values, starts, ends), panels)]
+    parts: list[_Part] = []
+    for c in walk:
+        if isinstance(c, Jumps):
+            p = c.points
+            parts.append((zip(map(evaluate, repeat(f), p[:-1]), p, p[1:]), ()))
+        else:
+            parts.append(((), ((c, None),)))
+    return parts
 
 
 def _q_series_from_zero(f: Expr, ts: QLatticeClosure, hi: float, alpha: float,
@@ -260,7 +287,7 @@ def _q_series_from_zero(f: Expr, ts: QLatticeClosure, hi: float, alpha: float,
     j = k_top - 1
     while True:
         t_j = q ** j
-        term = evaluate(f, t_j) * _weight(t_j, alpha) * ((q - 1.0) * t_j)
+        term = evaluate(f, t_j) * t_j ** (alpha - 1.0) * ((q - 1.0) * t_j)
         terms.append(term)
         mag = abs(term)
         ratio = mag / prev_mag if prev_mag > 0.0 else 0.0
@@ -315,33 +342,17 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
         value, err, used = _q_series_from_zero(f, ts, hi, alpha, quad_tol)
     else:
         cells = ts.decompose(lo, hi)
-        runs = [cell.points for cell in cells if isinstance(cell, Jumps)]
-        if runs and runs[0][0] <= 0.0 and alpha < 1.0:  # points rise: only the first is 0
+        # cells rise from lo >= 0, so only the first can be a jump at 0
+        if alpha < 1.0 and cells and isinstance(cells[0], Jumps) and cells[0].points[0] <= 0.0:
             raise EndpointSingularity(
                 "an isolated jump at 0 has no finite order-alpha weight")
-        # every step in walks of _BATCH_SIZE; if a step fails (None), the loop
-        # below walks the cells in order and raises the first error
-        terms = None
-        if sum(map(len, runs)) - len(runs) >= _BATCH_MIN:
-            terms = _jump_terms(f, runs, alpha)
-        # every segment's first panel likewise, a walk at a time; a segment
-        # whose walk failed (None) is evaluated alone, in order
-        firsts = None
-        if len(cells) - len(runs) >= _BATCH_MIN:
-            firsts = _first_panels(f, (c for c in cells if not isinstance(c, Jumps)), alpha)
         budget = [_MAX_SUBDIVISIONS]
-        contributions: list[float] = [] if terms is None else terms
+        contributions: list[float] = []
         err_parts: list[float] = []
-        for cell in cells:
-            if isinstance(cell, Jumps):
-                if terms is not None:
-                    continue
-                t = cell.points[0]
-                for s in cell.points[1:]:
-                    contributions.append(evaluate(f, t) * _weight(t, alpha) * (s - t))
-                    t = s
-            else:
-                first = None if firsts is None else next(firsts)
+        w = alpha - 1.0
+        for steps, panels in _first_pass(f, cells, alpha):
+            contributions += [v * t ** w * (s - t) for v, t, s in steps]
+            for cell, first in panels:
                 v, e = _segment_piece(f, alpha, cell.lo, cell.hi, quad_tol, budget, first)
                 contributions.append(v)
                 err_parts.append(e)
@@ -353,30 +364,13 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
     return IntegralResult(sign * value, err, used)
 
 
-def _jump_terms(f: Expr, runs: list[list[float]], alpha: float) -> list[float] | None:
-    """Every step's term f(t) * t**(alpha-1) * (s - t) over the runs, from one
-    walk of f's tree per _BATCH_SIZE steps, or None if any step fails.
-    t ** 0.0 == 1.0, so the terms equal the cell loop's bit for bit."""
-    w = alpha - 1.0
-    starts = chain.from_iterable(islice(points, len(points) - 1) for points in runs)
-    ends = chain.from_iterable(islice(points, 1, None) for points in runs)
-    terms: list[float] = []
-    while batch := list(islice(starts, _BATCH_SIZE)):
-        values = _evaluate_many(f, batch)
-        if values is None:
-            return None
-        # zip stops on values first, so ends advances by exactly len(batch)
-        terms.extend(v * t ** w * (s - t) for v, t, s in zip(values, batch, ends))
-    return terms
-
-
 def single_grain(f: Expr, ts: TimeScale, t: float, alpha: float) -> float:
     """Integral over one grain [t, sigma(t)]: f(t) * mu(t) * t**(alpha-1)."""
     _check_alpha(alpha)
     if t <= 0.0:
         raise NonPositivePoint(f"single grain needs t > 0, got {t!r}")
     mu = ts.kappa_site(t).mu
-    return evaluate(f, t) * mu * _weight(t, alpha)
+    return evaluate(f, t) * mu * t ** (alpha - 1.0)
 
 
 def indefinite(f: Expr, ts: TimeScale, base: float, t: float, alpha: float,
@@ -425,7 +419,7 @@ def _ftc_dense_value(f: Expr, ts: TimeScale, site: Site, alpha: float,
         width = 2.0 * h if side == 0 else h
         return cauchy(f, ts, lo, hi, alpha, tight).value / width, 8.0 * tight / h
 
-    return _richardson(quotient, site) * _power(t, alpha)
+    return _richardson(quotient, site) * t ** (1.0 - alpha)
 
 
 def ftc_check(f: Expr, ts: TimeScale, points: list[float], alpha: float,
@@ -448,7 +442,7 @@ def ftc_check(f: Expr, ts: TimeScale, points: list[float], alpha: float,
             expected = evaluate(f, t)
             if site.mu > 0.0:
                 grain = cauchy(f, ts, t, site.sigma, alpha, quad_tol).value
-                actual = grain / site.mu * _power(t, alpha)
+                actual = grain / site.mu * t ** (1.0 - alpha)
             else:
                 actual = _ftc_dense_value(f, ts, site, alpha, quad_tol)
             dev = abs(actual - expected) / max(1.0, abs(expected))
@@ -478,7 +472,7 @@ def _sample_scale_points(ts: TimeScale, lo: float, hi: float) -> list[float]:
     """In-scale sample of [lo, hi]: lo, hi, every isolated point and
     _CONTINUUM_SAMPLES + 1 evenly spaced points on each continuum segment,
     sorted without repeats and, past _MAX_SAMPLES, thinned to every stride-th
-    point and hi.
+    point and hi, with a stride coprime to _CONTINUUM_SAMPLES + 1.
 
     Only the ends (lo, hi, the isolated points and each segment's outer fill
     points) are built and sorted. A segment's interior fill points lie between
@@ -496,6 +490,10 @@ def _sample_scale_points(ts: TimeScale, lo: float, hi: float) -> list[float]:
             widths[cell.lo] = width
     last = len(ends) + (n - 1) * len(widths) - 1  # place of the largest point
     stride = math.ceil((last + 1) / _MAX_SAMPLES)
+    # a stride sharing a factor with a block's n + 1 points would keep only a
+    # few of their places in every block
+    while math.gcd(stride, n + 1) > 1:
+        stride += 1
     out: list[float] = []
     k = 0  # place of p in the sorted sample
     for p in sorted(ends):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .derivative import (AlphaOrder, _chain_witness, _power, naive_chain_gap,
+from .derivative import (AlphaOrder, _chain_witness, naive_chain_gap,
                          power_rule, sigma_shift, t_alpha, t_alpha_higher_paths)
 from .errors import NonPositivePoint, UnknownLaw
 from .expr import (Add, Apply, Const, Div, Expr, Mul, Pow, Var, evaluate, fold, parse,
@@ -71,7 +71,7 @@ def definition_scan(f: Expr, ts: TimeScale, t: float, alpha: float,
     site = ts.kappa_site(t)
     st = site.sigma
     f_st = evaluate(f, st)
-    tp = _power(t, alpha)
+    tp = t ** (1.0 - alpha)
     fracs = (1.0, 0.7, 0.4, 0.2, 0.1, 0.05, 0.02, 0.01)
     delta = max(2.0 * site.mu, 0.5 * max(1.0, abs(t)))
     for _ in range(60):

@@ -391,6 +391,19 @@ def test_pab_blocks_integral_matches_golden_output():
     assert out.encode() == (GOLDEN / "integ_Pab_blocks.json").read_bytes()
 
 
+# 16 Pab segments and 15 steps: one walk holds every step and first panel,
+# and the segment [20, 21] is refined at the kink; the golden was written
+# before the steps and the first panels shared a walk
+PAB_KINK_INTEG = ["integ", "--scale", "Pab(a=1,b=1)", "--expr", "sqrt(abs(t - 20.55) + 0.02)",
+                  "--alpha", "0.75", "--from", "0.5", "--to", "30.5"]
+
+
+def test_pab_kink_integral_matches_golden_output():
+    code, out, _ = run_cli(PAB_KINK_INTEG)
+    assert code == 0
+    assert out.encode() == (GOLDEN / "integ_Pab_kink.json").read_bytes()
+
+
 def test_snap_is_echoed(tmp_path):
     # 2**-3 typed as decimal text snaps onto the lattice point exactly
     code, out, _ = run_cli(["deriv", "--scale", "qZbar(q=2)", "--expr", "t",

@@ -126,7 +126,7 @@ def _cells_in_order(f, ts, lo, hi, alpha):
                 raise EndpointSingularity(
                     "an isolated jump at 0 has no finite order-alpha weight")
             for t, s in zip(cell.points, cell.points[1:]):
-                parts.append(evaluate(f, t) * integral_module._weight(t, alpha) * (s - t))
+                parts.append(evaluate(f, t) * t ** (alpha - 1.0) * (s - t))
         else:
             v, e = integral_module._segment_piece(f, alpha, cell.lo, cell.hi, QUAD_TOL,
                                                   budget)

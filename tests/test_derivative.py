@@ -13,7 +13,6 @@ import pytest
 from tscal.derivative import (
     AlphaOrder,
     _dense_limit,
-    _power,
     chain_rule_witness,
     delta_derivative_n,
     naive_chain_gap,
@@ -399,7 +398,7 @@ def _dense_rows():
             for alpha in (0.5, 1.0):
                 rows.append({**key, "what": "t_alpha", "cfg": "default", "alpha": alpha,
                              "value": _outcome(
-                                 lambda: _dense_limit(g, site) * _power(t, alpha))})
+                                 lambda: _dense_limit(g, site) * t ** (1.0 - alpha))})
             rows.append({**key, "what": "delta1", "cfg": "default", "value": _outcome(
                 lambda: _dense_limit(g, site))})
             for alpha in (1.5, 2.3):

@@ -234,6 +234,12 @@ def test_render_examples():
     assert parse(render(parse("(t-1)^2"))) == parse("(t-1)^2")
 
 
+@pytest.mark.parametrize("src", ["t+1e400", "(t-5)^1e400", "t-1e400"])
+def test_infinite_constants_render_to_a_literal_that_reparses(src):
+    # a literal above 1.8e308 parses to Const(inf), which has no int()
+    assert parse(render(parse(src))) == parse(src)
+
+
 def _domain_error(e, t):
     with pytest.raises(DomainError) as exc:
         evaluate(e, t)

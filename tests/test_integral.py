@@ -34,6 +34,7 @@ from tscal.timescale import (
     QLatticeClosure,
     QPowers,
     RealInterval,
+    Segment,
     UniformLattice,
 )
 
@@ -57,6 +58,15 @@ def test_zero_width_integral():
     for ts, p in ((R, 2.0), (HZ1, 3.0), (QN2, 4.0)):
         res = cauchy(parse("t^2 + 1"), ts, p, p, 0.7)
         assert res.value == 0.0 and res.cells_used == 0
+
+
+@pytest.mark.parametrize("ts, a, b", [
+    (HZ1, 1.0, 1.0 + 1e-13), (HZ1, 0.0, 1e-13), (QN2, 2.0, 2.0 * (1.0 + 1e-13)),
+    (FiniteSet((1.0, 2.0, 4.0)), 2.0, 2.0 + 1e-13), (PeriodicUnion(1.0, 1.0), 3.0, 3.0 + 1e-13)])
+def test_endpoints_within_slack_of_one_point(ts, a, b):
+    # both endpoints are the same scale point, so there is no cell to integrate
+    res = cauchy(parse("t"), ts, a, b, 0.5)
+    assert (res.value, res.est_error, res.cells_used) == (0.0, 0.0, 0)
 
 
 def test_lattice_integral_is_a_finite_sum():
@@ -372,7 +382,8 @@ def test_thinned_samples_end_at_hi_once(ts, lo, hi, n):
 
 def _full_fill_sample(ts, lo, hi):
     """Every isolated point and 512 fill intervals per segment, all built,
-    sorted and thinned by one stride to at most 10,000 points that end at hi."""
+    sorted and thinned by one stride coprime to 513 to at most 10,000 points
+    that end at hi."""
     points = [lo, hi]
     for cell in ts.decompose(lo, hi):
         if isinstance(cell, Jumps):
@@ -382,6 +393,8 @@ def _full_fill_sample(ts, lo, hi):
             points.extend(cell.lo + width * i / 512 for i in range(513))
     out = sorted(set(points))
     stride = math.ceil(len(out) / 10_000)
+    while math.gcd(stride, 513) > 1:
+        stride += 1
     return out if stride == 1 else out[:-1:stride] + [out[-1]]
 
 
@@ -395,7 +408,7 @@ P11 = PeriodicUnion(1.0, 1.0)
     (P11, 0.5, 1000.0, 9867),
     (P11, 0.5, 10000.0, 9982),  # 5,000 blocks: a stride of 257
     (PeriodicUnion(0.7, 0.4), 0.7, 22.7, 5131),
-    (PeriodicUnion(0.3, 1.7), 0.1, 3000.3, 9873),
+    (PeriodicUnion(0.3, 1.7), 0.1, 3000.3, 9748),  # a stride of 79, not 78 = 2*3*13
     (HZ1, 1.0, 30001.0, 7501),
     (R, 1.0, 1.0 + 1e-14, 46),  # a segment too narrow for 512 distinct points
 ])
@@ -412,6 +425,15 @@ def test_many_blocks_keep_every_fill_phase():
                              0.5, 10000.0, 0.5)
     assert rep.status == "hypothesis-violated" and not rep.hypothesis_ok
     assert rep.samples_used == 9982
+
+
+def test_a_stride_sharing_a_factor_with_a_block_is_raised():
+    # 9,981 blocks of 513 points ask for a stride of 513, which keeps only
+    # block starts, where the derivative is positive; 514 drifts through them
+    rep = monotonicity_check(parse("t - 0.9*sin(3.141592653589793*t)^2"), P11,
+                             0.5, 19962.0, 0.5)
+    assert rep.status == "hypothesis-violated" and not rep.hypothesis_ok
+    assert rep.samples_used == 9963
 
 
 def test_monotonicity_counts_each_sample_once():
@@ -491,9 +513,9 @@ def test_jump_runs_raise_the_pinned_first_error(text, ts, lo, hi, alpha, message
     assert (str(info.value), info.value.t) == (message, t)
 
 
-# From _BATCH_MIN steps on, cauchy evaluates every step of a call in one walk
-# of the tree; below it, and wherever a step fails, it walks the cells in
-# order. Each row was computed when every step was evaluated on its own.
+# A walk of _BATCH_MIN points or more evaluates a call's steps in one pass
+# over the tree; below it, and wherever a step fails, the cells go one by one
+# in order. Each row was computed when every step was evaluated on its own.
 SMOOTH = "exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1)"
 FS9 = FiniteSet((0.25, 0.5, 1.25, 2.0, 3.5, 7.5, 8.0, 13.0, 13.5))
 BATCH_FLOOR_SUMS = [  # (scale, lo, hi, steps, alpha, (value, est_error, cells_used))
@@ -568,7 +590,8 @@ def test_one_walk_replays_a_node_it_cannot_evaluate():
 
 
 def test_a_step_failing_in_a_later_walk_replays_the_whole_call():
-    # 9,999 steps: the first two walks of _BATCH_SIZE steps pass, the third fails
+    # 9,999 steps: the first two walks of _BATCH_SIZE steps pass, the third
+    # fails and its steps go one by one
     assert integral_module._BATCH_SIZE == 4096
     with pytest.raises(DomainError) as info:
         cauchy(parse("1/(t-9000)"), HZ1, 1.0, 10000.0, 0.5)
@@ -643,9 +666,9 @@ def test_unrolled_gk15_matches_the_loop_form_bit_for_bit():
         assert struct.pack("<15d", *seen[0]) == struct.pack("<15d", *seen[1])
 
 
-# From _BATCH_MIN segments in one call, cauchy evaluates the first G7K15 panel
-# of every segment in walks of the tree; refinement panels stay scalar. Each
-# row was computed when every node was evaluated on its own.
+# cauchy evaluates every segment's first G7K15 panel in the walks that hold
+# the steps; refinement panels stay scalar. Each row was computed when every
+# node was evaluated on its own.
 P11 = PeriodicUnion(1.0, 1.0)  # segment [2k, 2k+1], then one step to 2k+2
 SEGMENT_SUMS = [  # (segments, alpha, (value, est_error, cells_used)) from 0.5 on P11
     (7, 1.0, (1.7861918533506702, 9.095798715575889e-15, 13)),
@@ -665,20 +688,21 @@ def test_segment_first_panels_match_pinned_sums(segments, alpha, expected):
     assert (res.value, res.est_error, res.cells_used) == expected
 
 
-def _first_panels(text, lo, hi, alpha):
-    cells = P11.decompose(lo, hi)
-    segments = (c for c in cells if not isinstance(c, Jumps))
-    return list(integral_module._first_panels(parse(text), segments, alpha))
+def _first_panels(text, lo, hi, alpha, ts=P11):
+    """Each segment's first panel from cauchy's first pass, or None where its
+    walk failed or was not taken."""
+    walks = integral_module._first_pass(parse(text), ts.decompose(lo, hi), alpha)
+    return [first for _, panels in walks for _, first in panels]
 
 
 @pytest.mark.parametrize("alpha,t", [(1.0, 700.6038924775039), (0.75, 700.603849793623)])
 def test_a_segment_failing_in_a_later_walk_raises_in_cell_order(alpha, t):
-    # 400 segments: the first walk (273 segments, 4,095 nodes) passes, and the
-    # segment [700, 701] fails in the second; the steps between pass
+    # 400 segments: the first walk (256 segments and 256 steps, 4,096 points)
+    # passes, and the segment [700, 701] fails in the second; the steps pass
     text = "sqrt(abs(t - 700.6) - 0.05)"
-    assert integral_module._BATCH_SIZE // 15 == 273
+    assert integral_module._BATCH_SIZE == 4096
     panels = _first_panels(text, 0.5, 798.5, alpha)
-    assert None not in panels[:273] and panels[273:] == [None] * 127
+    assert None not in panels[:256] and panels[256:] == [None] * 144
     with pytest.raises(DomainError) as info:
         cauchy(parse(text), P11, 0.5, 798.5, alpha)
     assert (str(info.value), info.value.t) == (f"sqrt of a negative value at t={t!r}", t)
@@ -694,6 +718,34 @@ def test_a_refinement_panel_failing_after_every_first_panel_passed(alpha, t):
     with pytest.raises(DomainError) as info:
         cauchy(parse(text), P11, 0.5, 30.5, alpha)
     assert (str(info.value), info.value.t) == (f"sqrt of a negative value at t={t!r}", t)
+
+
+@pytest.mark.parametrize("alpha,t", [(1.0, 20.53378389416006), (0.75, 20.532266682538367)])
+def test_a_refinement_failing_before_a_later_step_of_its_walk_raises_first(alpha, t):
+    # the steps and first panels share one walk, which fails at the step from
+    # 25; the cells then go alone, in order, and [20, 21]'s refinement fails first
+    text = "sqrt(abs(t - 20.55) - 0.02) + 1/(t - 25)"
+    steps, panels = next(integral_module._first_pass(parse(text), P11.decompose(0.5, 30.5), alpha))
+    assert (list(steps), list(panels)) == ([], [(Segment(0.5, 1.0), None)])  # alone
+    with pytest.raises(DomainError) as info:
+        cauchy(parse(text), P11, 0.5, 30.5, alpha)
+    assert (str(info.value), info.value.t) == (f"sqrt of a negative value at t={t!r}", t)
+    assert info.value.expr == parse("sqrt(abs(t - 20.55) - 0.02)")
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.75])
+def test_a_lone_segment_is_the_same_walked_or_alone(monkeypatch, alpha):
+    # 15 nodes clear _BATCH_MIN, so a lone R segment is walked; a floor of 16
+    # integrates it alone
+    f, bounds = parse(SMOOTH), ((0.5, 1.0), (0.0, 3.7), (1.0, 40.0))
+    assert None not in [_first_panels(SMOOTH, lo, hi, alpha, R)[0] for lo, hi in bounds]
+    walked = [cauchy(f, R, lo, hi, alpha) for lo, hi in bounds]
+    monkeypatch.setattr(integral_module, "_BATCH_MIN", 16)
+    assert [_first_panels(SMOOTH, lo, hi, alpha, R) for lo, hi in bounds] == [[None]] * 3
+    alone = [cauchy(f, R, lo, hi, alpha) for lo, hi in bounds]
+    assert [struct.pack("<2d", r.value, r.est_error) for r in walked] == \
+        [struct.pack("<2d", r.value, r.est_error) for r in alone]
+    assert [r.cells_used for r in walked] == [r.cells_used for r in alone] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("text,hi,alpha,panels", [
