@@ -3,19 +3,27 @@
 At a right-scattered point the derivative of order alpha is the exact forward
 quotient times t**(1-alpha). At a right-dense point it is the classical f'(t),
 scaled the same way and taken exactly from first-order jets on the sides
-where the scale is a continuum. Orders above 1 split as alpha = n + beta and
-reduce to the order-beta derivative of the n-th delta derivative: forward
-quotients along t, sigma(t), ... up to the first right-dense point, which
-gives order 1 from the jets and higher orders from the symbolic derivative.
-A Richardson limit of difference quotients serves only the higher orders'
-cross path and ftc_check; it and the extrapolation of t_alpha_at_zero stop at
-the one relative tolerance LIMIT_RTOL.
+where the scale is a continuum. A jet is one walk of f's tree that gives the
+value and the slope together; the walk raises wherever evaluate would, so
+only a point where it fails is replayed through evaluate, for its error.
+Orders above 1 split as alpha = n + beta and reduce to the order-beta
+derivative of the n-th delta derivative: forward quotients along t, sigma(t),
+... up to the first right-dense point, which gives order 1 from the jets and
+higher orders from the symbolic derivative. One call asks the scale for each
+point's site once and evaluates f once per point: at a right-scattered point
+the higher orders' cross path is a quotient of the primary triangle's entries,
+and the zero limit shares f's values between neighbouring quotients. A
+Richardson limit of difference quotients serves only that cross path at
+right-dense points and ftc_check; it and the extrapolation of t_alpha_at_zero
+stop at the one relative tolerance LIMIT_RTOL.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from types import MethodType
 from typing import Callable
 
 from .errors import (
@@ -24,6 +32,8 @@ from .errors import (
     NonPositivePoint,
     NotDifferentiable,
     NotInKappa,
+    NotInScale,
+    NotRepresentable,
     NoWitnessFound,
     PoleAtPoint,
     ZeroNotInScale,
@@ -142,16 +152,13 @@ def _dense_limit(g: Callable[[float], float], site: Site) -> float:
     return _richardson(quotient, site)
 
 
-def _expr_delta1(f: Expr, site: Site) -> float:
-    """First delta derivative of an expression at a scale point.
+def _dense_delta1(f: Expr, site: Site) -> float:
+    """First delta derivative of an expression at a right-dense scale point.
 
-    The exact forward quotient where scattered; where dense, f'(t) from the
-    jet of the side with continuum room, or with room on both sides the
-    two-sided jet, else two one-sided jets that must agree exactly.
+    f'(t) from the jet of the side with continuum room, or with room on both
+    sides the two-sided jet, else two one-sided jets that must agree exactly.
     """
     t, on_left, on_right = site.t, site.left_room > 0.0, site.right_room > 0.0
-    if site.mu > 0.0:
-        return (evaluate(f, site.sigma) - evaluate(f, t)) / site.mu
     if not (on_left or on_right):
         raise LimitDiverged(f"no continuum neighborhood of {t!r} inside the scale")
     if not (on_left and on_right):
@@ -166,6 +173,16 @@ def _expr_delta1(f: Expr, site: Site) -> float:
     return right
 
 
+def _t_alpha_at(f: Expr, site: Site, alpha: float, value: Callable[[float], float]) -> float:
+    """t_alpha at a located site t > 0, which must lie in T^kappa: the exact
+    forward quotient of value(x) = f(x) where right-scattered, else
+    _dense_delta1, times t**(1-alpha)."""
+    site.kappa()
+    t = site.t
+    d = (value(site.sigma) - value(t)) / site.mu if site.mu > 0.0 else _dense_delta1(f, site)
+    return d * t ** (1.0 - alpha)
+
+
 def _t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float) -> tuple[float, Site]:
     """t_alpha's value and the site it was taken at."""
     _check_alpha(alpha)
@@ -173,8 +190,9 @@ def _t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float) -> tuple[float, Sit
         raise NonPositivePoint(
             f"order-{alpha} derivative needs t > 0, got {t!r}; "
             "use t_alpha_at_zero for t = 0")
-    site = ts.kappa_site(t)
-    return _expr_delta1(f, site) * t ** (1.0 - alpha), site
+    site = ts.site(t)
+    # evaluate with f bound, as a bound method: cheaper to make and call than a partial
+    return _t_alpha_at(f, site, alpha, MethodType(evaluate, f)), site
 
 
 def t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float) -> float:
@@ -182,17 +200,21 @@ def t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float) -> float:
     return _t_alpha(f, ts, t, alpha)[0]
 
 
-def _points_toward_zero(ts: TimeScale, count: int) -> list[float]:
-    pts: list[float] = []
+def _sites_toward_zero(ts: TimeScale, count: int) -> list[Site]:
+    """The sites of up to count scale points falling from 1/2 toward 0."""
+    sites: list[Site] = []
     x = 1.0
     for _ in range(count * 6):
         x *= 0.5
         s = ts.nearest(x)
-        if s > 0.0 and ts.contains(s) and (not pts or s < pts[-1]):
-            pts.append(s)
-        if len(pts) >= count:
+        if s > 0.0 and (not sites or s < sites[-1].t):
+            try:
+                sites.append(ts.site(s))
+            except NotInScale:
+                pass
+        if len(sites) >= count:
             break
-    return pts
+    return sites
 
 
 def _aitken_limit(vals: list[float]) -> tuple[float, float]:
@@ -220,15 +242,17 @@ def t_alpha_at_zero(f: Expr, ts: TimeScale, alpha: float) -> float:
     """Order-alpha derivative at 0, as the limit of t_alpha along t -> 0+.
 
     Requires 0 to be the minimum of the scale. Values are taken at scale
-    points shrinking geometrically toward 0 and extrapolated.
+    points shrinking geometrically toward 0, each located once and f
+    evaluated once at each point its quotients use, and extrapolated.
     """
     _check_alpha(alpha)
     if not (ts.contains(0.0) and ts.site(0.0).is_min):
         raise ZeroNotInScale(f"0 is not the minimum of {ts!r}")
-    pts = _points_toward_zero(ts, _ZERO_LIMIT_POINTS)
-    if len(pts) < 3:
+    sites = _sites_toward_zero(ts, _ZERO_LIMIT_POINTS)
+    if len(sites) < 3:
         raise LimitDiverged("too few scale points approaching 0+")
-    vals = [t_alpha(f, ts, x, alpha) for x in pts]
+    value = cache(MethodType(evaluate, f))  # neighbouring quotients share points
+    vals = [_t_alpha_at(f, site, alpha, value) for site in sites]
     if abs(vals[-1]) > 2.0 * abs(vals[0]) + 1.0:
         raise LimitDiverged("derivative values grow toward 0+; no finite limit")
     limit, err = _aitken_limit(vals)
@@ -237,12 +261,13 @@ def t_alpha_at_zero(f: Expr, ts: TimeScale, alpha: float) -> float:
     return limit
 
 
-def _delta_table(f: Expr, ts: TimeScale, site: Site, n: int) -> float:
-    """n-th delta derivative via the nested forward-quotient triangle.
+def _delta_table(f: Expr, ts: TimeScale, site: Site, n: int) -> tuple[list[float], list[float]]:
+    """Levels n-1 and n of the nested forward-quotient triangle: entry i of a
+    level is the delta derivative of its order at the chain's i-th point.
 
     The chain t, sigma(t), ... stops after n right-scattered points or at the
     first right-dense one, which answers each order k <= n - (its index) once:
-    order 1 from _expr_delta1, as in t_alpha, higher ones symbolically.
+    order 1 from _dense_delta1, as in t_alpha, higher ones symbolically.
     """
     sites = [site]
     while sites[-1].mu > 0.0 and len(sites) < n:
@@ -255,18 +280,18 @@ def _delta_table(f: Expr, ts: TimeScale, site: Site, n: int) -> float:
     elif end.left_room <= 0.0 and end.right_room <= 0.0:
         raise NotInKappa(f"{end.t!r} has no forward structure for a delta derivative")
     for k in range(1, n + 1):
-        level = [(b - a) / s.mu for s, a, b in zip(sites, level, level[1:])]
+        below, level = level, [(b - a) / s.mu for s, a, b in zip(sites, level, level[1:])]
         if dense and k <= n - (len(sites) - 1):
-            level.append(_expr_delta1(f, end) if k == 1
+            level.append(_dense_delta1(f, end) if k == 1
                          else evaluate(nth_derivative(f, k), end.t))
-    return level[0]
+    return below, level
 
 
 def delta_derivative_n(f: Expr, ts: TimeScale, t: float, n: int) -> float:
     """Iterated delta derivative of order n >= 1 at t."""
     if n < 1 or n != int(n):
         raise ValueError("n must be a positive integer")
-    return _delta_table(f, ts, ts.site(t), int(n))
+    return _delta_table(f, ts, ts.site(t), int(n))[1][0]
 
 
 def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float,
@@ -275,7 +300,10 @@ def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float,
 
     The first value applies t**(1+n-alpha) to the (n+1)-th delta derivative;
     the second takes the order-beta derivative of the n-th delta derivative.
-    They coincide in exact arithmetic.
+    They coincide in exact arithmetic. At a right-scattered t the n-th delta
+    derivatives at t and sigma(t) are the primary triangle's order-n entries,
+    so the second path is their quotient and agrees with the first bit for
+    bit; at a right-dense t it is a limit of its own at t +- h.
     """
     n, beta = order.n, order.beta
     if n < 1:
@@ -285,13 +313,12 @@ def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float,
     site = ts.kappa_site(t)
 
     factor = t ** (1.0 - beta)
-    primary = factor * _delta_table(f, ts, site, n + 1)
-
-    def g_n(x: float) -> float:
-        return _delta_table(f, ts, ts.site(x), n)
-
-    cross = ((g_n(site.sigma) - g_n(site.t)) / site.mu if site.mu > 0.0
-             else _dense_limit(g_n, site))
+    below, top = _delta_table(f, ts, site, n + 1)
+    primary = factor * top[0]
+    if site.mu > 0.0:
+        cross = (below[1] - below[0]) / site.mu
+    else:
+        cross = _dense_limit(lambda x: _delta_table(f, ts, ts.site(x), n)[1][0], site)
     return primary, cross * factor
 
 
@@ -331,7 +358,20 @@ def power_rule(ts: TimeScale, t: float, alpha: float, m: int, c: float = 0.0,
 def sigma_shift(f: Expr, ts: TimeScale, t: float, alpha: float) -> float:
     """f(t) + mu(t) * t**(alpha-1) * t_alpha(f)(t); equals f(sigma(t))."""
     value, site = _t_alpha(f, ts, t, alpha)
-    return evaluate(f, t) + site.mu * t ** (alpha - 1.0) * value
+    return evaluate(f, t) + site.mu * _weight(t, alpha) * value
+
+
+def _weight(t: float, alpha: float) -> float:
+    """t**(alpha-1), or NotRepresentable where it overflows (a subnormal t)."""
+    try:
+        return t ** (alpha - 1.0)
+    except OverflowError:
+        raise _weight_overflow(t) from None
+
+
+def _weight_overflow(t: float) -> NotRepresentable:
+    """The error for a weight t**(alpha-1) that overflows at t."""
+    return NotRepresentable(f"weight t**(alpha-1) overflows at t={t!r}")
 
 
 def _bisect_root(fn: Callable[[float], float], lo: float, hi: float,

@@ -65,10 +65,15 @@ class Expr:
     their nodes raise unless every value is finite: a Div's denominator
     (x/inf), a Pow's base under a negative or fractional exponent (inf**-c;
     a fractional power also raises on a negative base, which would give a
-    complex number) and exp's argument (exp(-inf)). _jet(t, side) is the
-    bare forward-mode rule: _eval's value and the slope from side (0: both),
-    NaN where there is none; it runs only where evaluate() succeeded. _fold,
-    _d, _substitute and _render back fold, derivative, substitute and render.
+    complex number) and exp's argument (exp(-inf)). _jet(t, side) gives
+    _eval's value and the slope from side (0: both), NaN where there is none,
+    in one walk. It raises a bare ArithmeticError or ValueError at every node
+    where _eval raises, through _eval's own overflow checks, so a finite
+    value from it is evaluate()'s; expr._jet replays any other point with
+    evaluate() for its error. (_eval_many's guards would not do: they also
+    refuse an inf that a constant such as 1e999 holds, as in t/1e999, which
+    evaluate() takes.) _fold, _d, _substitute and _render back fold,
+    derivative, substitute and render.
     """
 
     def _eval(self, *args):
@@ -168,7 +173,10 @@ class Add(_Binary):
     def _jet(self, t: float, side: int) -> tuple[float, float]:
         a, da = self.left._jet(t, side)
         b, db = self.right._jet(t, side)
-        return a + b, da + db
+        v = a + b
+        if math.isinf(v):
+            raise OverflowError
+        return v, da + db
 
     def _d(self) -> Expr:
         return Add(self.left._d(), self.right._d())
@@ -190,7 +198,10 @@ class Sub(_Binary):
     def _jet(self, t: float, side: int) -> tuple[float, float]:
         a, da = self.left._jet(t, side)
         b, db = self.right._jet(t, side)
-        return a - b, da - db
+        v = a - b
+        if math.isinf(v):
+            raise OverflowError
+        return v, da - db
 
     def _d(self) -> Expr:
         return Sub(self.left._d(), self.right._d())
@@ -212,7 +223,10 @@ class Mul(_Binary):
     def _jet(self, t: float, side: int) -> tuple[float, float]:
         a, da = self.left._jet(t, side)
         b, db = self.right._jet(t, side)
-        return a * b, da * b + a * db
+        v = a * b
+        if math.isinf(v):
+            raise OverflowError
+        return v, da * b + a * db
 
     def _d(self) -> Expr:
         return Add(Mul(self.left._d(), self.right), Mul(self.left, self.right._d()))
@@ -243,7 +257,9 @@ class Div(_Binary):
     def _jet(self, t: float, side: int) -> tuple[float, float]:
         den, dden = self.right._jet(t, side)
         a, da = self.left._jet(t, side)
-        v = a / den
+        v = a / den  # ZeroDivisionError where _eval raises
+        if math.isinf(v):
+            raise OverflowError
         return v, (da - v * dden) / den
 
     def _d(self) -> Expr:
@@ -291,7 +307,11 @@ class Pow(Expr):
     def _jet(self, t: float, side: int) -> tuple[float, float]:
         base, dbase = self.base._jet(t, side)
         exp = self.exponent.value
-        v = base ** exp
+        if base < 0.0 and not _is_whole(exp):
+            raise ArithmeticError  # Python would give a complex number
+        v = base ** exp  # ZeroDivisionError and OverflowError where _eval raises
+        if math.isinf(v):
+            raise OverflowError
         if base == 0.0 and not _is_whole(exp):
             return v, _root_slope(self.base, t, dbase, side, exp)
         try:
@@ -370,7 +390,8 @@ class Apply(Expr):
         if func == "sqrt":
             v = math.sqrt(x)
             return v, dx / (2.0 * v) if v else _root_slope(self.arg, t, dx, side, 0.5)
-        # abs, the one name left: evaluate has rejected any other
+        if func != "abs":
+            raise ValueError(f"unknown function {func!r}")
         if x == 0.0 and dx != 0.0:  # a kink: only one-sided slopes
             return 0.0, side * abs(dx) if side else math.nan
         return abs(x), dx if x > 0.0 else -dx if x < 0.0 else 0.0
@@ -592,16 +613,24 @@ def _root_slope(u: Expr, t: float, du: float, side: int, c: float) -> float:
 
 
 def _jet(e: Expr, t: float, side: int = 0) -> tuple[float, float]:
-    """e(t) and e'(t): evaluate's value, then the slope from one forward pass.
+    """e(t) and e'(t) from one forward pass over the tree.
 
-    evaluate(e, t) runs first, so the value and every DomainError are its
-    own. side is 0 for the two-sided slope, +1 or -1 for a one-sided one; it
-    matters only at a zero of abs (slope side * |u'|), sqrt or a non-integer
-    power (_root_slope). A node with no slope gives NaN, which later nodes
-    propagate; that, or an overflow, raises NotDifferentiable.
+    The pass raises at every node where evaluate would raise, so a finite
+    value from it is evaluate's own. Where it raises or its value is not
+    finite, evaluate(e, t) replays the point and then the pass runs again:
+    every DomainError (message, node, t) is evaluate's. side is 0 for the
+    two-sided slope, +1 or -1 for a one-sided one; it matters only at a zero
+    of abs (slope side * |u'|), sqrt or a non-integer power (_root_slope). A
+    node with no slope gives NaN, which later nodes propagate; that, or an
+    overflow, raises NotDifferentiable.
     """
-    v = evaluate(e, t)
-    s = e._jet(t, side)[1]
+    try:
+        v, s = e._jet(t, side)
+    except (ArithmeticError, ValueError):
+        v = math.nan
+    if not math.isfinite(v):
+        v = evaluate(e, t)
+        s = e._jet(t, side)[1]
     if not math.isfinite(s):
         raise NotDifferentiable(f"no finite derivative at t={t!r}")
     return v, s

@@ -36,7 +36,7 @@ from .errors import (
     QuadratureBudgetExceeded,
     ReversedBounds,
 )
-from .derivative import _EPS, _check_alpha, _richardson, t_alpha
+from .derivative import _EPS, _check_alpha, _richardson, _weight, _weight_overflow, t_alpha
 from .expr import Expr, _evaluate_many, evaluate
 from .timescale import (MEMBERSHIP_RTOL, Q_ENUM_FLOOR, Cell, Jumps, QLatticeClosure, Segment,
                         Site, TimeScale)
@@ -351,7 +351,11 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
         err_parts: list[float] = []
         w = alpha - 1.0
         for steps, panels in _first_pass(f, cells, alpha):
-            contributions += [v * t ** w * (s - t) for v, t, s in steps]
+            try:
+                contributions += [v * t ** w * (s - t) for v, t, s in steps]
+            except OverflowError:  # t ** w falls as t rises: the call's first step overflowed
+                t0 = next(c.points[0] for c in cells if isinstance(c, Jumps))
+                raise _weight_overflow(t0) from None
             for cell, first in panels:
                 v, e = _segment_piece(f, alpha, cell.lo, cell.hi, quad_tol, budget, first)
                 contributions.append(v)
@@ -370,7 +374,7 @@ def single_grain(f: Expr, ts: TimeScale, t: float, alpha: float) -> float:
     if t <= 0.0:
         raise NonPositivePoint(f"single grain needs t > 0, got {t!r}")
     mu = ts.kappa_site(t).mu
-    return evaluate(f, t) * mu * t ** (alpha - 1.0)
+    return evaluate(f, t) * mu * _weight(t, alpha)
 
 
 def indefinite(f: Expr, ts: TimeScale, base: float, t: float, alpha: float,

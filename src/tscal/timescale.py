@@ -62,6 +62,12 @@ class Site(NamedTuple):
         """False only at a left-scattered maximum."""
         return not (self.is_max and self.left_scattered)
 
+    def kappa(self) -> Site:
+        """This site, which must lie in T^kappa (not a left-scattered maximum)."""
+        if self.is_max and self.left_scattered:
+            raise NotInKappa(f"{self.t!r} is a left-scattered maximum")
+        return self
+
     @property
     def label(self) -> str:
         """Right then left structure, as in "rs-ld", with ",min" and ",max"."""
@@ -134,10 +140,7 @@ class TimeScale:
 
     def kappa_site(self, t: float) -> Site:
         """The site of t, which must lie in T^kappa (not a left-scattered maximum)."""
-        s = self.site(t)
-        if not s.in_kappa:
-            raise NotInKappa(f"{t!r} is a left-scattered maximum")
-        return s
+        return self.site(t).kappa()
 
 
 @dataclass(frozen=True)

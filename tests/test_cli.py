@@ -358,6 +358,13 @@ TABLE_COMMANDS = {
     # a kink at the start of R[3,5]: the right jet, exactly 1
     "deriv_abs_one_sided.json": ["deriv", "--scale", "R[3,5]", "--expr", "abs(t-3)",
                                  "--alpha", "1", "--at", "3"],
+    # scattered chains whose cross path is the primary triangle's last
+    # quotient, and a zero limit that evaluates f once at each lattice point;
+    # both goldens were written when every use of a point evaluated f anew
+    "table_qN0_higher.csv": ["deriv", "--scale", "qN0(q=2)", "--expr", "t^3 - 2*t",
+                             "--alpha", "2.5", "--points", "1,2,4,8,16", "--output", "csv"],
+    "deriv_qZbar_at_zero.json": ["deriv", "--scale", "qZbar(q=2)", "--expr", "t*cos(t)",
+                                 "--alpha", "1", "--at", "0"],
 }
 
 

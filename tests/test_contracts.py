@@ -14,6 +14,7 @@ from tscal.errors import (
     EndpointSingularity,
     NonPositivePoint,
     NotDifferentiable,
+    NotInScale,
     NotRepresentable,
     TscalError,
 )
@@ -292,3 +293,66 @@ def test_outside_inputs_raise_typed_errors(name):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value).startswith(message)
+
+
+def _jet_evaluate_first(e, t, side):
+    """The jet as evaluate, then the forward pass for the slope: the
+    reference for the jet's one walk, which replays only a failed point."""
+    v = evaluate(e, t)
+    s = e._jet(t, side)[1]
+    if not math.isfinite(s):
+        raise NotDifferentiable(f"no finite derivative at t={t!r}")
+    return v, s
+
+
+# constants and exponents that overflow, underflow, vanish or sit at exp's edge
+_WIDE_CONSTS = (1e300, -1e300, 1e-300, 0.0, 700.0)
+_WIDE_EXPONENTS = (0.0, 400.0)
+_JET_POINTS = (0.0, 1.0, -1.0, 3.0, 1e300, -1e300, 1e-300, 710.0)
+
+
+@st.composite
+def jet_cases(draw):
+    e = _random_tree(draw(st.randoms(use_true_random=False)),
+                     consts=_WIDE_CONSTS, exponents=_WIDE_EXPONENTS)
+    return e, draw(st.sampled_from(_JET_POINTS) | st.floats(-10.0, 10.0))
+
+
+def _jet_outcome(call):
+    try:
+        v, s = call()
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc), getattr(exc, "expr", None), getattr(exc, "t", None)
+    return v.hex(), s.hex()
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(jet_cases())
+def test_one_walk_jet_equals_evaluate_then_the_pass(case):
+    # the same value and slope bit for bit, or the same error: its type,
+    # message, node and point; and only typed errors, so the pass never
+    # refuses a point that evaluate takes
+    e, t = case
+    for side in (0, 1, -1):
+        got = _jet_outcome(lambda: _jet(e, t, side))
+        assert got == _jet_outcome(lambda: _jet_evaluate_first(e, t, side)), (render(e), t, side)
+        assert isinstance(got[0], str) or issubclass(got[0], TscalError), got
+
+
+@CONTRACT
+@given(scales_and_bounds(), st.floats(-3.0, 3.0), st.floats(-1e-11, 1e-11),
+       st.integers(1, 72))
+def test_site_refuses_exactly_the_points_contains_refuses(case, shift, jitter, k):
+    # the zero limit asks only site; NotRepresentable (hZ at 2**53 steps and
+    # beyond) is no refusal, contains takes those points
+    ts, lo, hi = case
+    for t in (lo, hi, lo + shift, hi * (1.0 + jitter), 0.5 ** k, ts.nearest(0.5 ** k),
+              -lo, math.inf, math.nan):
+        try:
+            ts.site(t)
+        except NotInScale:
+            assert not ts.contains(t), (ts, t)
+        except NotRepresentable:
+            assert ts.contains(t), (ts, t)
+        else:
+            assert ts.contains(t), (ts, t)

@@ -269,6 +269,12 @@ def test_sigma_shift_examples():
     assert sigma_shift(parse("4"), QN2, 8.0, 0.3) == pytest.approx(4.0, rel=1e-12)
 
 
+def test_sigma_shift_weight_overflow_is_typed():
+    # t_alpha's factor t**(1-alpha) is tiny here, the shift's t**(alpha-1) overflows
+    with pytest.raises(NotRepresentable, match=r"^weight t\*\*\(alpha-1\) overflows at t=5e-324$"):
+        sigma_shift(parse("t"), FiniteSet((5e-324, 1.0)), 5e-324, 0.01)
+
+
 def test_sigma_shift_equals_f_sigma_on_scattered_points():
     rng = random.Random(13)
     for _ in range(50):
@@ -549,3 +555,79 @@ def test_zero_limit_of_a_quartic_at_order_one():
     # 1.2e-9; the jet's values converge like t^3 and Aitken lands on 0
     f = parse("1.237956*t^4 - 1.685767")
     assert t_alpha_at_zero(f, RealInterval(0.0, 4.0), 1.0) == 0.0
+
+
+# tests/golden/deriv_shared_points.json holds the outcomes below, as float.hex
+# or "Type: message", as written while t_alpha_higher_paths built the primary's
+# scattered chain again for its cross path and t_alpha_at_zero evaluated f and
+# asked the scale twice at each point: one call now locates and evaluates each
+# point once, and at a right-scattered start the cross path is the quotient of
+# the primary triangle's two order-n entries. The chains cover every shape: scattered ones, one into the
+# maximum of a finite set, ones into a Pab block start and dense starts.
+SHARED_HIGHER_POINTS = {
+    "hZ(1)": (HZ1, (1.0, 2.0, 5.0)),
+    "hZ(0.25)": (UniformLattice(0.25), (0.75, 2.0)),
+    "qN0(2)": (QN2, (1.0, 4.0, 16.0)),
+    "qZbar(2)": (QZ2, (0.25, 1.0, 8.0)),
+    "finite": (FiniteSet((0.5, 1.0, 1.5, 2.5, 4.0, 6.0, 9.0)), (0.5, 1.5, 4.0)),
+    "R": (R, (0.7, 2.0, 3.3)),
+    "R[0,4]": (RealInterval(0.0, 4.0), (1.0, 4.0)),
+    "Pab(1,1)": (PeriodicUnion(1.0, 1.0), (1.0, 2.0, 2.5, 3.0)),
+    "Pab(0.5,1.5)": (PeriodicUnion(0.5, 1.5), (0.5, 2.25)),
+}
+SHARED_HIGHER_FUNCS = ("t^3 - 2*t", "exp(t/4)*sin(t)", "1/(t+0.5)", "sqrt(t)*log(t+1)")
+SHARED_HIGHER_ORDERS = (1.5, 2.0, 2.5, 3.0)
+SHARED_ZERO_SCALES = {"qZbar(1.5)": QLatticeClosure(1.5), "qZbar(2)": QZ2,
+                      "qZbar(3)": QLatticeClosure(3.0), "R[0,4]": RealInterval(0.0, 4.0),
+                      "Pab(1,1)": PeriodicUnion(1.0, 1.0),
+                      # the first point toward 0 is the maximum 0.5: NotInKappa
+                      "finite": FiniteSet((0.0, 0.0625, 0.125, 0.25, 0.5)),
+                      "finite+1": FiniteSet((0.0, 0.0625, 0.125, 0.25, 0.5, 1.0))}
+SHARED_ZERO_FUNCS = ("t^2 + 3*t", "t*cos(t)", "exp(t) - 1", "sin(2*t) + t^3", "sqrt(t)",
+                     "1.237956*t^4 - 1.685767", "t^2 - 5*t + 1", "abs(t-0.3)")
+SHARED_ZERO_ALPHAS = (0.25, 0.5, 1.0)
+
+
+def _hex_outcome(fn):
+    try:
+        value = fn()
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return f"{type(exc).__name__}: {exc}"
+    return [v.hex() for v in value] if isinstance(value, tuple) else value.hex()
+
+
+def _shared_point_outcomes():
+    higher = {}
+    for name, (ts, points) in SHARED_HIGHER_POINTS.items():
+        for text in SHARED_HIGHER_FUNCS:
+            f = parse(text)
+            for t in points:
+                for alpha in SHARED_HIGHER_ORDERS:
+                    higher[f"{name} {text} t={t!r} alpha={alpha!r}"] = _hex_outcome(
+                        lambda: t_alpha_higher_paths(f, ts, t, AlphaOrder(alpha)))
+    zero = {}
+    for name, ts in SHARED_ZERO_SCALES.items():
+        for text in SHARED_ZERO_FUNCS:
+            f = parse(text)
+            for alpha in SHARED_ZERO_ALPHAS:
+                zero[f"{name} {text} alpha={alpha!r}"] = _hex_outcome(
+                    lambda: t_alpha_at_zero(f, ts, alpha))
+    return {"t_alpha_higher_paths": higher, "t_alpha_at_zero": zero}
+
+
+def test_shared_points_match_golden():
+    golden = json.loads((GOLDEN / "deriv_shared_points.json").read_text(encoding="utf-8"))
+    assert _shared_point_outcomes() == golden
+
+
+@pytest.mark.parametrize("call,t", [
+    (lambda: t_alpha_higher_paths(parse("1/(t-3)"), HZ1, 1.0, AlphaOrder(2.5)), 3.0),
+    (lambda: t_alpha_at_zero(parse("1/(t - 0.125)"), QZ2, 0.5), 0.125),
+])
+def test_a_shared_point_raises_at_its_first_evaluation(call, t):
+    # the first point whose value fails, as when every use evaluated it anew
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == f"division by zero at t={t!r}"
+    assert info.value.t == t
+    assert info.value.expr == parse(f"1/(t - {t!r})")

@@ -4,6 +4,7 @@ import math
 import operator
 import random
 import re
+from functools import partial
 
 import mpmath
 import pytest
@@ -308,19 +309,25 @@ def _oracle(e, t):
     return eval(src.replace("^", "**"), {"__builtins__": {}, "t": t, **_MATH})
 
 
-def _random_tree(rng, depth=0):
+def _random_tree(rng, depth=0, consts=(), exponents=()):
+    """A random unfolded tree; consts and exponents widen the leaves' constants
+    and the powers' exponents. Without them no draw is added, so a seeded rng
+    gives the same trees."""
     roll = rng.random()
     if depth >= 4 or roll < 0.3:
         if rng.random() < 0.5:
             return Var()
+        if consts and rng.random() < 0.5:
+            return Const(rng.choice(consts))
         return Const(rng.choice((-1.0, 1.0)) * round(rng.uniform(0.1, 5.0), 3))
+    sub = partial(_random_tree, rng, depth + 1, consts=consts, exponents=exponents)
     if roll < 0.7:
         op = rng.choice((Add, Sub, Mul, Div))
-        return op(_random_tree(rng, depth + 1), _random_tree(rng, depth + 1))
+        return op(sub(), sub())
     if roll < 0.85:
-        exponent = rng.choice((-2.0, -1.0, 0.5, 1.5, 2.0, 3.0))
-        return Pow(_random_tree(rng, depth + 1), Const(exponent))
-    return Apply(rng.choice(tuple(_MATH)), _random_tree(rng, depth + 1))
+        exponent = rng.choice((-2.0, -1.0, 0.5, 1.5, 2.0, 3.0) + exponents)
+        return Pow(sub(), Const(exponent))
+    return Apply(rng.choice(tuple(_MATH)), sub())
 
 
 def test_evaluate_matches_float_oracle_bit_for_bit():
@@ -453,6 +460,15 @@ def test_infinite_exponent_is_not_an_integer_and_never_overflows():
     assert evaluate(square, 1.0) == 16.0
     assert _evaluate_many(square, [1.0, 2.0]) == [16.0, 9.0]
     assert _jet(square, 5.0) == (0.0, 0.0)
+
+
+def test_an_infinite_constant_the_tree_absorbs_keeps_its_jet():
+    # evaluate never raises for x / 1e999 (0.0); the jet's one walk checks
+    # for overflow where evaluate does, not where an inf could be absorbed,
+    # so neither it nor its replay refuses the constant
+    for text, t, want in (("t/1e999", 1.0, (0.0, 0.0)), ("exp(t)/1e999", 2.0, (0.0, 0.0)),
+                          ("(t^2+1)/1e999 + t", 3.0, (3.0, 1.0))):
+        assert _jet(parse(text), t) == want
 
 
 def test_jet_slope_of_cancelling_terms_is_exact():

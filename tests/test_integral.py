@@ -464,6 +464,22 @@ def test_overflowing_integral_raises():
         cauchy(parse("t"), RealInterval(), 1e300, 0.0, 0.5)
 
 
+SUBNORMAL_START = FiniteSet((5e-324, 1.0))
+_WEIGHT_OVERFLOW = r"^weight t\*\*\(alpha-1\) overflows at t=5e-324$"
+
+
+def test_an_overflowing_weight_at_a_subnormal_point_is_typed():
+    # 5e-324 ** -0.99 overflows a float
+    with pytest.raises(NotRepresentable, match=_WEIGHT_OVERFLOW):
+        cauchy(parse("1"), SUBNORMAL_START, 5e-324, 1.0, 0.01)
+    with pytest.raises(NotRepresentable, match=_WEIGHT_OVERFLOW):
+        single_grain(parse("1"), SUBNORMAL_START, 5e-324, 0.01)
+    # f is evaluated at the step before its weight, so f's error comes first
+    with pytest.raises(DomainError, match=r"^division by zero at t=5e-324$"):
+        cauchy(parse("1/(t - 5e-324)"), SUBNORMAL_START, 5e-324, 1.0, 0.01)
+    assert cauchy(parse("1"), SUBNORMAL_START, 5e-324, 1.0, 1.0).value == 1.0
+
+
 # cauchy over runs of isolated points, pinned as computed when decompose gave
 # one cell per step: (value, est_error, cells_used) must match bit for bit
 PA = PeriodicUnion(1.0, 2.0)
