@@ -52,6 +52,7 @@ from .timescale import (
     QPowers,
     RealInterval,
     Segment,
+    Series,
     TimeScale,
     UniformLattice,
     finite_from_file,
@@ -64,7 +65,7 @@ __all__ = [
     "AlphaOrder", "IntegralResult",
     "FtcReport", "MonotonicityReport", "VerificationReport", "LAWS",
     "TimeScale", "RealInterval", "UniformLattice", "QLatticeClosure",
-    "QPowers", "PeriodicUnion", "FiniteSet", "Jumps", "Segment",
+    "QPowers", "PeriodicUnion", "FiniteSet", "Jumps", "Segment", "Series",
     "Expr", "parse_expr", "parse_scale", "finite_from_file",
     "evaluate", "derivative", "nth_derivative", "substitute", "render",
     "t_alpha", "t_alpha_at_zero", "t_alpha_higher", "t_alpha_higher_paths",

@@ -356,10 +356,11 @@ class Apply(Expr):
                 return math.exp(x)
             except OverflowError:
                 raise DomainError("exp overflow", self, t) from None
-        if func == "sin":
-            return math.sin(x)
-        if func == "cos":
-            return math.cos(x)
+        if func == "sin" or func == "cos":
+            try:
+                return math.sin(x) if func == "sin" else math.cos(x)
+            except ValueError:  # x is +-inf
+                raise DomainError(f"{func} of an infinite value", self, t) from None
         if func == "sqrt":
             if x < 0.0:
                 raise DomainError("sqrt of a negative value", self, t)
@@ -426,7 +427,7 @@ class Apply(Expr):
 
 _FUNCS = ("log", "exp", "sin", "cos", "sqrt", "abs")
 # math raises where _eval raises DomainError: log of x <= 0, exp overflow,
-# sqrt of x < 0, and also on sin and cos of inf
+# sqrt of x < 0, sin and cos of +-inf
 _MANY = {"log": math.log, "exp": math.exp, "sin": math.sin, "cos": math.cos,
          "sqrt": math.sqrt, "abs": abs}
 _ROOT_ORDER_CAP = 8  # the highest Taylor order _root_slope asks for
@@ -560,8 +561,9 @@ def parse(source: str) -> Expr:
 def evaluate(e: Expr, t: float) -> float:
     """Evaluate e at t; raises DomainError rather than returning NaN or inf."""
     v = e._eval(t)
-    if math.isnan(v):
-        raise DomainError("evaluation produced NaN", e, t)
+    if not math.isfinite(v):  # nodes raise on overflow: an inf comes from a constant
+        raise DomainError("evaluation produced NaN" if math.isnan(v) else
+                          "evaluation produced an infinite value", e, t)
     return v
 
 

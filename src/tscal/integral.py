@@ -7,15 +7,18 @@ Gauss-Kronrod G7K15 quadrature (QUADPACK) in the variable u = t**alpha, where
 the integrand becomes (1/alpha) * f(u**(1/alpha)): the weight, singular at a
 zero endpoint when alpha < 1, disappears exactly. The 15-point rule is
 unrolled, summing in QUADPACK's loop order bit for bit, and a first panel
-already within quad_tol is the answer. One first pass serves both cells: in
-cell order, each run's steps and each segment's 15 first-panel nodes are
-packed into walks of f's tree of at most _BATCH_SIZE points, a longer run cut
-into pieces, and a walk is taken from _BATCH_MIN points. Refinement panels are
+already within quad_tol is the answer. From 0 on a geometric lattice the
+scale gives one Series cell, summed downward as a series that stops on an
+observed geometric tail estimate.
+
+cauchy is one loop over walks of the other two kinds of cell. In cell order,
+each run's steps and each segment's 15 first-panel nodes are packed into
+walks of f's tree of at most _BATCH_SIZE points, a longer run cut into pieces,
+and a walk is taken from _BATCH_MIN points. Each cell of a walk is then
+integrated where it stands, from the walk's values. Refinement panels are
 evaluated node by node, and every cell of a walk that fails or is not taken is
 integrated alone, in order, so values and the first error are identical to
 evaluating each point on its own.
-Geometric lattices accumulating at 0 are summed as a series that stops on an
-observed geometric tail estimate.
 """
 
 from __future__ import annotations
@@ -23,9 +26,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import partial
-from itertools import islice, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from itertools import repeat
+from typing import Callable
 
 from .errors import (
     DomainError,
@@ -38,8 +40,7 @@ from .errors import (
 )
 from .derivative import _EPS, _check_alpha, _richardson, _weight, _weight_overflow, t_alpha
 from .expr import Expr, _evaluate_many, evaluate
-from .timescale import (MEMBERSHIP_RTOL, Q_ENUM_FLOOR, Cell, Jumps, QLatticeClosure, Segment,
-                        Site, TimeScale)
+from .timescale import MEMBERSHIP_RTOL, Cell, Jumps, Series, Site, TimeScale
 
 __all__ = [
     "IntegralResult", "cauchy", "single_grain", "indefinite",
@@ -186,11 +187,10 @@ def _kronrod(g: Callable[[float], float], lo: float, hi: float, tol: float,
 def _segment_piece(f: Expr, alpha: float, lo: float, hi: float, quad_tol: float,
                    budget: list[int], first: tuple[float, float, float] | None = None
                    ) -> tuple[float, float]:
-    """Integral of f(t) t**(alpha-1) over [lo, hi]; below alpha = 1 it is
-    (1/alpha) f(u**(1/alpha)) over [lo**alpha, hi**alpha], with u = t**alpha.
-    first is the first panel, if _first_pass has evaluated it."""
-    if alpha == 1.0:
-        return _kronrod(partial(evaluate, f), lo, hi, quad_tol, budget, first)
+    """Integral of f(t) t**(alpha-1) over [lo, hi], as (1/alpha) f(u**(1/alpha))
+    over [lo**alpha, hi**alpha] with u = t**alpha; at alpha = 1 the substitution
+    is the identity bit for bit. first is the first panel, if a walk has
+    evaluated it."""
     inv = 1.0 / alpha
 
     def integrand(u: float) -> float:
@@ -206,70 +206,55 @@ def _segment_piece(f: Expr, alpha: float, lo: float, hi: float, quad_tol: float,
     return _kronrod(integrand, lo ** alpha, hi ** alpha, quad_tol, budget, first)
 
 
-if TYPE_CHECKING:  # a runtime alias would pin Segment in typing's cache
-    # One part of a call's cells: each step's (f(t), t, sigma(t)), then each
-    # segment with its first G7K15 panel, or None where it is still to evaluate.
-    _Part = tuple[Iterable[tuple[float, float, float]],
-                  Iterable[tuple[Segment, tuple[float, float, float] | None]]]
-
-
-def _first_pass(f: Expr, cells: list[Cell], alpha: float) -> Iterator[_Part]:
-    """The call's cells as parts, in order, each segment's panel as
-    _segment_piece would evaluate it. The cells are packed in order into
-    walks of at most _BATCH_SIZE points (a run's step starts and a segment's
-    15 first-panel nodes), a longer run cut into pieces of _BATCH_SIZE steps,
-    and a walk is evaluated only once the parts before it are consumed."""
+def _walks(cells: list[Cell]) -> list[tuple[list[Cell], int]]:
+    """The cells packed in order into walks of at most _BATCH_SIZE points (a
+    run's step starts and a segment's 15 first-panel nodes), a longer run cut
+    into pieces of _BATCH_SIZE steps: each walk's cells and its points."""
+    walks: list[tuple[list[Cell], int]] = []
     walk: list[Cell] = []
     size = 0
     for cell in cells:
-        pieces: Iterable[Cell] = (cell,)
+        pieces: list[Cell] = [cell]
         if isinstance(cell, Jumps) and len(cell.points) > _BATCH_SIZE + 1:
             p = cell.points
-            pieces = (Jumps(p[i:i + _BATCH_SIZE + 1]) for i in range(0, len(p) - 1, _BATCH_SIZE))
+            pieces = [Jumps(p[i:i + _BATCH_SIZE + 1]) for i in range(0, len(p) - 1, _BATCH_SIZE)]
         for piece in pieces:
             n = len(piece.points) - 1 if isinstance(piece, Jumps) else 15
             if size + n > _BATCH_SIZE:
-                yield from _walk_parts(f, walk, size, alpha)
+                walks.append((walk, size))
                 walk, size = [], 0
             walk.append(piece)
             size += n
-    yield from _walk_parts(f, walk, size, alpha)
+    walks.append((walk, size))
+    return walks
 
 
-def _walk_parts(f: Expr, walk: list[Cell], size: int, alpha: float) -> list[_Part]:
-    """One walk of f's tree over the walk's size points, as one part. Every
-    cell of a walk under _BATCH_MIN points, or in which any point fails, is a
-    part of its own, with no panel, whose steps evaluate f one by one as they
-    are consumed, so errors come in cell order."""
-    if size >= _BATCH_MIN:
-        inv = 1.0 / alpha
-        runs = [c.points for c in walk if isinstance(c, Jumps)]
-        segments = [c for c in walk if not isinstance(c, Jumps)]
-        starts = [t for p in runs for t in p[:-1]]
-        try:
-            nodes = [u ** inv for c in segments for u in _gk15_nodes(c.lo ** alpha, c.hi ** alpha)]
-            values = _evaluate_many(f, starts + nodes)
-        except OverflowError:  # its segment raises it alone, in order
-            values = None
-        if values is not None:
-            ends = [s for p in runs for s in p[1:]]
-            gs = [v * inv for v in islice(values, len(starts), None)]
-            panels = [(c, _gk15_rule(gs[15 * k:15 * k + 15], 0.5 * (c.hi ** alpha - c.lo ** alpha)))
-                      for k, c in enumerate(segments)]
-            return [(zip(values, starts, ends), panels)]
-    parts: list[_Part] = []
-    for c in walk:
-        if isinstance(c, Jumps):
-            p = c.points
-            parts.append((zip(map(evaluate, repeat(f), p[:-1]), p, p[1:]), ()))
-        else:
-            parts.append(((), ((c, None),)))
-    return parts
+def _walk_values(f: Expr, walk: list[Cell], size: int, alpha: float) -> list[float] | None:
+    """f at each run's step starts and at each segment's 15 first-panel nodes
+    t = u**(1/alpha), cell by cell, from one walk of f's tree over its size
+    points; None below _BATCH_MIN points or if any point fails."""
+    if size < _BATCH_MIN:
+        return None
+    inv = 1.0 / alpha
+    points: list[float] = []
+    try:
+        for c in walk:
+            if isinstance(c, Jumps):
+                points += c.points[:-1]
+            else:
+                points += [u ** inv for u in _gk15_nodes(c.lo ** alpha, c.hi ** alpha)]
+    except OverflowError:  # its segment raises it alone, in order
+        return None
+    return _evaluate_many(f, points)
 
 
-def _q_series_from_zero(f: Expr, ts: QLatticeClosure, hi: float, alpha: float,
+# The series from 0 stops at q**-Q_ENUM_FLOOR, its enumeration cutoff.
+Q_ENUM_FLOOR = 64
+
+
+def _q_series_from_zero(f: Expr, cell: Series, alpha: float,
                         quad_tol: float) -> tuple[float, float, int]:
-    """Jump-series value of the integral over [0, hi] on q**Z with 0 attached.
+    """Jump-series value of the integral over the cell [0, hi] of q**Z with 0.
 
     Terms f(q**j) * (q**j)**(alpha-1) * mu(q**j) are summed downward from hi
     until the geometric tail estimate drops below quad_tol. Only a ratio of two
@@ -278,16 +263,17 @@ def _q_series_from_zero(f: Expr, ts: QLatticeClosure, hi: float, alpha: float,
     or near a zero of f never stops the series. A tail above quad_tol at
     q**-Q_ENUM_FLOOR, or no such ratio by then, raises EndpointSingularity.
     """
-    q = ts.q
+    q, hi = cell.q, cell.hi
     cutoff = q ** -Q_ENUM_FLOOR
     r_theory, r_floor = q ** -alpha, q ** -(alpha + 8.0)
+    w, q1 = alpha - 1.0, q - 1.0
     k_top = round(math.log(hi) / math.log(q))
     terms: list[float] = []
     prev_mag, tail = 0.0, math.inf
     j = k_top - 1
     while True:
         t_j = q ** j
-        term = evaluate(f, t_j) * t_j ** (alpha - 1.0) * ((q - 1.0) * t_j)
+        term = evaluate(f, t_j) * t_j ** w * (q1 * t_j)
         terms.append(term)
         mag = abs(term)
         ratio = mag / prev_mag if prev_mag > 0.0 else 0.0
@@ -338,10 +324,10 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
     sign = 1.0 if a < b else -1.0
     lo, hi = (a, b) if a < b else (b, a)
 
-    if isinstance(ts, QLatticeClosure) and lo == 0.0:
-        value, err, used = _q_series_from_zero(f, ts, hi, alpha, quad_tol)
+    cells = ts.decompose(lo, hi)
+    if cells and isinstance(cells[0], Series):  # a series is the only cell from 0
+        value, err, used = _q_series_from_zero(f, cells[0], alpha, quad_tol)
     else:
-        cells = ts.decompose(lo, hi)
         # cells rise from lo >= 0, so only the first can be a jump at 0
         if alpha < 1.0 and cells and isinstance(cells[0], Jumps) and cells[0].points[0] <= 0.0:
             raise EndpointSingularity(
@@ -349,17 +335,27 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
         budget = [_MAX_SUBDIVISIONS]
         contributions: list[float] = []
         err_parts: list[float] = []
-        w = alpha - 1.0
-        for steps, panels in _first_pass(f, cells, alpha):
-            try:
-                contributions += [v * t ** w * (s - t) for v, t, s in steps]
-            except OverflowError:  # t ** w falls as t rises: the call's first step overflowed
-                t0 = next(c.points[0] for c in cells if isinstance(c, Jumps))
-                raise _weight_overflow(t0) from None
-            for cell, first in panels:
-                v, e = _segment_piece(f, alpha, cell.lo, cell.hi, quad_tol, budget, first)
-                contributions.append(v)
-                err_parts.append(e)
+        w, inv = alpha - 1.0, 1.0 / alpha
+        for walk, size in _walks(cells):
+            values = _walk_values(f, walk, size, alpha)
+            i = 0  # the cell's first value
+            for cell in walk:
+                if isinstance(cell, Jumps):
+                    p = cell.points
+                    n = len(p) - 1
+                    vs = map(evaluate, repeat(f), p[:-1]) if values is None else values[i:i + n]
+                    i += n
+                    try:
+                        contributions += [v * t ** w * (s - t) for v, t, s in zip(vs, p, p[1:])]
+                    except OverflowError:  # t ** w falls as t rises: the run's first step
+                        raise _weight_overflow(p[0]) from None
+                else:
+                    first = None if values is None else _gk15_rule(
+                        [v * inv for v in values[i:i + 15]], 0.5 * (cell.hi ** alpha - cell.lo ** alpha))
+                    i += 15
+                    v, e = _segment_piece(f, alpha, cell.lo, cell.hi, quad_tol, budget, first)
+                    contributions.append(v)
+                    err_parts.append(e)
         # one contribution per step and per segment
         value, err, used = math.fsum(contributions), math.fsum(err_parts), len(contributions)
     if not (math.isfinite(value) and math.isfinite(err)):
@@ -488,7 +484,7 @@ def _sample_scale_points(ts: TimeScale, lo: float, hi: float) -> list[float]:
     for cell in ts.decompose(lo, hi):
         if isinstance(cell, Jumps):
             ends.update(cell.points)
-        else:
+        else:  # a Segment: lo > 0, so never a Series
             width = cell.hi - cell.lo
             ends.update((cell.lo, cell.lo + width))
             widths[cell.lo] = width

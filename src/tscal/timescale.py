@@ -21,14 +21,10 @@ from .errors import NotInKappa, NotInScale, NotRepresentable, ReversedBounds, \
 __all__ = [
     "TimeScale", "RealInterval", "UniformLattice", "QLatticeClosure",
     "QPowers", "PeriodicUnion", "FiniteSet", "Site", "Jumps",
-    "Segment", "parse_scale", "finite_from_file",
+    "Segment", "Series", "parse_scale", "finite_from_file",
 ]
 
 MEMBERSHIP_RTOL = 1e-12
-
-# Geometric lattices accumulate at 0; enumeration stops at q**-Q_ENUM_FLOOR and
-# everything below is treated as the dense tail into 0.
-Q_ENUM_FLOOR = 64
 
 _MAX_CELLS = 1 << 22
 
@@ -91,7 +87,15 @@ class Segment:
     hi: float
 
 
-Cell = Jumps | Segment
+@dataclass(frozen=True)
+class Series:
+    """The points q**j below hi of a geometric lattice, accumulating at 0: the
+    cell [0, hi], an infinite run of isolated steps."""
+    q: float
+    hi: float
+
+
+Cell = Jumps | Segment | Series
 
 
 class TimeScale:
@@ -111,9 +115,10 @@ class TimeScale:
 
     def decompose(self, lo: float, hi: float) -> list[Cell]:
         """Ordered cells partitioning [lo, hi] in traversal order: one Jumps
-        per maximal run of isolated steps and one Segment per continuum piece,
-        each starting where the one before ends. More than _MAX_CELLS steps
-        and segments raise ValueError."""
+        per maximal run of isolated steps, one Segment per continuum piece and,
+        from a point where isolated points accumulate, one Series, each
+        starting where the one before ends. More than _MAX_CELLS steps and
+        segments raise ValueError."""
         raise NotImplementedError
 
     def _outside(self, t: float) -> NotInScale:
@@ -241,6 +246,17 @@ def _q_site(ts: QLatticeClosure | QPowers, t: float, k_min: float) -> Site:
     return Site(t, ts.q ** (k + 1), (ts.q - 1.0) * t, 0.0, 0.0, k > k_min, k == k_min)
 
 
+def _q_run(q: float, lo: float, hi: float) -> list[Cell]:
+    """The run of a geometric lattice from lo to hi, both positive lattice
+    points; none when both are the same point."""
+    k0, k1 = _q_exponent(q, lo), _q_exponent(q, hi)
+    if k1 == k0:
+        return []
+    if k1 - k0 > _MAX_CELLS:
+        raise ValueError(f"decomposition would need {k1 - k0} cells")
+    return [Jumps((lo, *[q ** k for k in range(k0 + 1, k1)], hi))]
+
+
 @dataclass(frozen=True)
 class QLatticeClosure(TimeScale):
     """The geometric lattice {q**k : k integer} together with 0, q > 1."""
@@ -268,21 +284,9 @@ class QLatticeClosure(TimeScale):
 
     def decompose(self, lo, hi):
         self._check_bounds(lo, hi)
-        if lo == hi or hi == 0.0:
+        if hi == 0.0:
             return []
-        k1 = _q_exponent(self.q, hi)
-        if lo == 0.0:
-            k0 = -Q_ENUM_FLOOR
-            if k1 <= k0:
-                return [Segment(0.0, hi)]
-            head: list[Cell] = [Segment(0.0, self.q ** k0)]
-        else:
-            k0 = _q_exponent(self.q, lo)
-            head = []
-        if k1 - k0 > _MAX_CELLS:
-            raise ValueError(f"decomposition would need {k1 - k0} cells")
-        start = self.q ** k0 if head else lo
-        return head + [Jumps((start, *[self.q ** k for k in range(k0 + 1, k1)], hi))]
+        return [Series(self.q, hi)] if lo == 0.0 else _q_run(self.q, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -309,13 +313,7 @@ class QPowers(TimeScale):
 
     def decompose(self, lo, hi):
         self._check_bounds(lo, hi)
-        k0 = _q_exponent(self.q, lo)
-        k1 = _q_exponent(self.q, hi)
-        if k1 == k0:
-            return []
-        if k1 - k0 > _MAX_CELLS:
-            raise ValueError(f"decomposition would need {k1 - k0} cells")
-        return [Jumps((lo, *[self.q ** k for k in range(k0 + 1, k1)], hi))]
+        return _q_run(self.q, lo, hi)
 
 
 @dataclass(frozen=True)

@@ -411,6 +411,16 @@ def test_pab_kink_integral_matches_golden_output():
     assert out.encode() == (GOLDEN / "integ_Pab_kink.json").read_bytes()
 
 
+# the series from 0 on qZbar: 53 terms summed down from 8 until the tail settles
+QZBAR_SERIES_INTEG = ["integ", "--scale", "qZbar(q=2)", "--expr", "exp(-t)*cos(t)",
+                      "--alpha", "0.7", "--from", "0", "--to", "8"]
+
+
+def test_qzbar_series_integral_matches_golden_output():
+    code, out, _ = run_cli(QZBAR_SERIES_INTEG)
+    assert code == 0
+    assert out.encode() == (GOLDEN / "integ_qZbar_series.json").read_bytes()
+
 def test_snap_is_echoed(tmp_path):
     # 2**-3 typed as decimal text snaps onto the lattice point exactly
     code, out, _ = run_cli(["deriv", "--scale", "qZbar(q=2)", "--expr", "t",
@@ -466,6 +476,13 @@ def test_unrepresentable_results_exit_3_without_output(args):
     assert (code, out) == (3, "")
     assert err.startswith("tscal: NotRepresentable: ")
 
+
+
+def test_sin_of_an_infinite_constant_exits_3_with_a_domain_error():
+    code, out, err = run_cli(["deriv", "--scale", "R", "--expr", "sin(1e999)",
+                              "--alpha", "1", "--at", "1"])
+    assert (code, out) == (3, "")
+    assert err == "tscal: DomainError: sin of an infinite value at t=1.0\n"
 
 def test_kink_inside_a_continuum_exits_3_without_output():
     code, out, err = run_cli(["deriv", "--scale", "R", "--expr", "abs(t-3)",

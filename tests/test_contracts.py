@@ -29,6 +29,7 @@ from tscal.timescale import (
     QPowers,
     RealInterval,
     Segment,
+    Series,
     UniformLattice,
 )
 from test_expr import _random_tree  # the evaluation tests' random trees
@@ -75,9 +76,10 @@ def scales_and_bounds(draw):
 def test_cells_telescope_from_lo_to_hi(case):
     ts, lo, hi = case
     cells = ts.decompose(lo, hi)
-    assert all(type(c) in (Jumps, Segment) for c in cells)
-    spans = [(c.points[0], c.points[-1]) if isinstance(c, Jumps) else (c.lo, c.hi)
-             for c in cells]
+    assert all(type(c) in (Jumps, Segment, Series) for c in cells)
+    # a series is the cell [0, hi] of the points accumulating at 0
+    spans = [(c.points[0], c.points[-1]) if isinstance(c, Jumps) else
+             (0.0, c.hi) if isinstance(c, Series) else (c.lo, c.hi) for c in cells]
     if lo == hi:
         assert cells == []
         return
@@ -108,9 +110,9 @@ def test_run_points_are_scale_points_each_jumping_to_the_next(case):
 @given(scales_and_bounds())
 def test_cauchy_uses_one_cell_per_step_and_segment(case):
     ts, lo, hi = case
-    if lo < 0.0 or (isinstance(ts, QLatticeClosure) and lo == 0.0):
-        return  # cauchy takes bounds >= 0; qZbar from 0 sums a series instead
     cells = ts.decompose(lo, hi)
+    if lo < 0.0 or any(isinstance(c, Series) for c in cells):
+        return  # cauchy takes bounds >= 0, and sums a series term by term
     steps = sum(len(c.points) - 1 for c in cells if isinstance(c, Jumps))
     segments = sum(isinstance(c, Segment) for c in cells)
     assert cauchy(ONE, ts, lo, hi, 1.0).cells_used == steps + segments

@@ -503,6 +503,13 @@ def test_infinite_exponent_at_a_zero_base_is_a_value_or_a_typed_error():
     assert t_alpha(f, RealInterval(3.0, 5.0), 3.0, 1.0) == 0.0
 
 
+
+def test_an_infinite_constant_has_no_derivative():
+    # evaluate refuses inf, so the quotient is never (inf - inf) / mu
+    for ts in (HZ1, R):
+        with pytest.raises(DomainError, match=r"^evaluation produced an infinite value"):
+            t_alpha(parse("1e999"), ts, 1.0, 1.0)
+
 def test_only_a_kink_with_room_on_both_sides_raises():
     # abs(t-3) at 3 raises above; abs of 0 inside a smooth
     # square has equal one-sided slopes, and at the start of a block or of

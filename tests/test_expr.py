@@ -471,6 +471,28 @@ def test_an_infinite_constant_the_tree_absorbs_keeps_its_jet():
         assert _jet(parse(text), t) == want
 
 
+
+@pytest.mark.parametrize("src", ["1e999", "exp(1e999)", "log(1e999)", "sqrt(1e999)",
+                                 "abs(1e999)"])
+def test_an_infinite_root_value_raises(src):
+    # exp, log and sqrt of inf are inf without an error from math, so the root
+    # check is what refuses them; parse leaves them unfolded
+    with pytest.raises(DomainError, match=r"^evaluation produced an infinite value at t=1\.0$"):
+        evaluate(parse(src), 1.0)
+    assert _evaluate_many(parse(src), [1.0, 2.0]) is None
+
+
+@pytest.mark.parametrize("func", ["sin", "cos"])
+def test_sin_and_cos_of_an_infinite_value_raise_at_their_node(func):
+    # math raises a bare ValueError here; parse must not fold the subtree
+    node = Apply(func, Const(math.inf))
+    assert parse(f"{func}(1e999)") == node
+    with pytest.raises(DomainError, match=rf"^{func} of an infinite value at t=1\.0$") as info:
+        evaluate(Add(Var(), node), 1.0)
+    assert info.value.expr == node
+    with pytest.raises(DomainError, match=rf"^{func} of an infinite value at t=2\.0$"):
+        _jet(node, 2.0)
+
 def test_jet_slope_of_cancelling_terms_is_exact():
     e = parse("(t^3)-(t*(t^2))")
     value, slope = _jet(e, 5.188168)

@@ -62,7 +62,8 @@ def test_zero_width_integral():
 
 @pytest.mark.parametrize("ts, a, b", [
     (HZ1, 1.0, 1.0 + 1e-13), (HZ1, 0.0, 1e-13), (QN2, 2.0, 2.0 * (1.0 + 1e-13)),
-    (FiniteSet((1.0, 2.0, 4.0)), 2.0, 2.0 + 1e-13), (PeriodicUnion(1.0, 1.0), 3.0, 3.0 + 1e-13)])
+    (FiniteSet((1.0, 2.0, 4.0)), 2.0, 2.0 + 1e-13), (PeriodicUnion(1.0, 1.0), 3.0, 3.0 + 1e-13),
+    (QZ2, 2.0, 2.0000000000002)])
 def test_endpoints_within_slack_of_one_point(ts, a, b):
     # both endpoints are the same scale point, so there is no cell to integrate
     res = cauchy(parse("t"), ts, a, b, 0.5)
@@ -464,6 +465,12 @@ def test_overflowing_integral_raises():
         cauchy(parse("t"), RealInterval(), 1e300, 0.0, 0.5)
 
 
+
+def test_an_infinite_constant_integrand_raises_a_domain_error():
+    # evaluate refuses the constant at the first node, before any sum
+    with pytest.raises(DomainError, match=r"^evaluation produced an infinite value at t=1\.5$"):
+        cauchy(parse("1e999"), R, 1.0, 2.0, 1.0)
+
 SUBNORMAL_START = FiniteSet((5e-324, 1.0))
 _WEIGHT_OVERFLOW = r"^weight t\*\*\(alpha-1\) overflows at t=5e-324$"
 
@@ -507,6 +514,37 @@ def test_jump_runs_match_pinned_sums(text, ts, lo, hi, alpha, expected):
     assert (res.value, res.est_error, res.cells_used) == expected
     back = cauchy(parse(text), ts, hi, lo, alpha)
     assert (back.value, back.cells_used) == (-expected[0], expected[2])
+
+
+# alpha = 1 segments that refine, and series sums from 0 on qZbar, pinned by
+# float.hex as computed when alpha = 1 integrated f directly rather than through
+# the substitution u = t**alpha: (value, est_error, cells_used)
+KINK = "sqrt(abs(t - 20.55) + 0.02)"
+HEX_PINS = [
+    (KINK, R, 20.0, 21.0, 1.0, ("0x1.fde224d989e0ap-2", "0x1.f2c668e0782ebp-36", 1)),
+    (KINK, PeriodicUnion(1.0, 1.0), 0.5, 30.5, 1.0,
+     ("0x1.44ae28c613687p+6", "0x1.fa8f0c7bf27e3p-36", 31)),
+    ("exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1)", R, 0.0, 40.0, 1.0,
+     ("0x1.d03d91cba7235p+0", "0x1.33dcc6c51908bp-35", 1)),
+    ("exp(-t)*cos(t)", QLatticeClosure(1.5), 0.0, 1.5 ** 4, 1.0,
+     ("0x1.389664e9cc8e6p-1", "0x1.66d807bb25485p-35", 63)),
+    ("t^2+1", QLatticeClosure(1.5), 0.0, 1.5 ** 2, 0.9,
+     ("0x1.2cbe37c6f8160p+2", "0x1.675c0ba69156cp-34", 66)),
+    ("t*sin(t)", QLatticeClosure(1.5), 0.0, 1.5 ** 6, 0.5,
+     ("0x1.bda03455fcfcdp+2", "0x1.824656bb6ab93p-36", 31)),
+    ("1/(1+t)", QLatticeClosure(3.0), 0.0, 9.0, 0.6,
+     ("0x1.e48fcce0faf95p+1", "0x1.f2e7f6dcfde52p-36", 40)),
+    ("t*exp(-t)", QLatticeClosure(3.0), 0.0, 27.0, 1.0,
+     ("0x1.d612dbda8d14ap+0", "0x1.184c3f8a60160p-35", 14)),
+    ("exp(-t)*cos(t)", QLatticeClosure(3.0), 0.0, 27.0, 0.7,
+     ("0x1.8e4a205f72190p+0", "0x1.380be1b6f9396p-35", 35)),
+]
+
+
+@pytest.mark.parametrize("text,ts,lo,hi,alpha,expected", HEX_PINS)
+def test_refined_segments_and_series_match_hex_pins(text, ts, lo, hi, alpha, expected):
+    res = cauchy(parse(text), ts, lo, hi, alpha)
+    assert (res.value.hex(), res.est_error.hex(), res.cells_used) == expected
 
 
 # the first error of a sum is the first failing cell in traversal order
@@ -704,11 +742,14 @@ def test_segment_first_panels_match_pinned_sums(segments, alpha, expected):
     assert (res.value, res.est_error, res.cells_used) == expected
 
 
-def _first_panels(text, lo, hi, alpha, ts=P11):
-    """Each segment's first panel from cauchy's first pass, or None where its
-    walk failed or was not taken."""
-    walks = integral_module._first_pass(parse(text), ts.decompose(lo, hi), alpha)
-    return [first for _, panels in walks for _, first in panels]
+def _walked_segments(text, lo, hi, alpha, ts=P11):
+    """For each segment of cauchy's walks, whether its first panel comes from
+    its walk: False where the walk failed or was not taken."""
+    f = parse(text)
+    return [values is not None
+            for walk, size in integral_module._walks(ts.decompose(lo, hi))
+            for values in [integral_module._walk_values(f, walk, size, alpha)]
+            for c in walk if isinstance(c, Segment)]
 
 
 @pytest.mark.parametrize("alpha,t", [(1.0, 700.6038924775039), (0.75, 700.603849793623)])
@@ -717,8 +758,8 @@ def test_a_segment_failing_in_a_later_walk_raises_in_cell_order(alpha, t):
     # passes, and the segment [700, 701] fails in the second; the steps pass
     text = "sqrt(abs(t - 700.6) - 0.05)"
     assert integral_module._BATCH_SIZE == 4096
-    panels = _first_panels(text, 0.5, 798.5, alpha)
-    assert None not in panels[:256] and panels[256:] == [None] * 144
+    walked = _walked_segments(text, 0.5, 798.5, alpha)
+    assert walked == [True] * 256 + [False] * 144
     with pytest.raises(DomainError) as info:
         cauchy(parse(text), P11, 0.5, 798.5, alpha)
     assert (str(info.value), info.value.t) == (f"sqrt of a negative value at t={t!r}", t)
@@ -730,7 +771,7 @@ def test_a_refinement_panel_failing_after_every_first_panel_passed(alpha, t):
     # no first-panel node of [20, 21] falls in (20.53, 20.57), where f fails;
     # the kink at 20.55 makes the panel split until a node does
     text = "sqrt(abs(t - 20.55) - 0.02)"
-    assert None not in _first_panels(text, 0.5, 30.5, alpha)
+    assert all(_walked_segments(text, 0.5, 30.5, alpha))
     with pytest.raises(DomainError) as info:
         cauchy(parse(text), P11, 0.5, 30.5, alpha)
     assert (str(info.value), info.value.t) == (f"sqrt of a negative value at t={t!r}", t)
@@ -741,8 +782,8 @@ def test_a_refinement_failing_before_a_later_step_of_its_walk_raises_first(alpha
     # the steps and first panels share one walk, which fails at the step from
     # 25; the cells then go alone, in order, and [20, 21]'s refinement fails first
     text = "sqrt(abs(t - 20.55) - 0.02) + 1/(t - 25)"
-    steps, panels = next(integral_module._first_pass(parse(text), P11.decompose(0.5, 30.5), alpha))
-    assert (list(steps), list(panels)) == ([], [(Segment(0.5, 1.0), None)])  # alone
+    [(walk, size)] = integral_module._walks(P11.decompose(0.5, 30.5))
+    assert integral_module._walk_values(parse(text), walk, size, alpha) is None
     with pytest.raises(DomainError) as info:
         cauchy(parse(text), P11, 0.5, 30.5, alpha)
     assert (str(info.value), info.value.t) == (f"sqrt of a negative value at t={t!r}", t)
@@ -754,10 +795,10 @@ def test_a_lone_segment_is_the_same_walked_or_alone(monkeypatch, alpha):
     # 15 nodes clear _BATCH_MIN, so a lone R segment is walked; a floor of 16
     # integrates it alone
     f, bounds = parse(SMOOTH), ((0.5, 1.0), (0.0, 3.7), (1.0, 40.0))
-    assert None not in [_first_panels(SMOOTH, lo, hi, alpha, R)[0] for lo, hi in bounds]
+    assert [_walked_segments(SMOOTH, lo, hi, alpha, R) for lo, hi in bounds] == [[True]] * 3
     walked = [cauchy(f, R, lo, hi, alpha) for lo, hi in bounds]
     monkeypatch.setattr(integral_module, "_BATCH_MIN", 16)
-    assert [_first_panels(SMOOTH, lo, hi, alpha, R) for lo, hi in bounds] == [[None]] * 3
+    assert [_walked_segments(SMOOTH, lo, hi, alpha, R) for lo, hi in bounds] == [[False]] * 3
     alone = [cauchy(f, R, lo, hi, alpha) for lo, hi in bounds]
     assert [struct.pack("<2d", r.value, r.est_error) for r in walked] == \
         [struct.pack("<2d", r.value, r.est_error) for r in alone]

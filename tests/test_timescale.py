@@ -17,6 +17,7 @@ from tscal.timescale import (
     QPowers,
     RealInterval,
     Segment,
+    Series,
     TimeScale,
     UniformLattice,
     finite_from_file,
@@ -93,12 +94,13 @@ def test_decompose_from_block_end():
     assert _typed(PeriodicUnion(1.0, 2.0).decompose(3.0, 3.5)) == [(Segment, 3.0, 3.5)]
 
 
-def test_qlattice_decompose_from_zero_has_dense_stub():
+def test_qlattice_decompose_from_zero_is_one_series():
+    # the points q**j below hi accumulate at 0: one cell, however far down
     qz = QLatticeClosure(2.0)
-    cells = qz.decompose(0.0, 1.0)
-    assert _typed(cells[:1]) == [(Segment, 0.0, 2.0 ** -64)]
-    assert _typed(cells[1:]) == [(Jumps, tuple(2.0 ** k for k in range(-64, 1)))]
-    assert cells[-1].points[-1] == 1.0
+    assert _typed(qz.decompose(0.0, 1.0)) == [(Series, 2.0, 1.0)]
+    assert _typed(qz.decompose(0.0, 2.0 ** -80)) == [(Series, 2.0, 2.0 ** -80)]
+    assert qz.decompose(0.0, 0.0) == []
+    assert _typed(qz.decompose(0.25, 1.0)) == [(Jumps, (0.25, 0.5, 1.0))]
 
 
 def _random_in_scale_points(ts, rng, count=1000):
@@ -179,9 +181,10 @@ def test_real_interval_interior_dense_both_sides():
 ])
 def test_decompose_telescopes(ts, lo, hi):
     cells = ts.decompose(lo, hi)
-    assert {type(c) for c in cells} <= {Jumps, Segment}
-    starts = [c.points[0] if isinstance(c, Jumps) else c.lo for c in cells]
-    ends = [c.points[-1] if isinstance(c, Jumps) else c.hi for c in cells]
+    assert {type(c) for c in cells} <= {Jumps, Segment, Series}
+    spans = [(c.points[0], c.points[-1]) if isinstance(c, Jumps) else
+             (0.0, c.hi) if isinstance(c, Series) else (c.lo, c.hi) for c in cells]
+    starts, ends = [a for a, _ in spans], [b for _, b in spans]
     assert starts[0] == lo
     assert ends[-1] == hi
     for nxt_start, cur_end in zip(starts[1:], ends[:-1]):
