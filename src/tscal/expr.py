@@ -1,9 +1,10 @@
 """Expression trees for real functions of t.
 
 Provides a small recursive-descent parser, exact evaluation with domain
-checking (and without, over many points in one walk), one- or two-sided
-first-order jets (value and exact slope), constant folding and exact symbolic
-differentiation, each on its node class. Grammar:
+checking (and without, over many points in one walk; a tree walked often gets
+compiled code for both), one- or two-sided first-order jets (value and exact
+slope), constant folding and exact symbolic differentiation, each on its node
+class. Grammar:
 
     expr   := term (("+"|"-") term)*
     term   := factor (("*"|"/") factor)*
@@ -21,7 +22,10 @@ from __future__ import annotations
 import math
 import operator
 import re
+import weakref
 from dataclasses import dataclass
+from types import MethodType
+from typing import Callable
 
 from .errors import (
     DomainError,
@@ -74,12 +78,33 @@ class Expr:
     refuse an inf that a constant such as 1e999 holds, as in t/1e999, which
     evaluate() takes.) _fold, _d, _substitute and _render back fold,
     derivative, substitute and render.
+
+    Once a tree's walks have covered _CODE_AT points in total, _code renders
+    it into one Python source, compiled once and kept on the node object (as
+    derivative's memo is, so ==, hash and repr do not change): a walk that
+    gives _eval_many's values, and a scalar function that gives evaluate()'s
+    value, or asks evaluate() itself wherever its arithmetic raises or leaves
+    the finite floats; _evaluator hands it out. Values and errors are
+    unchanged; only a walk makes a tree get code. _eval itself is never
+    replaced on a node: a method name in one node's __dict__ slows that
+    method's lookup on every node of the class. The code is not read through
+    __dict__, which gives a node a dict of its own (Python 3.11+) and slows
+    its attribute lookups. Pickling and copying keep the fields alone.
     """
+
+    # a tree's code, kept on its root: the points walked so far, then the
+    # compiled walk (None if the renderer refused the tree); the scalar function
+    _walk, _one = 0, None
 
     def _eval(self, *args):
         raise TypeError(f"not an expression node: {self!r}")
 
-    _eval_many = _jet = _fold = _d = _substitute = _render = _eval
+    _eval_many = _jet = _fold = _d = _substitute = _render = _code = _eval
+
+    def __getstate__(self) -> dict:
+        # the memos (derivative, code, points walked) are rebuilt on use, and
+        # code made by compile() does not pickle
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
 @dataclass(frozen=True)
@@ -110,6 +135,11 @@ class Const(Expr):
             return str(int(v))
         return repr(v).replace("inf", "1e999")  # a literal above 1.8e308 parses to inf
 
+    def _code(self, code: _Code) -> str:
+        if type(self.value) not in (float, int):
+            raise TypeError(f"not a number: {self.value!r}")
+        return code.const(self.value)
+
 
 @dataclass(frozen=True)
 class Var(Expr):
@@ -136,6 +166,9 @@ class Var(Expr):
     def _render(self) -> str:
         return "t"
 
+    def _code(self, code: _Code) -> str:
+        return "t"
+
 
 @dataclass(frozen=True)
 class _Binary(Expr):
@@ -158,6 +191,10 @@ class _Binary(Expr):
 
     def _render(self) -> str:
         return f"({self.left._render()} {self._symbol} {self.right._render()})"
+
+    def _code(self, code: _Code) -> str:
+        left, right = code.of(self.left, self.right)
+        return f"({left} {self._symbol} {right})"
 
 
 @dataclass(frozen=True)
@@ -270,6 +307,10 @@ class Div(_Binary):
     def _simplify(self, left: Expr, right: Expr) -> Expr:
         return left if _is_one(right) else Div(left, right)
 
+    def _code(self, code: _Code) -> str:
+        left, right = code.of(self.left, self.right)
+        return f"({left} / {code.finite(right, self.right)})"
+
 
 @dataclass(frozen=True)
 class Pow(Expr):
@@ -337,6 +378,13 @@ class Pow(Expr):
 
     def _render(self) -> str:
         return f"({self.base._render()}^{self.exponent._render()})"
+
+    def _code(self, code: _Code) -> str:
+        base, exp = code.of(self.base, self.exponent)
+        c = self.exponent.value
+        if not _is_whole(c):  # math.pow raises where ** gives a complex number
+            return f"{code.bind('_pow', math.pow)}({code.guard(base, '0.0 <=')}, {exp})"
+        return f"({code.finite(base, self.base) if c <= 0.0 else base} ** {exp})"
 
 
 @dataclass(frozen=True)
@@ -424,12 +472,23 @@ class Apply(Expr):
     def _render(self) -> str:
         return f"{self.func}({self.arg._render()})"
 
+    def _code(self, code: _Code) -> str:
+        call = _CALLS.get(self.func)  # the table's own name, never self.func
+        if call is None:
+            raise TypeError(f"unknown function {self.func!r}")
+        arg, = code.of(self.arg)
+        if call[0] == "_exp":  # exp(-inf) == 0.0
+            arg = code.finite(arg, self.arg)
+        return f"{code.bind(*call)}({arg})"
+
 
 _FUNCS = ("log", "exp", "sin", "cos", "sqrt", "abs")
 # math raises where _eval raises DomainError: log of x <= 0, exp overflow,
 # sqrt of x < 0, sin and cos of +-inf
 _MANY = {"log": math.log, "exp": math.exp, "sin": math.sin, "cos": math.cos,
          "sqrt": math.sqrt, "abs": abs}
+_CALLS = {func: ("_" + func, f) for func, f in _MANY.items()}  # name in a tree's code
+_CODED = (Const, Var, Add, Sub, Mul, Div, Pow, Apply)
 _ROOT_ORDER_CAP = 8  # the highest Taylor order _root_slope asks for
 
 _NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
@@ -581,14 +640,137 @@ def _finite(xs: list[float]) -> list[float]:
     return xs
 
 
+# Points a tree's walks cover, in total, before it gets code. On five trees
+# from t^3 - 2*t to exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1) (Python 3.11.7),
+# compiling took 170-420 us, and code saved 0.07-0.27 us a walked point and
+# 0.3-1.3 us a scalar evaluation: a tree repays its code over 1,400-2,400
+# walked points, sooner with the scalar evaluations that follow. No tree in the
+# benchmark's law_verify and cli_readme workloads is walked over more than 109
+# points in all, so a fresh tree integrated a few times pays for no code.
+# Scalar evaluations are not counted: counting them costs every fresh tree.
+_CODE_AT = 1024
+
+# A tree's code. one(t) gives evaluate's value wherever the arithmetic stays
+# finite and asks evaluate itself (_slow) wherever it raises or does not:
+# evaluate decides every error, so any exception is handed to it, even one
+# that float(t) raises before a node evaluate would refuse first. walk(ts)
+# gives _eval_many's values or raises. {body} is the tree's source from
+# _code, which holds only t, operators, parentheses and the names that
+# {binds} binds.
+_SOURCE = """\
+def one(t0, _slow=_slow, {binds}):
+    try:
+        t = _float(t0)
+        v = {body}
+        if -1e999 < v < 1e999:
+            return v
+    except Exception:
+        pass
+    return _slow(t0)
+
+def walk(ts, {binds}):
+    return [{body} for t in _map(_float, ts)]
+"""
+
+
+def _bad():
+    raise ArithmeticError("an operand is not finite")
+
+
+class _Code:
+    """One tree's source as _code renders it: the names it binds and its
+    guards, each an operand that raises through _bad unless it is finite."""
+
+    def __init__(self):
+        self.names: dict[str, object] = {"_float": float, "_map": map}
+        self.guards = 0
+
+    def of(self, *nodes: Expr) -> list[str]:
+        """The source of each node, the operands of one operation. A class
+        outside _CODED gets no code, nor does an operation on int constants
+        alone: ints neither round nor overflow as floats do."""
+        if all(type(n) is Const and type(n.value) is int for n in nodes):
+            raise TypeError("an operation on int constants alone")
+        for n in nodes:
+            if type(n) not in _CODED:
+                raise TypeError(f"not a node the code knows: {n!r}")
+        return [n._code(self) for n in nodes]
+
+    def bind(self, name: str, value: object) -> str:
+        self.names[name] = value
+        return name
+
+    def const(self, value: float) -> str:
+        return self.bind(f"_c{len(self.names)}", value)
+
+    def guard(self, source: str, low: str) -> str:
+        """source, which must lie above low ("-1e999 <" or "0.0 <=") and
+        below inf."""
+        g = f"_g{self.guards}"
+        self.guards += 1
+        return f"({g} if {low} ({g} := {source}) < 1e999 else {self.bind('_bad', _bad)}())"
+
+    def finite(self, source: str, node: Expr) -> str:
+        """source, guarded unless node is a finite constant: the operand of a
+        node whose finite result could hide an inf or NaN."""
+        if type(node) is Const and -math.inf < node.value < math.inf:
+            return source
+        return self.guard(source, "-1e999 <")
+
+
+def _compile(e: Expr) -> Callable[[list[float]], list[float]] | None:
+    """Render e into code once and keep it on e: its walk, which is returned,
+    and its scalar function, which _evaluator hands out. None, kept as e's
+    walk, if the renderer refuses e: a lone leaf, which has no call to save,
+    an unknown node class or function, a constant that is not a float or an
+    int, or a tree too deep to compile."""
+    program = None
+    if type(e) not in (Const, Var):
+        code = _Code()
+        try:
+            body, = code.of(e)
+            binds = ", ".join(f"{name}={name}" for name in code.names)
+            program = compile(_SOURCE.format(body=body, binds=binds), "<tscal tree>", "exec")
+        except (TypeError, RecursionError, SyntaxError):
+            pass
+    if program is None:
+        object.__setattr__(e, "_walk", None)
+        return None
+    # no reference cycle: e's code reaches e weakly, and the functions leave
+    # the scope that is their globals, so e and its code go when e's last
+    # reference does
+    ref = weakref.ref(e)
+    scope = dict(code.names, _slow=lambda t: evaluate(ref(), t))
+    exec(program, scope)
+    one, walk = scope.pop("one"), scope.pop("walk")
+    object.__setattr__(e, "_one", one)
+    object.__setattr__(e, "_walk", walk)
+    return walk
+
+
+def _evaluator(e: Expr) -> Callable[[float], float]:
+    """evaluate with e bound: e's compiled scalar function once e has code,
+    else a bound method (cheaper to make and call than a partial)."""
+    return e._one or MethodType(evaluate, e)
+
+
 def _evaluate_many(e: Expr, ts: list[float]) -> list[float] | None:
     """[evaluate(e, t) for t in ts] in one walk, or None if any of them raises.
 
     None means some point left the domain or overflowed; the caller replays
     the points with evaluate, in order, for the first error and its message.
+    The walk is each node's _eval_many until e's walks reach _CODE_AT points
+    in total, and e's compiled walk from then on, with the same values.
     """
+    walk = e._walk
+    if walk.__class__ is int:  # the points walked so far: e has no code yet
+        if walk + len(ts) < _CODE_AT:
+            object.__setattr__(e, "_walk", walk + len(ts))
+            walk = None
+        else:
+            walk = _compile(e)
     try:
-        vs = e._eval_many(ts)
+        vs = e._eval_many(ts) if walk is None else walk(ts)
     except (ArithmeticError, ValueError):
         return None
     return vs if all(map(math.isfinite, vs)) else None

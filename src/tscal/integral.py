@@ -16,9 +16,10 @@ each run's steps and each segment's 15 first-panel nodes are packed into
 walks of f's tree of at most _BATCH_SIZE points, a longer run cut into pieces,
 and a walk is taken from _BATCH_MIN points. Each cell of a walk is then
 integrated where it stands, from the walk's values. Refinement panels are
-evaluated node by node, and every cell of a walk that fails or is not taken is
-integrated alone, in order, so values and the first error are identical to
-evaluating each point on its own.
+evaluated point by point, and every cell of a walk that fails or is not taken
+is integrated alone, in order, so values and the first error are identical to
+evaluating each point on its own. A tree walked over expr._CODE_AT points gets
+compiled code, which serves its walks and its evaluations point by point.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable
 
 from .errors import (
@@ -39,7 +39,7 @@ from .errors import (
     ReversedBounds,
 )
 from .derivative import _EPS, _check_alpha, _richardson, _weight, _weight_overflow, t_alpha
-from .expr import Expr, _evaluate_many, evaluate
+from .expr import Expr, _evaluate_many, _evaluator, evaluate
 from .timescale import MEMBERSHIP_RTOL, Cell, Jumps, Series, Site, TimeScale
 
 __all__ = [
@@ -50,13 +50,15 @@ __all__ = [
 
 QUAD_TOL = 1e-10
 _MAX_SUBDIVISIONS = 1 << 20
-# Fewest points in a walk of the tree that is taken. One walk ran at this
-# speed against one evaluate per point, on five trees from t+1 to
-# exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1) (Python 3.11.7): 0.24-0.35x at 1
-# point, 0.68-0.78x at 4, 0.88-1.18x at 8 and 1.06-1.58x at 16. A segment's 15
-# nodes clear it: a lone segment of exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1)
-# took 12-15 % less time walked than node by node, one of 3*t^2 + 2*t - 1
-# about the same.
+# Fewest points in a walk of the tree that is taken. Before a tree has code
+# (expr._CODE_AT), one walk ran at this speed against one evaluate per point,
+# on five trees from t+1 to exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1) (Python
+# 3.11.7): 0.24-0.35x at 1 point, 0.68-0.78x at 4, 0.88-1.18x at 8 and
+# 1.06-1.58x at 16. A segment's 15 nodes clear it: a lone segment of
+# exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1) took 12-15 % less time walked than
+# node by node, one of 3*t^2 + 2*t - 1 about the same. With code for both, on
+# three of those trees: 0.52-0.54x at 1 point, 0.93-1.06x at 4, 1.05-1.30x at
+# 8 and 1.28-2.11x at 16, so the same floor serves.
 _BATCH_MIN = 8
 # Most points evaluated in one walk, so a walk's lists stay small however many
 # steps or segments the call has.
@@ -191,11 +193,11 @@ def _segment_piece(f: Expr, alpha: float, lo: float, hi: float, quad_tol: float,
     over [lo**alpha, hi**alpha] with u = t**alpha; at alpha = 1 the substitution
     is the identity bit for bit. first is the first panel, if a walk has
     evaluated it."""
-    inv = 1.0 / alpha
+    inv, f_at = 1.0 / alpha, _evaluator(f)
 
     def integrand(u: float) -> float:
         try:
-            return evaluate(f, u ** inv) * inv
+            return f_at(u ** inv) * inv
         except DomainError:
             if u > 0.0 and u ** inv == 0.0:
                 raise EndpointSingularity(
@@ -266,14 +268,14 @@ def _q_series_from_zero(f: Expr, cell: Series, alpha: float,
     q, hi = cell.q, cell.hi
     cutoff = q ** -Q_ENUM_FLOOR
     r_theory, r_floor = q ** -alpha, q ** -(alpha + 8.0)
-    w, q1 = alpha - 1.0, q - 1.0
+    w, q1, f_at = alpha - 1.0, q - 1.0, _evaluator(f)
     k_top = round(math.log(hi) / math.log(q))
     terms: list[float] = []
     prev_mag, tail = 0.0, math.inf
     j = k_top - 1
     while True:
         t_j = q ** j
-        term = evaluate(f, t_j) * t_j ** w * (q1 * t_j)
+        term = f_at(t_j) * t_j ** w * (q1 * t_j)
         terms.append(term)
         mag = abs(term)
         ratio = mag / prev_mag if prev_mag > 0.0 else 0.0
@@ -343,7 +345,7 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
                 if isinstance(cell, Jumps):
                     p = cell.points
                     n = len(p) - 1
-                    vs = map(evaluate, repeat(f), p[:-1]) if values is None else values[i:i + n]
+                    vs = map(_evaluator(f), p[:-1]) if values is None else values[i:i + n]
                     i += n
                     try:
                         contributions += [v * t ** w * (s - t) for v, t, s in zip(vs, p, p[1:])]

@@ -492,6 +492,15 @@ def test_kink_inside_a_continuum_exits_3_without_output():
                    "differ at t=3.0\n")
 
 
+def test_a_failing_walk_on_a_tree_with_code_exits_3_with_the_first_error():
+    # the first walk, of 4,096 steps, gives 1/(t-50) its code; the second
+    # holds t = 50 and fails, and its replay raises the first error
+    code, out, err = run_cli(["integ", "--scale", "hZ(h=0.01)", "--expr", "1/(t-50)",
+                              "--alpha", "0.8", "--from", "1", "--to", "101"])
+    assert (code, out) == (3, "")
+    assert err == "tscal: DomainError: division by zero at t=50.0\n"
+
+
 @pytest.mark.parametrize("src", ["t^(-0.48)", "t^(-0.49)"])
 def test_unresolvable_zero_endpoint_exits_3_without_output(src):
     code, out, err = run_cli(["integ", "--scale", "R[0,2]", "--expr", src,

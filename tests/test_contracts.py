@@ -1,6 +1,7 @@
 """Property contracts (hypothesis): decompose and cauchy on all six shapes,
-cauchy's one walk per call against its cells in order, and the one-sided jets
-against mpmath; and the typed errors of outside inputs."""
+cauchy's one walk per call against its cells in order, the one-sided jets
+against mpmath, and a tree's compiled code against its nodes; and the typed
+errors of outside inputs."""
 
 import math
 
@@ -18,7 +19,23 @@ from tscal.errors import (
     NotRepresentable,
     TscalError,
 )
-from tscal.expr import Const, Sub, Var, _jet, evaluate, parse, render, substitute
+from tscal.expr import (
+    Add,
+    Const,
+    Div,
+    Mul,
+    Pow,
+    Sub,
+    Var,
+    _compile,
+    _evaluate_many,
+    _evaluator,
+    _jet,
+    evaluate,
+    parse,
+    render,
+    substitute,
+)
 from tscal.integral import QUAD_TOL, cauchy, ftc_check, indefinite, monotonicity_check
 from tscal.laws import definition_scan
 from tscal.timescale import (
@@ -339,6 +356,62 @@ def test_one_walk_jet_equals_evaluate_then_the_pass(case):
         got = _jet_outcome(lambda: _jet(e, t, side))
         assert got == _jet_outcome(lambda: _jet_evaluate_first(e, t, side)), (render(e), t, side)
         assert isinstance(got[0], str) or issubclass(got[0], TscalError), got
+
+
+# ... and for a tree's code, infinite constants and exponents too (1e999 and
+# 1e400 parse to inf), and hand-built trees with int constants
+_CODE_CONSTS = _WIDE_CONSTS + (-0.0, math.inf, -math.inf)
+_CODE_EXPONENTS = _WIDE_EXPONENTS + (math.inf, -2.0)
+_HAND_BUILT = (Pow(Sub(Var(), Const(5)), Const(2)), Mul(Const(1), Var()), Mul(Var(), Var()),
+               Add(Const(2), Mul(Const(3), Var())), Div(Var(), Const(0)),
+               Div(Const(1), Pow(Var(), Const(-1))), Sub(Const(1), Const(2.5)))
+_CODE_POINTS = _JET_POINTS + (-0.0, 5.0, 2, -3, 2 ** 60 + 1, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def code_cases(draw):
+    if draw(st.integers(0, 9)) == 0:
+        e = draw(st.sampled_from(_HAND_BUILT))
+    else:
+        e = _random_tree(draw(st.randoms(use_true_random=False)),
+                         consts=_CODE_CONSTS, exponents=_CODE_EXPONENTS)
+    point = st.sampled_from(_CODE_POINTS) | st.floats(-10.0, 10.0)
+    return e, draw(st.lists(point, min_size=1, max_size=6))
+
+
+def _walk_per_node(e, ts):
+    """_evaluate_many through each node's _eval_many, as a tree without code."""
+    try:
+        vs = e._eval_many(ts)
+    except (ArithmeticError, ValueError):
+        return None
+    return vs if all(map(math.isfinite, vs)) else None
+
+
+def _scalar_outcome(call):
+    try:
+        v = call()
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc), id(getattr(exc, "expr", None)), repr(getattr(exc, "t", None))
+    return type(v), float(v).hex()
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(code_cases())
+def test_a_tree_with_code_equals_its_nodes(case):
+    # the scalar function against evaluate, which is each node's _eval and the
+    # root check: the same value and type bit for bit, or the same error (type,
+    # message, node and point); the walk: the same values or None
+    e, ts = case
+    assert (_compile(e) is None) == isinstance(e, (Const, Var)), render(e)  # a lone leaf: none
+    for t in ts:
+        got = _scalar_outcome(lambda: _evaluator(e)(t))
+        assert got == _scalar_outcome(lambda: evaluate(e, t)), (render(e), t)
+    walk, per_node = _evaluate_many(e, ts), _walk_per_node(e, ts)
+    assert (walk is None) == (per_node is None), (render(e), ts)
+    if walk is not None:
+        assert [(type(v), v.hex()) for v in walk] == \
+            [(type(v), v.hex()) for v in per_node], (render(e), ts)
 
 
 @CONTRACT

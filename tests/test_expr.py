@@ -1,9 +1,13 @@
 """Parser, evaluator, and symbolic derivative of the expression front end."""
 
+import copy
+import gc
 import math
 import operator
+import pickle
 import random
 import re
+import weakref
 from functools import partial
 
 import mpmath
@@ -25,7 +29,10 @@ from tscal.expr import (
     Pow,
     Sub,
     Var,
+    _CODE_AT,
+    _compile,
     _evaluate_many,
+    _evaluator,
     _jet,
     derivative,
     evaluate,
@@ -35,6 +42,8 @@ from tscal.expr import (
     render,
     substitute,
 )
+from tscal.integral import cauchy
+from tscal.timescale import UniformLattice
 
 
 def test_parse_examples():
@@ -247,26 +256,32 @@ def _domain_error(e, t):
     return exc.value
 
 
+# (expression, t, message, the node that fails, as a path from the root)
+_DOMAIN_CASES = [
+    ("1 + log(t)", -1.0, "log of a non-positive value", "right"),
+    ("2 * sqrt(t)", -4.0, "sqrt of a negative value", "right"),
+    ("t^0.5 + 1", -4.0, "negative base with fractional exponent", "left"),
+    ("t^-1", 0.0, "zero base with negative exponent", ""),
+    ("3 * (1/(t-1))", 1.0, "division by zero", "right"),
+    ("exp(t) - 1", 1e9, "exp overflow", "left"),
+    ("1 + t^999", 1e9, "power overflow", "right"),
+    ("t + t", 1e308, "overflow", ""),
+    ("t^2", math.inf, "overflow", ""),
+    # an intermediate inf raises at its node, though 1/inf would be finite
+    ("1/(t*t)", 1e200, "overflow", "right"),
+]
+
+
+def _node(e, path):
+    for attr in filter(None, path.split(".")):
+        e = getattr(e, attr)
+    return e
+
+
 def test_domain_errors_name_the_failing_node():
-    # (expression, t, message, the node that fails, as a path from the root)
-    cases = [
-        ("1 + log(t)", -1.0, "log of a non-positive value", "right"),
-        ("2 * sqrt(t)", -4.0, "sqrt of a negative value", "right"),
-        ("t^0.5 + 1", -4.0, "negative base with fractional exponent", "left"),
-        ("t^-1", 0.0, "zero base with negative exponent", ""),
-        ("3 * (1/(t-1))", 1.0, "division by zero", "right"),
-        ("exp(t) - 1", 1e9, "exp overflow", "left"),
-        ("1 + t^999", 1e9, "power overflow", "right"),
-        ("t + t", 1e308, "overflow", ""),
-        ("t^2", math.inf, "overflow", ""),
-        # an intermediate inf raises at its node, though 1/inf would be finite
-        ("1/(t*t)", 1e200, "overflow", "right"),
-    ]
-    for src, t, message, path in cases:
+    for src, t, message, path in _DOMAIN_CASES:
         e = parse(src)
-        node = e
-        for attr in filter(None, path.split(".")):
-            node = getattr(node, attr)
+        node = _node(e, path)
         err = _domain_error(e, t)
         assert str(err) == f"{message} at t={t!r}", src
         assert err.t == t and err.expr is node, src
@@ -497,3 +512,136 @@ def test_jet_slope_of_cancelling_terms_is_exact():
     e = parse("(t^3)-(t*(t^2))")
     value, slope = _jet(e, 5.188168)
     assert value == evaluate(e, 5.188168) and slope == 0.0
+
+
+def _with_code(e):
+    """e, given its code as a walk of _CODE_AT points would give it."""
+    assert _compile(e) is not None and _evaluator(e) is e.__dict__["_one"]
+    return e
+
+
+def test_only_walks_give_a_tree_code_and_it_changes_no_value():
+    src = "exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1)"
+    e, plain = parse(src), parse(src)
+    points = [1.0 + k / 64 for k in range(_CODE_AT)]
+    before = [evaluate(e, t) for t in points]
+    assert [_evaluator(e)(t) for t in points] == before
+    assert "_walk" not in e.__dict__ and "_one" not in e.__dict__  # scalars count nothing
+    assert _evaluate_many(e, points[:-1]) == before[:-1]
+    assert e.__dict__["_walk"] == _CODE_AT - 1 and "_one" not in e.__dict__
+    assert _evaluate_many(e, points[-1:]) == before[-1:]  # the _CODE_AT-th point
+    assert callable(e.__dict__["_walk"]) and "_one" in e.__dict__
+    assert _evaluate_many(e, points) == before
+    assert [_evaluator(e)(t) for t in points] == before
+    # _eval is never replaced on a node: its lookup stays fast on every node
+    assert "_eval" not in e.__dict__
+    # the code is no field: equality, hash and repr are unchanged
+    assert e == plain and (hash(e), repr(e)) == (hash(plain), repr(plain))
+
+
+def test_a_tree_with_code_pickles_and_copies_without_it():
+    e = _with_code(parse("(t^2+1)^0.5*cos(t)/(1+exp(-t))"))
+    derivative(e)
+    points = [1.0 + k / 64 for k in range(_CODE_AT)]
+    for other in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e), copy.copy(e)):
+        assert other == e and not any(k.startswith("_") for k in other.__dict__)
+        assert _evaluator(other)(2.5).hex() == _evaluator(e)(2.5).hex()
+        assert _evaluate_many(other, points) == _evaluate_many(e, points)
+        assert callable(other.__dict__["_walk"])  # compiled again on its own
+
+
+def test_a_tree_and_its_code_go_with_its_last_reference():
+    e = _with_code(parse("exp(-t)/(1+t^2)"))
+    refs = [weakref.ref(x) for x in (e, e.__dict__["_one"], e.__dict__["_walk"])]
+    gc.disable()  # no cycle to collect: reference counts alone free them
+    try:
+        del e
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def test_the_renderer_refuses_what_it_does_not_know():
+    class Rsub(Sub):  # right - left: a class of its own, though it is a Sub
+        _op = staticmethod(lambda a, b: b - a)
+
+        def _eval(self, t):
+            return self.right._eval(t) - self.left._eval(t)
+
+    # 10**400 / 10**399 is 10.0 in ints; _eval raises where 10**400 meets a float check
+    huge = Mul(Var(), Div(Pow(Const(10), Const(400)), Pow(Const(10), Const(399))))
+    for e in (Var(), Const(2.0), Apply("foo", Var()), Add(Var(), Rsub(Var(), Const(1.0))),
+              Mul(Var(), Expr()),
+              Add(Var(), Const("1")), Add(Var(), Add(Const(1), Const(2))),
+              Mul(Var(), Pow(Const(2), Const(-1))), Apply("abs", Const(-2)), huge):
+        assert _compile(e) is None and "_one" not in e.__dict__, e
+        assert e.__dict__["_walk"] is None, e  # refused once: later walks keep _eval_many
+    e = Add(Var(), Rsub(Var(), Const(1.0)))
+    assert _evaluate_many(e, [2.0] * _CODE_AT) == [evaluate(e, 2.0)] * _CODE_AT == [1.0] * _CODE_AT
+    with pytest.raises(DomainError, match=r"^unknown function 'foo' at t=1\.0$"):
+        _evaluator(Apply("foo", Var()))(1.0)
+    with pytest.raises(OverflowError):
+        _evaluator(huge)(1.0)
+
+
+def test_int_constants_and_points_still_give_floats_with_code():
+    assert type(_evaluator(Var())(2)) is float  # a lone leaf gets no code
+    for e in (_with_code(Pow(Sub(Var(), Const(5)), Const(2))), _with_code(Mul(Const(1), Var())),
+              _with_code(Mul(Var(), Var())), _with_code(Add(Const(2), Mul(Const(3), Var())))):
+        for t in (1, 3, 2 ** 60 + 1):
+            got = _evaluator(e)(t)
+            assert type(got) is float and got.hex() == evaluate(e, t).hex()
+        assert [v.hex() for v in _evaluate_many(e, [1, 2 ** 60 + 1])] == \
+            [v.hex() for v in e._eval_many([1, 2 ** 60 + 1])]
+
+
+def test_domain_errors_name_the_failing_node_on_trees_with_code():
+    for src, t, message, path in _DOMAIN_CASES:
+        e = _with_code(parse(src))
+        with pytest.raises(DomainError) as info:
+            _evaluator(e)(t)
+        assert str(info.value) == f"{message} at t={t!r}", src
+        assert info.value.t == t and info.value.expr is _node(e, path), src
+
+
+def test_the_rules_every_walk_keeps_hold_on_trees_with_code():
+    # an inf that only a constant holds is taken: x / inf is 0.0 ...
+    e = _with_code(parse("t/1e999"))
+    assert _evaluator(e)(1.0) == 0.0 and _evaluate_many(e, [1.0, 2.0]) is None
+    # ... but an inf from an overflow raises at its node, never through x/inf,
+    # inf**-c or exp(-inf)
+    for src, path in (("1/(t*1e300)", "right"), ("(t*1e300)^-2", "base"),
+                      ("exp(-1e300*t)", "arg")):
+        e = _with_code(parse(src))
+        with pytest.raises(DomainError, match=r"^overflow at t=10000000000\.0$") as info:
+            _evaluator(e)(1e10)
+        assert info.value.expr is getattr(e, path), src
+        assert _evaluate_many(e, [1.0, 1e10]) is None, src
+    # a negative base under a fractional exponent raises, and no complex
+    # number is made
+    e = _with_code(parse("(t-5)^0.5"))
+    with pytest.raises(DomainError, match=r"^negative base with fractional exponent at t=4\.0$"):
+        _evaluator(e)(4.0)
+    assert _evaluate_many(e, [6.0, 4.0]) is None and _evaluator(e)(9.0) == 2.0
+    # test_infinite_exponent_is_not_an_integer_and_never_overflows, with code
+    e = _with_code(parse("(t-5)^1e400"))
+    with pytest.raises(DomainError, match=r"^negative base with fractional exponent at t=1\.0$"):
+        _evaluator(e)(1.0)
+    assert _evaluate_many(e, [1.0, 2.0]) is None
+    assert _evaluator(e)(5.5) == 0.0
+    # math.pow(-0.5, inf) is 0.0: the base's sign is checked, not left to math
+    with pytest.raises(DomainError, match=r"^negative base with fractional exponent at t=4\.5$"):
+        _evaluator(e)(4.5)
+    assert _evaluate_many(e, [4.5, 5.5]) is None
+    square = _with_code(Pow(Sub(Var(), Const(5)), Const(2)))
+    assert _evaluator(square)(1.0) == 16.0
+    assert _evaluate_many(square, [1.0, 2.0]) == [16.0, 9.0]
+
+
+def test_a_failing_walk_on_a_tree_with_code_replays_for_the_first_error():
+    e = parse("1/(t-50)")
+    points = [k * 0.01 for k in range(4000, 8096)]  # 50.0 is the 1,001st
+    assert _evaluate_many(e, points) is None and callable(e.__dict__["_walk"])
+    with pytest.raises(DomainError, match=r"^division by zero at t=50\.0$") as info:
+        cauchy(e, UniformLattice(0.01), 1.0, 101.0, 0.8)
+    assert info.value.expr is e and info.value.t == 50.0
