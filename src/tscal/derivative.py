@@ -12,8 +12,10 @@ derivative of the n-th delta derivative: forward quotients along t, sigma(t),
 higher orders from the symbolic derivative. One call asks the scale for each
 point's site once and evaluates f once per point: at a right-scattered point
 the higher orders' cross path is a quotient of the primary triangle's entries,
-and the zero limit shares f's values between neighbouring quotients. A
-Richardson limit of difference quotients serves only that cross path at
+and the zero limit shares f's values between neighbouring quotients. Where
+0 is right-dense, the limit at 0 is the right jet's slope at alpha = 1 and 0
+below; it is extrapolated only where that jet raises or 0 is right-scattered.
+A Richardson limit of difference quotients serves only that cross path at
 right-dense points and ftc_check; it and the extrapolation of t_alpha_at_zero
 stop at the one relative tolerance LIMIT_RTOL.
 """
@@ -26,6 +28,7 @@ from functools import cache
 from typing import Callable
 
 from .errors import (
+    DomainError,
     InternalDisagreement,
     LimitDiverged,
     NonPositivePoint,
@@ -239,13 +242,25 @@ def _aitken_limit(vals: list[float]) -> tuple[float, float]:
 def t_alpha_at_zero(f: Expr, ts: TimeScale, alpha: float) -> float:
     """Order-alpha derivative at 0, as the limit of t_alpha along t -> 0+.
 
-    Requires 0 to be the minimum of the scale. Values are taken at scale
+    Requires 0 to be the minimum of the scale. Where 0 is right-dense and f
+    has a finite right slope f'(0+) there, t_alpha(t) = f^Delta(t) t**(1-alpha)
+    tends to f'(0+) at alpha = 1 and to 0 below, so the right jet at 0 gives
+    the limit exactly. Otherwise (the jet raises DomainError or
+    NotDifferentiable, or 0 is right-scattered) values are taken at scale
     points shrinking geometrically toward 0, each located once and f
     evaluated once at each point its quotients use, and extrapolated.
     """
     _check_alpha(alpha)
-    if not (ts.contains(0.0) and ts.site(0.0).is_min):
+    zero = ts.site(0.0) if ts.contains(0.0) else None
+    if zero is None or not zero.is_min:
         raise ZeroNotInScale(f"0 is not the minimum of {ts!r}")
+    if zero.mu == 0.0:
+        try:
+            slope = _jet(f, 0.0, 1)[1]
+        except (DomainError, NotDifferentiable):
+            pass
+        else:
+            return slope if alpha == 1.0 else 0.0  # +0.0: 0.0 * slope is -0.0 below 0
     sites = _sites_toward_zero(ts, _ZERO_LIMIT_POINTS)
     if len(sites) < 3:
         raise LimitDiverged("too few scale points approaching 0+")

@@ -1,17 +1,20 @@
 """Property contracts (hypothesis): decompose and cauchy on all six shapes,
 cauchy's one walk per call against its cells in order, the one-sided jets
-against mpmath, and a tree's compiled code against its nodes; and the typed
-errors of outside inputs."""
+against mpmath, a tree's compiled code against its nodes, and the limit at 0
+against mpmath or the extrapolation; and the typed errors of outside inputs."""
 
+import importlib
 import math
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tscal.integral as integral_module
-from tscal.derivative import AlphaOrder, power_rule, t_alpha_higher_paths
+from tscal.derivative import AlphaOrder, power_rule, t_alpha_at_zero, t_alpha_higher_paths
 from tscal.errors import (
+    DomainError,
     EndpointSingularity,
     NonPositivePoint,
     NotDifferentiable,
@@ -21,6 +24,7 @@ from tscal.errors import (
 )
 from tscal.expr import (
     Add,
+    Apply,
     Const,
     Div,
     Mul,
@@ -49,7 +53,7 @@ from tscal.timescale import (
     Series,
     UniformLattice,
 )
-from test_expr import _random_tree  # the evaluation tests' random trees
+from test_expr import _mp_jet, _random_tree, _slopes_agree  # the evaluation tests' helpers
 
 CONTRACT = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 ONE = parse("1")
@@ -431,3 +435,73 @@ def test_site_refuses_exactly_the_points_contains_refuses(case, shift, jitter, k
             assert ts.contains(t), (ts, t)
         else:
             assert ts.contains(t), (ts, t)
+
+
+def _analytic_tree(rng, depth=0):
+    """A random tree that is analytic wherever it is defined: no sqrt, abs or
+    non-integer power."""
+    roll = rng.random()
+    if depth >= 3 or roll < 0.3:
+        if rng.random() < 0.5:
+            return Var()
+        return Const(rng.choice((-1.0, 1.0)) * round(rng.uniform(0.1, 5.0), 3))
+    if roll < 0.7:
+        op = rng.choice((Add, Sub, Mul, Div))
+        return op(_analytic_tree(rng, depth + 1), _analytic_tree(rng, depth + 1))
+    if roll < 0.85:
+        return Pow(_analytic_tree(rng, depth + 1), Const(rng.choice((-2.0, -1.0, 2.0, 3.0))))
+    return Apply(rng.choice(("exp", "sin", "cos", "log")), _analytic_tree(rng, depth + 1))
+
+
+@st.composite
+def zero_limit_cases(draw):
+    """An analytic tree, a scale whose minimum 0 is right-dense, and alpha."""
+    shape = draw(st.sampled_from(["R", "Pab", "qZbar"]))
+    if shape == "R":
+        ts = RealInterval(0.0, draw(st.floats(0.5, 10.0)))
+    elif shape == "Pab":
+        ts = PeriodicUnion(draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0)))
+    else:
+        ts = QLatticeClosure(draw(st.floats(1.05, 4.0)))
+    alpha = draw(st.just(1.0) | st.floats(0.05, 0.99))
+    return _analytic_tree(draw(st.randoms(use_true_random=False))), ts, alpha
+
+
+def _extrapolated(f, ts, alpha):
+    """t_alpha_at_zero's outcome with the right jet at 0 refused, so that only
+    the extrapolation along t -> 0+ runs; jets at t > 0 are left alone."""
+    # the module: the package attribute tscal.derivative is expr's derivative function
+    derivative_module = importlib.import_module("tscal.derivative")
+    jet = derivative_module._jet
+
+    def refuse_zero(e, t, side=0):
+        if t == 0.0:
+            raise NotDifferentiable("refused")
+        return jet(e, t, side)
+
+    with mock.patch.object(derivative_module, "_jet", refuse_zero):
+        return _scalar_outcome(lambda: t_alpha_at_zero(f, ts, alpha))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(zero_limit_cases())
+def test_zero_limit_is_the_right_slope_or_the_extrapolation(case):
+    # where f is defined at 0, mpmath's f'(0) at 30 digits at alpha = 1 and
+    # exactly +0.0 below; where it is not, or its slope overflows, the
+    # extrapolation's own outcome, and a typed error if it raises
+    f, ts, alpha = case
+    got = _scalar_outcome(lambda: t_alpha_at_zero(f, ts, alpha))
+    try:
+        value = evaluate(f, 0.0)
+        slope = _jet(f, 0.0, 1)[1]
+    except (DomainError, NotDifferentiable):
+        assert got == _extrapolated(f, ts, alpha), render(f)
+        assert got[0] is float or issubclass(got[0], TscalError), got
+        return
+    if alpha < 1.0:
+        assert got == (float, "0x0.0p+0"), (render(f), alpha)
+        return
+    assert got == (float, slope.hex()), render(f)
+    mp_value, mp_slope, trig = _mp_jet(f, 0.0)
+    if trig <= 100 and abs(value - mp_value) <= 1e-14 * max(1.0, abs(mp_value)):
+        assert _slopes_agree(slope, mp_slope, value), (render(f), slope, mp_slope)

@@ -627,9 +627,64 @@ def test_shared_points_match_golden():
     assert _shared_point_outcomes() == golden
 
 
+# f'(0+) of each SHARED_ZERO_FUNCS by hand; sqrt(t) has none
+ZERO_SLOPES = {"t^2 + 3*t": 3.0, "t*cos(t)": 1.0, "exp(t) - 1": 1.0, "sin(2*t) + t^3": 2.0,
+               "1.237956*t^4 - 1.685767": 0.0, "t^2 - 5*t + 1": -5.0, "abs(t-0.3)": -1.0}
+
+
+def test_golden_zero_limits_at_a_right_dense_zero_are_closed_forms():
+    # the right jet at 0 gives f'(0+) at alpha = 1 and +0.0 below; the
+    # sqrt(t) rows and both finite sets take the extrapolation, not checked here
+    golden = json.loads((GOLDEN / "deriv_shared_points.json").read_text(encoding="utf-8"))
+    zero = golden["t_alpha_at_zero"]
+    dense = [name for name, ts in SHARED_ZERO_SCALES.items() if ts.site(0.0).mu == 0.0]
+    assert dense == ["qZbar(1.5)", "qZbar(2)", "qZbar(3)", "R[0,4]", "Pab(1,1)"]
+    for name in dense:
+        for text, slope in ZERO_SLOPES.items():
+            for alpha in SHARED_ZERO_ALPHAS:
+                closed = slope if alpha == 1.0 else 0.0
+                assert zero[f"{name} {text} alpha={alpha!r}"] == closed.hex(), (name, text, alpha)
+
+
+# t_alpha_at_zero(f, ts, alpha) against its closed form, f'(0) at alpha = 1 and
+# +0.0 below; the first six are the benchmark's ZERO_FAULTS (bench/workloads.py)
+ZERO_CLOSED_FORMS = [
+    ("t", "qZbar(1.5)", 0.5, 0.0), ("t^2", "qZbar(1.5)", 0.7, 0.0),
+    ("t^2 + t", "qZbar(2)", 0.5, 0.0), ("t^2 + t", "R[0,4]", 0.5, 0.0),
+    ("exp(t)", "R[0,4]", 0.5, 0.0), ("exp(t)", "qZbar(2)", 0.7, 0.0),
+    ("t^2 + t", "Pab(1,1)", 0.5, 0.0), ("exp(t)", "Pab(1,1)", 0.5, 0.0),
+    ("exp(t)", "qZbar(2)", 0.5, 0.0), ("exp(t)", "R[0,4]", 1.0, 1.0),
+    ("exp(t)", "Pab(1,1)", 1.0, 1.0), ("exp(t)", "qZbar(2)", 1.0, 1.0),
+    ("t*exp(t)", "qZbar(2)", 1.0, 1.0),
+    ("t", "qZbar(1.5)", 1.0, 1.0), ("t", "qZbar(1.5)", 0.25, 0.0),
+    ("t^2 + t", "qZbar(1.5)", 1.0, 1.0), ("t^2 + t", "qZbar(1.5)", 0.5, 0.0),
+    ("exp(t)", "qZbar(1.5)", 1.0, 1.0), ("exp(t)", "qZbar(1.5)", 0.5, 0.0),
+    ("t*exp(t)", "qZbar(1.5)", 1.0, 1.0), ("t*exp(t)", "qZbar(1.5)", 0.5, 0.0),
+]
+
+
+@pytest.mark.parametrize("text,scale,alpha,closed", ZERO_CLOSED_FORMS)
+def test_zero_limit_with_a_right_slope_is_its_closed_form(text, scale, alpha, closed):
+    v = t_alpha_at_zero(parse(text), SHARED_ZERO_SCALES[scale], alpha)
+    assert v == closed and math.copysign(1.0, v) == 1.0  # +0.0 below alpha = 1
+
+
+def test_a_pole_away_from_zero_does_not_touch_the_zero_limit():
+    # the limit along t -> 0+ exists and is 0: the right jet at 0 never
+    # evaluates f at the pole 0.125
+    v = t_alpha_at_zero(parse("1/(t - 0.125)"), QZ2, 0.5)
+    assert v == 0.0 and math.copysign(1.0, v) == 1.0
+
+
+# the tree of each call below, which fails at its Div node, the root
+FIRST_FAILING_TREES = {3.0: parse("1/(t - 3.0)"), 0.125: parse("sqrt(t)/(t - 0.125)")}
+
+
 @pytest.mark.parametrize("call,t", [
-    (lambda: t_alpha_higher_paths(parse("1/(t-3)"), HZ1, 1.0, AlphaOrder(2.5)), 3.0),
-    (lambda: t_alpha_at_zero(parse("1/(t - 0.125)"), QZ2, 0.5), 0.125),
+    (lambda: t_alpha_higher_paths(FIRST_FAILING_TREES[3.0], HZ1, 1.0, AlphaOrder(2.5)), 3.0),
+    # sqrt(t) has no right slope at 0, so the extrapolation runs and its
+    # third point is the pole
+    (lambda: t_alpha_at_zero(FIRST_FAILING_TREES[0.125], QZ2, 0.5), 0.125),
 ])
 def test_a_shared_point_raises_at_its_first_evaluation(call, t):
     # the first point whose value fails, as when every use evaluated it anew
@@ -637,4 +692,4 @@ def test_a_shared_point_raises_at_its_first_evaluation(call, t):
         call()
     assert str(info.value) == f"division by zero at t={t!r}"
     assert info.value.t == t
-    assert info.value.expr == parse(f"1/(t - {t!r})")
+    assert info.value.expr == FIRST_FAILING_TREES[t]
