@@ -9,12 +9,14 @@ only a point where it fails is replayed through evaluate, for its error.
 Orders above 1 split as alpha = n + beta and reduce to the order-beta
 derivative of the n-th delta derivative: forward quotients along t, sigma(t),
 ... up to the first right-dense point, which gives order 1 from the jets and
-higher orders from the symbolic derivative. One call asks the scale for each
-point's site once and evaluates f once per point: at a right-scattered point
-the higher orders' cross path is a quotient of the primary triangle's entries,
-and the zero limit shares f's values between neighbouring quotients. Where
-0 is right-dense, the limit at 0 is the right jet's slope at alpha = 1 and 0
-below; it is extrapolated only where that jet raises or 0 is right-scattered.
+higher orders from the symbolic derivative. A right-dense start computes only
+the order asked for: f^(n)(t), after the order-1 jet has checked f there. One
+call asks the scale for each point's site once and evaluates f once per
+point: at a right-scattered point the higher orders' cross path is a quotient
+of the primary triangle's entries, and the zero limit shares f's values
+between neighbouring quotients. Where 0 is right-dense, the limit at 0 is the
+right jet's slope at alpha = 1 and 0 below; it is extrapolated only where
+that jet raises. A quotient or value that overflows raises NotRepresentable.
 A Richardson limit of difference quotients serves only that cross path at
 right-dense points and ftc_check; it and the extrapolation of t_alpha_at_zero
 stop at the one relative tolerance LIMIT_RTOL.
@@ -182,7 +184,10 @@ def _t_alpha_at(f: Expr, site: Site, alpha: float, value: Callable[[float], floa
     site.kappa()
     t = site.t
     d = (value(site.sigma) - value(t)) / site.mu if site.mu > 0.0 else _dense_delta1(f, site)
-    return d * t ** (1.0 - alpha)
+    d *= t ** (1.0 - alpha)
+    if d - d != 0.0:  # inf or nan: the quotient or its weight overflowed
+        raise _overflow(t)
+    return d
 
 
 def _t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float) -> tuple[float, Site]:
@@ -242,25 +247,29 @@ def _aitken_limit(vals: list[float]) -> tuple[float, float]:
 def t_alpha_at_zero(f: Expr, ts: TimeScale, alpha: float) -> float:
     """Order-alpha derivative at 0, as the limit of t_alpha along t -> 0+.
 
-    Requires 0 to be the minimum of the scale. Where 0 is right-dense and f
-    has a finite right slope f'(0+) there, t_alpha(t) = f^Delta(t) t**(1-alpha)
-    tends to f'(0+) at alpha = 1 and to 0 below, so the right jet at 0 gives
-    the limit exactly. Otherwise (the jet raises DomainError or
-    NotDifferentiable, or 0 is right-scattered) values are taken at scale
-    points shrinking geometrically toward 0, each located once and f
-    evaluated once at each point its quotients use, and extrapolated.
+    Requires 0 to be the minimum of the scale. Where 0 is right-scattered (a
+    finite set starting at 0) no scale point approaches 0+, so the limit does
+    not exist: LimitDiverged. Where 0 is right-dense and f has a finite right
+    slope f'(0+) there, t_alpha(t) = f^Delta(t) t**(1-alpha) tends to f'(0+)
+    at alpha = 1 and to 0 below, so the right jet at 0 gives the limit
+    exactly. Where that jet raises DomainError or NotDifferentiable, values
+    are taken at scale points shrinking geometrically toward 0, each located
+    once and f evaluated once at each point its quotients use, and
+    extrapolated.
     """
     _check_alpha(alpha)
     zero = ts.site(0.0) if ts.contains(0.0) else None
     if zero is None or not zero.is_min:
         raise ZeroNotInScale(f"0 is not the minimum of {ts!r}")
-    if zero.mu == 0.0:
-        try:
-            slope = _jet(f, 0.0, 1)[1]
-        except (DomainError, NotDifferentiable):
-            pass
-        else:
-            return slope if alpha == 1.0 else 0.0  # +0.0: 0.0 * slope is -0.0 below 0
+    if zero.mu > 0.0:
+        raise LimitDiverged(
+            f"no scale point approaches 0+: 0 is right-scattered (sigma(0) = {zero.sigma!r})")
+    try:
+        slope = _jet(f, 0.0, 1)[1]
+    except (DomainError, NotDifferentiable):
+        pass
+    else:
+        return slope if alpha == 1.0 else 0.0  # +0.0: 0.0 * slope is -0.0 below 0
     sites = _sites_toward_zero(ts, _ZERO_LIMIT_POINTS)
     if len(sites) < 3:
         raise LimitDiverged("too few scale points approaching 0+")
@@ -280,8 +289,19 @@ def _delta_table(f: Expr, ts: TimeScale, site: Site, n: int) -> tuple[list[float
 
     The chain t, sigma(t), ... stops after n right-scattered points or at the
     first right-dense one, which answers each order k <= n - (its index) once:
-    order 1 from _dense_delta1, as in t_alpha, higher ones symbolically.
+    order 1 from _dense_delta1, as in t_alpha, higher ones symbolically. A
+    right-dense start with continuum room answers order n alone, after
+    _dense_delta1 has checked f(t) as evaluate does, and gives an empty level
+    n-1: callers read it only at a right-scattered start. Where f^(n)(t)
+    raises, the whole chain runs, so the error is the lowest order's. A top
+    entry that overflows (the others feed it) raises NotRepresentable.
     """
+    if site.mu == 0.0 and (site.left_room > 0.0 or site.right_room > 0.0):
+        d1 = _dense_delta1(f, site)
+        try:
+            return [], [d1 if n == 1 else evaluate(nth_derivative(f, n), site.t)]
+        except (DomainError, NotDifferentiable):
+            pass
     sites = [site]
     while sites[-1].mu > 0.0 and len(sites) < n:
         sites.append(ts.site(sites[-1].sigma))
@@ -297,6 +317,8 @@ def _delta_table(f: Expr, ts: TimeScale, site: Site, n: int) -> tuple[list[float
         if dense and k <= n - (len(sites) - 1):
             level.append(_dense_delta1(f, end) if k == 1
                          else evaluate(nth_derivative(f, k), end.t))
+    if level[0] - level[0] != 0.0:
+        raise _overflow(site.t)
     return below, level
 
 
@@ -328,6 +350,8 @@ def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float,
     factor = t ** (1.0 - beta)
     below, top = _delta_table(f, ts, site, n + 1)
     primary = factor * top[0]
+    if primary - primary != 0.0:
+        raise _overflow(t)
     if site.mu > 0.0:
         cross = (below[1] - below[0]) / site.mu
     else:
@@ -349,7 +373,8 @@ def power_rule(ts: TimeScale, t: float, alpha: float, m: int, c: float = 0.0,
                reciprocal: bool = False) -> float:
     """Closed-form derivative of (t-c)**m, or of its reciprocal.
 
-    Serves as an independent oracle for t_alpha on the same functions.
+    Serves as an independent oracle for t_alpha on the same functions. A
+    power or a value beyond the float range raises NotRepresentable.
     """
     _check_alpha(alpha)
     if m < 1 or m != int(m):
@@ -357,15 +382,21 @@ def power_rule(ts: TimeScale, t: float, alpha: float, m: int, c: float = 0.0,
     if t <= 0.0:
         raise NonPositivePoint(f"power rule needs t > 0, got {t!r}")
     st = ts.kappa_site(t).sigma
-    if reciprocal:
-        if (t - c) * (st - c) == 0.0:
-            raise PoleAtPoint(f"reciprocal power has a pole at t={t!r}, c={c!r}")
-        total = math.fsum(
-            1.0 / ((st - c) ** (p + 1) * (t - c) ** (m - p)) for p in range(m))
-        return -t ** (1.0 - alpha) * total
-    total = math.fsum(
-        (st - c) ** (m - 1 - p) * (t - c) ** p for p in range(m))
-    return t ** (1.0 - alpha) * total
+    if reciprocal and (t == c or st == c):
+        raise PoleAtPoint(f"reciprocal power has a pole at t={t!r}, c={c!r}")
+    try:
+        if reciprocal:
+            total = -math.fsum(
+                1.0 / ((st - c) ** (p + 1) * (t - c) ** (m - p)) for p in range(m))
+        else:
+            total = math.fsum(
+                (st - c) ** (m - 1 - p) * (t - c) ** p for p in range(m))
+        value = t ** (1.0 - alpha) * total
+    except (OverflowError, ZeroDivisionError):  # a power beyond the float range
+        value = math.inf
+    if value - value != 0.0:
+        raise NotRepresentable(f"power rule leaves the float range at t={t!r}")
+    return value
 
 
 def sigma_shift(f: Expr, ts: TimeScale, t: float, alpha: float) -> float:
@@ -385,6 +416,11 @@ def _weight(t: float, alpha: float) -> float:
 def _weight_overflow(t: float) -> NotRepresentable:
     """The error for a weight t**(alpha-1) that overflows at t."""
     return NotRepresentable(f"weight t**(alpha-1) overflows at t={t!r}")
+
+
+def _overflow(t: float) -> NotRepresentable:
+    """The error for a derivative whose value overflows at t."""
+    return NotRepresentable(f"derivative overflows at t={t!r}")
 
 
 def _bisect_root(fn: Callable[[float], float], lo: float, hi: float,

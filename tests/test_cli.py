@@ -365,6 +365,19 @@ TABLE_COMMANDS = {
                              "--alpha", "2.5", "--points", "1,2,4,8,16", "--output", "csv"],
     "deriv_qZbar_at_zero.json": ["deriv", "--scale", "qZbar(q=2)", "--expr", "t*cos(t)",
                                  "--alpha", "1", "--at", "0"],
+    # the dense higher path at a Pab block interior, a block end stepping
+    # into a block start, and a block start; then at both edges of R[1,3],
+    # orders 1 and 3; all three were written when a right-dense start of the
+    # delta chain evaluated f and every order below the one it returned
+    "table_Pab_higher.csv": ["deriv", "--scale", "Pab(a=1,b=1)", "--expr",
+                             "t^4 - 3*t^2 + exp(0.5*t)", "--alpha", "2.5",
+                             "--points", "0.25,1,2,2.5,6.1", "--output", "csv"],
+    "table_R13_edges_higher.csv": ["deriv", "--scale", "R[1,3]", "--expr",
+                                   "exp(0.5*t)*sin(t) + t^4", "--alpha", "1.5",
+                                   "--points", "1,2,3", "--output", "csv"],
+    "table_R13_edges_order3.csv": ["deriv", "--scale", "R[1,3]", "--expr",
+                                   "exp(0.5*t)*sin(t) + t^4", "--alpha", "3.5",
+                                   "--points", "1,2,3", "--output", "csv"],
 }
 
 
@@ -470,7 +483,10 @@ def test_order_above_one_at_zero_is_a_usage_error():
      "--to", "1e300"],
     ["deriv", "--scale", "hZ(h=1e-16)", "--expr", "t", "--alpha", "1", "--at", "1"],
     ["deriv", "--scale", "hZ(h=1e-300)", "--expr", "t", "--alpha", "1", "--at", "1"],
-], ids=["integ_overflow", "hZ_1e-16", "hZ_1e-300"])
+    # the forward quotient (1.5e308 - -1.5e308) / 1 overflows; it printed inf
+    ["deriv", "--scale", "hZ(h=1)", "--expr", "1.5e308*cos(3.141592653589793*t)",
+     "--alpha", "1", "--at", "1"],
+], ids=["integ_overflow", "hZ_1e-16", "hZ_1e-300", "quotient_overflow"])
 def test_unrepresentable_results_exit_3_without_output(args):
     code, out, err = run_cli(args)
     assert (code, out) == (3, "")

@@ -1,7 +1,8 @@
 """Property contracts (hypothesis): decompose and cauchy on all six shapes,
 cauchy's one walk per call against its cells in order, the one-sided jets
-against mpmath, a tree's compiled code against its nodes, and the limit at 0
-against mpmath or the extrapolation; and the typed errors of outside inputs."""
+against mpmath, a tree's compiled code against its nodes, the limit at 0
+against mpmath or the extrapolation, and a right-dense start of the delta
+chain against the whole chain; and the typed errors of outside inputs."""
 
 import importlib
 import math
@@ -9,15 +10,23 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tscal.integral as integral_module
-from tscal.derivative import AlphaOrder, power_rule, t_alpha_at_zero, t_alpha_higher_paths
+from tscal.derivative import (
+    AlphaOrder,
+    _delta_table,
+    _dense_delta1,
+    power_rule,
+    t_alpha_at_zero,
+    t_alpha_higher_paths,
+)
 from tscal.errors import (
     DomainError,
     EndpointSingularity,
     NonPositivePoint,
     NotDifferentiable,
+    NotInKappa,
     NotInScale,
     NotRepresentable,
     TscalError,
@@ -36,6 +45,7 @@ from tscal.expr import (
     _evaluator,
     _jet,
     evaluate,
+    nth_derivative,
     parse,
     render,
     substitute,
@@ -505,3 +515,56 @@ def test_zero_limit_is_the_right_slope_or_the_extrapolation(case):
     mp_value, mp_slope, trig = _mp_jet(f, 0.0)
     if trig <= 100 and abs(value - mp_value) <= 1e-14 * max(1.0, abs(mp_value)):
         assert _slopes_agree(slope, mp_slope, value), (render(f), slope, mp_slope)
+
+
+def _chain_delta_table(f, ts, site, n):
+    """The whole delta chain from any start: f along it, then order 1 from
+    the jets and every order 2..n symbolically at its right-dense end; the
+    reference for _delta_table's shortcut at a right-dense start."""
+    sites = [site]
+    while sites[-1].mu > 0.0 and len(sites) < n:
+        sites.append(ts.site(sites[-1].sigma))
+    end = sites[-1]
+    dense = end.mu == 0.0
+    level = [evaluate(f, s.t) for s in sites]
+    if not dense:
+        level.append(evaluate(f, end.sigma))
+    elif end.left_room <= 0.0 and end.right_room <= 0.0:
+        raise NotInKappa(f"{end.t!r} has no forward structure for a delta derivative")
+    for k in range(1, n + 1):
+        below, level = level, [(b - a) / s.mu for s, a, b in zip(sites, level, level[1:])]
+        if dense and k <= n - (len(sites) - 1):
+            level.append(_dense_delta1(f, end) if k == 1
+                         else evaluate(nth_derivative(f, k), end.t))
+    return below, level
+
+
+# right-dense starts: two-sided on R and inside Pab blocks, one-sided at the
+# edges of R[1,4] and at Pab block starts
+_DENSE_STARTS = ((R, st.floats(-10.0, 10.0) | st.sampled_from((0.0, 1.0, 1e-300))),
+                 (RealInterval(1.0, 4.0), st.sampled_from((1.0, 4.0, 2.5))),
+                 (PeriodicUnion(1.0, 1.0), st.sampled_from((0.0, 0.5, 2.0, 2.25, 4.0, 6.75))))
+
+
+@st.composite
+def dense_start_cases(draw):
+    e = _random_tree(draw(st.randoms(use_true_random=False)),
+                     consts=(1e300, -1e300, 0.0))
+    ts, points = draw(st.sampled_from(_DENSE_STARTS))
+    return e, ts, draw(points), draw(st.integers(1, 4))
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(dense_start_cases())
+# f'' or f''' overflows at 1 before f''' or f'''' does, at another node
+@example((parse("exp(t*(cos(t)/(1e300*t)))"), R, 1.0, 3))
+@example((parse("cos((-1e300 - 1)/(t - 4.234))"), R, 1.0, 4))
+def test_a_dense_start_gives_the_whole_chains_order_n(case):
+    # order n alone, bit for bit, or the whole chain's first error: its type,
+    # message, node and point
+    e, ts, t, n = case
+    site = ts.site(t)
+    assert site.mu == 0.0
+    got = _scalar_outcome(lambda: _delta_table(e, ts, site, n)[1][0])
+    assert got == _scalar_outcome(lambda: _chain_delta_table(e, ts, site, n)[1][0]), \
+        (render(e), ts, t, n)

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import random
+import re
 from functools import partial
 from pathlib import Path
 
@@ -147,8 +148,10 @@ def test_zero_limit_preconditions():
         t_alpha_at_zero(f, HZ1, 0.5)  # 0 present but not a minimum
     with pytest.raises(LimitDiverged):
         t_alpha_at_zero(parse("log(t)"), QZ2, 0.5)
-    with pytest.raises(LimitDiverged):
-        t_alpha_at_zero(f, FiniteSet((0.0, 1.0, 2.0)), 0.5)
+    # no scale point approaches a right-scattered 0: no limit, at once
+    for g in (f, parse("sqrt(t)"), parse("1/t")):
+        with pytest.raises(LimitDiverged, match=r"0 is right-scattered \(sigma\(0\) = 1\.0\)$"):
+            t_alpha_at_zero(g, FiniteSet((0.0, 1.0, 2.0)), 0.5)
 
 
 def test_delta_derivative_examples():
@@ -180,22 +183,31 @@ def test_dense_end_of_a_chain_needs_only_the_jet():
 
 
 def test_a_dense_point_answers_each_order_once(monkeypatch):
-    points = []
+    points, jets = [], []
 
     def counting_evaluate(e, t):
         points.append(t)
         return evaluate(e, t)
 
-    monkeypatch.setattr(importlib.import_module("tscal.derivative"), "evaluate",
-                        counting_evaluate)
+    def counting_jet(e, t, side=0):
+        jets.append(t)
+        return _jet(e, t, side)
+
+    module = importlib.import_module("tscal.derivative")
+    monkeypatch.setattr(module, "evaluate", counting_evaluate)
+    monkeypatch.setattr(module, "_jet", counting_jet)
     f = parse("t^3")
-    # f, f'' and f''' at 2; f' comes from the jet
+    # a right-dense start answers only the order it returns: one jet at 2
+    # checks f there, then f''' alone; f and f'' are not evaluated
     assert delta_derivative_n(f, R, 2.0, 3) == 6.0
-    assert points == [2.0] * 3
+    assert (points, jets) == ([2.0], [2.0])
     points.clear()
-    # 3 for the primary path, then f and f'' at the cross path's 4 quotient points
+    jets.clear()
+    # f''' for the primary path, then f'' at each of the cross path's 4
+    # quotient points, each after its own jet
     t_alpha_higher(f, R, 2.0, AlphaOrder(2.1))
-    assert len(points) == 3 + 4 * 2
+    assert len(points) == 1 + 4 and len(jets) == 1 + 4
+    assert points[0] == jets[0] == 2.0
 
 
 def test_higher_order_example():
@@ -242,6 +254,21 @@ def test_power_rule_examples():
         power_rule(HZ1, 2.0, 0.5, 2, c=3.0, reciprocal=True)
 
 
+def test_power_rule_raises_a_pole_only_at_a_pole():
+    # (t - c) * (sigma - c) underflows to 0 at t = 1e-200, where there is no
+    # pole; -4 t**-5 is beyond the float range there and at t = 1e-100, where
+    # a power underflows, and at t = 1e100 a power overflows
+    for t in (1e-200, 1e-100, 1e100):
+        with pytest.raises(NotRepresentable, match=re.escape(f"leaves the float range at t={t!r}")):
+            power_rule(R, t, 1.0, 4, 0.0, reciprocal=True)
+    with pytest.raises(NotRepresentable):
+        power_rule(R, 1e200, 1.0, 4)  # (2t)^3 and more
+    # just inside the range: -4 t**-5
+    assert power_rule(R, 1e-60, 1.0, 4, 0.0, reciprocal=True) == pytest.approx(-4e300, rel=1e-14)
+    with pytest.raises(PoleAtPoint):
+        power_rule(R, 1e-200, 1.0, 4, 1e-200, reciprocal=True)
+
+
 def test_power_rule_against_t_alpha_grid():
     for ts, t in ((HZ1, 2.0), (UniformLattice(0.5), 1.5), (QN2, 4.0), (R, 2.0)):
         for m in (1, 2, 3, 4):
@@ -273,6 +300,28 @@ def test_sigma_shift_weight_overflow_is_typed():
     # t_alpha's factor t**(1-alpha) is tiny here, the shift's t**(alpha-1) overflows
     with pytest.raises(NotRepresentable, match=r"^weight t\*\*\(alpha-1\) overflows at t=5e-324$"):
         sigma_shift(parse("t"), FiniteSet((5e-324, 1.0)), 5e-324, 0.01)
+
+
+# f(1) = -1.5e308 and f(2) = 1.5e308 on hZ(1): every forward quotient from 1 overflows
+OVERFLOWING = parse("1.5e308*cos(3.141592653589793*t)")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: t_alpha(OVERFLOWING, HZ1, 1.0, 1.0),
+    lambda: sigma_shift(OVERFLOWING, HZ1, 1.0, 0.5),
+    lambda: delta_derivative_n(OVERFLOWING, HZ1, 1.0, 2),
+    lambda: t_alpha_higher(OVERFLOWING, HZ1, 1.0, AlphaOrder(1.5)),
+    lambda: t_alpha_higher_paths(OVERFLOWING, HZ1, 1.0, AlphaOrder(2.5)),
+    # a finite slope times t**(1-alpha): 7.6e299 * (1e20)**0.9
+    lambda: t_alpha(parse("1e300*sin(t)"), R, 1e20, 0.1),
+    # a finite third delta derivative, -7.9e305, times (1e15)**0.5
+    lambda: t_alpha_higher(parse("1e305*cos(3.141592653589793*t)"), HZ1, 1e15,
+                           AlphaOrder(2.5)),
+], ids=["t_alpha", "sigma_shift", "delta_derivative_n", "t_alpha_higher",
+        "t_alpha_higher_paths", "weighted", "weighted_higher"])
+def test_an_overflowing_derivative_raises_not_representable(call):
+    with pytest.raises(NotRepresentable, match=r"^derivative overflows at t="):
+        call()
 
 
 def test_sigma_shift_equals_f_sigma_on_scattered_points():
@@ -587,7 +636,7 @@ SHARED_HIGHER_ORDERS = (1.5, 2.0, 2.5, 3.0)
 SHARED_ZERO_SCALES = {"qZbar(1.5)": QLatticeClosure(1.5), "qZbar(2)": QZ2,
                       "qZbar(3)": QLatticeClosure(3.0), "R[0,4]": RealInterval(0.0, 4.0),
                       "Pab(1,1)": PeriodicUnion(1.0, 1.0),
-                      # the first point toward 0 is the maximum 0.5: NotInKappa
+                      # 0 is right-scattered in both finite sets: LimitDiverged
                       "finite": FiniteSet((0.0, 0.0625, 0.125, 0.25, 0.5)),
                       "finite+1": FiniteSet((0.0, 0.0625, 0.125, 0.25, 0.5, 1.0))}
 SHARED_ZERO_FUNCS = ("t^2 + 3*t", "t*cos(t)", "exp(t) - 1", "sin(2*t) + t^3", "sqrt(t)",
@@ -634,11 +683,15 @@ ZERO_SLOPES = {"t^2 + 3*t": 3.0, "t*cos(t)": 1.0, "exp(t) - 1": 1.0, "sin(2*t) +
 
 def test_golden_zero_limits_at_a_right_dense_zero_are_closed_forms():
     # the right jet at 0 gives f'(0+) at alpha = 1 and +0.0 below; the
-    # sqrt(t) rows and both finite sets take the extrapolation, not checked here
+    # sqrt(t) rows take the extrapolation, not checked here. On both finite
+    # sets 0 is right-scattered, so no row has a limit
     golden = json.loads((GOLDEN / "deriv_shared_points.json").read_text(encoding="utf-8"))
     zero = golden["t_alpha_at_zero"]
     dense = [name for name, ts in SHARED_ZERO_SCALES.items() if ts.site(0.0).mu == 0.0]
     assert dense == ["qZbar(1.5)", "qZbar(2)", "qZbar(3)", "R[0,4]", "Pab(1,1)"]
+    scattered = [row for name, row in zero.items() if name.startswith("finite")]
+    assert scattered == ["LimitDiverged: no scale point approaches 0+: "
+                         "0 is right-scattered (sigma(0) = 0.0625)"] * 48
     for name in dense:
         for text, slope in ZERO_SLOPES.items():
             for alpha in SHARED_ZERO_ALPHAS:
