@@ -53,7 +53,6 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 _NOISE_SAFETY = 8.0
-_DENSE_STEPS = 20
 _DENSE_H0 = 1e-3  # the quotient's first step, scaled by max(1, |t|)
 _RICHARDSON_DEPTH = 2
 _ZERO_LIMIT_POINTS = 12
@@ -98,7 +97,9 @@ def _richardson(quotient: Callable[[int, float], tuple[float, float]],
     step halves from _DENSE_H0 max(1, |t|); a depth-2 Richardson table
     accelerates the sequence, and the limit is its corner once two successive
     corners agree to LIMIT_RTOL (relative) or to the noise floor, whichever is
-    larger.
+    larger. The step halves no further than LIMIT_RTOL times the first (30
+    steps, thousands of ulps of t): the floor grows as 1/h, so by then it has
+    grown by the inverse tolerance, and corners still unsettled are noise.
     """
     t, left_room, right_room = site.t, site.left_room, site.right_room
     h0 = _DENSE_H0 * max(1.0, abs(t))
@@ -112,8 +113,8 @@ def _richardson(quotient: Callable[[int, float], tuple[float, float]],
         side, p, h0 = -1, 1, min(h0, left_room / 4.0)
     prev_row: list[float] = []
     prev_corner = math.nan
-    h = h0
-    for k in range(_DENSE_STEPS):
+    h, k = h0, 0
+    while h >= LIMIT_RTOL * h0:
         value, floor = quotient(side, h)
         row = [value]
         for j in range(1, min(k, _RICHARDSON_DEPTH) + 1):
@@ -124,8 +125,9 @@ def _richardson(quotient: Callable[[int, float], tuple[float, float]],
             return corner
         prev_row, prev_corner = row, corner
         h *= 0.5
+        k += 1
     raise LimitDiverged(
-        f"difference quotient did not stabilize in {_DENSE_STEPS} steps at t={t!r}")
+        f"difference quotient did not stabilize in {k} steps at t={t!r}")
 
 
 def _dense_limit(g: Callable[[float], float], site: Site) -> float:

@@ -4,7 +4,8 @@ Provides a small recursive-descent parser, exact evaluation with domain
 checking (and without, over many points in one walk; a tree walked often gets
 compiled code for both), one- or two-sided first-order jets (value and exact
 slope), constant folding and exact symbolic differentiation, each on its node
-class. Grammar:
+class; what each function of the grammar contributes to them is one record of
+_FUNCTIONS, whose keys are the identifiers the parser accepts. Grammar:
 
     expr   := term (("+"|"-") term)*
     term   := factor (("*"|"/") factor)*
@@ -25,7 +26,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from types import MethodType
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
     DomainError,
@@ -69,15 +70,18 @@ class Expr:
     their nodes raise unless every value is finite: a Div's denominator
     (x/inf), a Pow's base under a negative or fractional exponent (inf**-c;
     a fractional power also raises on a negative base, which would give a
-    complex number) and exp's argument (exp(-inf)). _jet(t, side) gives
-    _eval's value and the slope from side (0: both), NaN where there is none,
-    in one walk. It raises a bare ArithmeticError or ValueError at every node
-    where _eval raises, through _eval's own overflow checks, so a finite
-    value from it is evaluate()'s; expr._jet replays any other point with
-    evaluate() for its error. (_eval_many's guards would not do: they also
-    refuse an inf that a constant such as 1e999 holds, as in t/1e999, which
-    evaluate() takes.) _fold, _d, _substitute and _render back fold,
-    derivative, substitute and render.
+    complex number) and an absorbing function's argument (e^-inf == 0). _jet(t,
+    side) gives _eval's value and the slope from side (0: both), NaN where
+    there is none, in one walk. It raises a bare ArithmeticError or ValueError
+    at every node where _eval raises, through _eval's own overflow checks, so
+    a finite value from it is evaluate()'s; expr._jet replays any other point
+    with evaluate() for its error. (_eval_many's guards would not do: they
+    also refuse an inf that a constant such as 1e999 holds, as in t/1e999,
+    which evaluate() takes.) _fold, _d, _substitute and _render back fold,
+    derivative, substitute and render. Apply takes each rule for its function
+    from the function's _FUNCTIONS record; a name outside the table is a
+    KeyError to a walk, a jet and the renderer, which refuse it as they
+    refuse any node they cannot take, and evaluate() raises DomainError.
 
     Once a tree's walks have covered _CODE_AT points in total, _code renders
     it into one Python source, compiled once and kept on the node object (as
@@ -323,13 +327,13 @@ class Pow(Expr):
 
     def _eval(self, t: float) -> float:
         base = self.base._eval(t)
-        exp = self.exponent.value
-        if base < 0.0 and not _is_whole(exp):
+        c = self.exponent.value
+        if base < 0.0 and not _is_whole(c):
             raise DomainError("negative base with fractional exponent", self, t)
-        if base == 0.0 and exp < 0.0:
+        if base == 0.0 and c < 0.0:
             raise DomainError("zero base with negative exponent", self, t)
         try:
-            v = base ** exp
+            v = base ** c
         except OverflowError:
             raise DomainError("power overflow", self, t) from None
         if math.isinf(v):
@@ -337,36 +341,36 @@ class Pow(Expr):
         return v
 
     def _eval_many(self, ts: list[float]) -> list[float]:
-        base, exp = self.base._eval_many(ts), self.exponent.value
-        if not _is_whole(exp):  # a negative base gives a complex number
+        base, c = self.base._eval_many(ts), self.exponent.value
+        if not _is_whole(c):  # a negative base gives a complex number
             if min(_finite(base)) < 0.0:
                 raise ArithmeticError("negative base with fractional exponent")
-        elif exp <= 0.0:  # inf**-c == 0.0
+        elif c <= 0.0:  # inf**-c == 0.0
             _finite(base)
-        return [b ** exp for b in base]
+        return [b ** c for b in base]
 
     def _jet(self, t: float, side: int) -> tuple[float, float]:
         base, dbase = self.base._jet(t, side)
-        exp = self.exponent.value
-        if base < 0.0 and not _is_whole(exp):
+        c = self.exponent.value
+        if base < 0.0 and not _is_whole(c):
             raise ArithmeticError  # Python would give a complex number
-        v = base ** exp  # ZeroDivisionError and OverflowError where _eval raises
+        v = base ** c  # ZeroDivisionError and OverflowError where _eval raises
         if math.isinf(v):
             raise OverflowError
-        if base == 0.0 and not _is_whole(exp):
-            return v, _root_slope(self.base, t, dbase, side, exp)
+        if base == 0.0 and not _is_whole(c):
+            return v, _root_slope(self.base, t, dbase, side, c)
         try:
-            return v, exp * base ** (exp - 1.0) * dbase
+            return v, c * base ** (c - 1.0) * dbase
         except (OverflowError, ZeroDivisionError):
             return v, math.inf
 
     def _fold(self) -> Expr:
-        base, exp = self.base._fold(), self.exponent
-        if exp.value == 1.0:
+        base, exponent = self.base._fold(), self.exponent
+        if exponent.value == 1.0:
             return base
-        if exp.value == 0.0:
+        if exponent.value == 0.0:
             return Const(1.0)
-        node = Pow(base, exp)
+        node = Pow(base, exponent)
         return _constant(node) if isinstance(base, Const) else node
 
     def _d(self) -> Expr:
@@ -380,11 +384,11 @@ class Pow(Expr):
         return f"({self.base._render()}^{self.exponent._render()})"
 
     def _code(self, code: _Code) -> str:
-        base, exp = code.of(self.base, self.exponent)
+        base, power = code.of(self.base, self.exponent)
         c = self.exponent.value
         if not _is_whole(c):  # math.pow raises where ** gives a complex number
-            return f"{code.bind('_pow', math.pow)}({code.guard(base, '0.0 <=')}, {exp})"
-        return f"({code.finite(base, self.base) if c <= 0.0 else base} ** {exp})"
+            return f"{code.bind('_pow', math.pow)}({code.guard(base, '0.0 <=')}, {power})"
+        return f"({code.finite(base, self.base) if c <= 0.0 else base} ** {power})"
 
 
 @dataclass(frozen=True)
@@ -394,77 +398,34 @@ class Apply(Expr):
 
     def _eval(self, t: float) -> float:
         x = self.arg._eval(t)
-        func = self.func
-        if func == "log":
-            if x <= 0.0:
-                raise DomainError("log of a non-positive value", self, t)
-            return math.log(x)
-        if func == "exp":
-            try:
-                return math.exp(x)
-            except OverflowError:
-                raise DomainError("exp overflow", self, t) from None
-        if func == "sin" or func == "cos":
-            try:
-                return math.sin(x) if func == "sin" else math.cos(x)
-            except ValueError:  # x is +-inf
-                raise DomainError(f"{func} of an infinite value", self, t) from None
-        if func == "sqrt":
-            if x < 0.0:
-                raise DomainError("sqrt of a negative value", self, t)
-            return math.sqrt(x)
-        if func == "abs":
-            return abs(x)
-        raise DomainError(f"unknown function {func!r}", self, t)
+        f = _FUNCTIONS.get(self.func)
+        if f is None:
+            raise DomainError(f"unknown function {self.func!r}", self, t)
+        try:
+            return f.call(x)
+        except f.error:
+            raise DomainError(f.message, self, t) from None
 
     def _eval_many(self, ts: list[float]) -> list[float]:
-        xs = self.arg._eval_many(ts)
-        if self.func == "exp":  # exp(-inf) == 0.0
-            _finite(xs)
-        func = _MANY.get(self.func)  # an unknown name: NaN, so evaluate raises
-        return list(map(func, xs)) if func else [math.nan] * len(xs)
+        xs, f = self.arg._eval_many(ts), _FUNCTIONS[self.func]
+        return list(map(f.call, _finite(xs) if f.absorbing else xs))
 
     def _jet(self, t: float, side: int) -> tuple[float, float]:
         x, dx = self.arg._jet(t, side)
-        func = self.func
-        if func == "log":
-            return math.log(x), dx / x
-        if func == "exp":
-            v = math.exp(x)
-            return v, v * dx
-        if func == "sin":
-            return math.sin(x), math.cos(x) * dx
-        if func == "cos":
-            return math.cos(x), -math.sin(x) * dx
-        if func == "sqrt":
-            v = math.sqrt(x)
-            return v, dx / (2.0 * v) if v else _root_slope(self.arg, t, dx, side, 0.5)
-        if func != "abs":
-            raise ValueError(f"unknown function {func!r}")
-        if x == 0.0 and dx != 0.0:  # a kink: only one-sided slopes
-            return 0.0, side * abs(dx) if side else math.nan
-        return abs(x), dx if x > 0.0 else -dx if x < 0.0 else 0.0
+        f = _FUNCTIONS[self.func]
+        v = f.call(x)
+        return v, f.slope(x, v, dx, side, self.arg, t)
 
     def _fold(self) -> Expr:
         node = Apply(self.func, self.arg._fold())
         return _constant(node) if isinstance(node.arg, Const) else node
 
     def _d(self) -> Expr:
-        func, arg = self.func, self.arg
-        if func == "abs":
-            raise NotDifferentiable("abs is not differentiable at 0")
-        inner = arg._d()
-        if func == "log":
-            return Div(inner, arg)
-        if func == "exp":
-            return Mul(Apply("exp", arg), inner)
-        if func == "sin":
-            return Mul(Apply("cos", arg), inner)
-        if func == "cos":
-            return Sub(Const(0.0), Mul(Apply("sin", arg), inner))
-        if func == "sqrt":
-            return Div(inner, Mul(Const(2.0), Apply("sqrt", arg)))
-        raise NotDifferentiable(f"cannot differentiate {func}")
+        f = _FUNCTIONS.get(self.func)
+        if f is None:
+            self.arg._d()  # an error inside the argument comes first
+            raise NotDifferentiable(f"cannot differentiate {self.func}")
+        return f.d(self.arg)
 
     def _substitute(self, replacement: Expr) -> Expr:
         return Apply(self.func, self.arg._substitute(replacement))
@@ -473,21 +434,50 @@ class Apply(Expr):
         return f"{self.func}({self.arg._render()})"
 
     def _code(self, code: _Code) -> str:
-        call = _CALLS.get(self.func)  # the table's own name, never self.func
-        if call is None:
-            raise TypeError(f"unknown function {self.func!r}")
+        f = _FUNCTIONS[self.func]  # the record's name is bound, never self.func
         arg, = code.of(self.arg)
-        if call[0] == "_exp":  # exp(-inf) == 0.0
-            arg = code.finite(arg, self.arg)
-        return f"{code.bind(*call)}({arg})"
+        return f"{code.bind(f.name, f.call)}({code.finite(arg, self.arg) if f.absorbing else arg})"
 
 
-_FUNCS = ("log", "exp", "sin", "cos", "sqrt", "abs")
-# math raises where _eval raises DomainError: log of x <= 0, exp overflow,
-# sqrt of x < 0, sin and cos of +-inf
-_MANY = {"log": math.log, "exp": math.exp, "sin": math.sin, "cos": math.cos,
-         "sqrt": math.sqrt, "abs": abs}
-_CALLS = {func: ("_" + func, f) for func, f in _MANY.items()}  # name in a tree's code
+class _Function(NamedTuple):
+    """All this module knows of one function of the grammar."""
+    name: str  # what a tree's code binds call under
+    call: Callable[[float], float]
+    error: type[Exception] | tuple[()]  # what call raises wherever evaluate raises,
+    message: str  # and evaluate's DomainError message there
+    slope: Callable[..., float]  # (x, call(x), x', side, the argument node, t) -> slope
+    d: Callable[[Expr], Expr]  # the argument node u -> d/dt call(u), folded later
+    absorbing: bool = False  # call(x) may be finite at an infinite x, as e^-inf == 0
+
+
+def _abs_slope(x: float, v: float, dx: float, side: int, u: Expr, t: float) -> float:
+    if x == 0.0 and dx != 0.0:  # a kink: only one-sided slopes
+        return side * abs(dx) if side else math.nan
+    return dx if x > 0.0 else -dx if x < 0.0 else 0.0
+
+
+def _abs_d(u: Expr) -> Expr:
+    raise NotDifferentiable("abs is not differentiable at 0")
+
+
+_FUNCTIONS = {  # in the grammar's order, which the parser's error messages list
+    "log": _Function("_log", math.log, ValueError, "log of a non-positive value",
+                     lambda x, v, dx, side, u, t: dx / x, lambda u: Div(u._d(), u)),
+    "exp": _Function("_exp", math.exp, OverflowError, "exp overflow",
+                     lambda x, v, dx, side, u, t: v * dx,
+                     lambda u: Mul(Apply("exp", u), u._d()), absorbing=True),
+    "sin": _Function("_sin", math.sin, ValueError, "sin of an infinite value",
+                     lambda x, v, dx, side, u, t: math.cos(x) * dx,
+                     lambda u: Mul(Apply("cos", u), u._d())),
+    "cos": _Function("_cos", math.cos, ValueError, "cos of an infinite value",
+                     lambda x, v, dx, side, u, t: -math.sin(x) * dx,
+                     lambda u: Sub(Const(0.0), Mul(Apply("sin", u), u._d()))),
+    "sqrt": _Function("_sqrt", math.sqrt, ValueError, "sqrt of a negative value",
+                      lambda x, v, dx, side, u, t:
+                          dx / (2.0 * v) if v else _root_slope(u, t, dx, side, 0.5),
+                      lambda u: Div(u._d(), Mul(Const(2.0), Apply("sqrt", u)))),
+    "abs": _Function("_abs", abs, (), "", _abs_slope, _abs_d),
+}
 _CODED = (Const, Var, Add, Sub, Mul, Div, Pow, Apply)
 _ROOT_ORDER_CAP = 8  # the highest Taylor order _root_slope asks for
 
@@ -590,13 +580,13 @@ class _Parser:
         if kind == "ident":
             if text == "t":
                 return Var()
-            if text in _FUNCS:
+            if text in _FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
                 return Apply(text, arg)
             raise ExprSyntaxError(f"unknown identifier {text!r}", off,
-                                  ("t",) + _FUNCS)
+                                  ("t", *_FUNCTIONS))
         if kind == "op" and text == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -731,7 +721,7 @@ def _compile(e: Expr) -> Callable[[list[float]], list[float]] | None:
             body, = code.of(e)
             binds = ", ".join(f"{name}={name}" for name in code.names)
             program = compile(_SOURCE.format(body=body, binds=binds), "<tscal tree>", "exec")
-        except (TypeError, RecursionError, SyntaxError):
+        except (TypeError, KeyError, RecursionError, SyntaxError):
             pass
     if program is None:
         object.__setattr__(e, "_walk", None)
@@ -771,7 +761,7 @@ def _evaluate_many(e: Expr, ts: list[float]) -> list[float] | None:
             walk = _compile(e)
     try:
         vs = e._eval_many(ts) if walk is None else walk(ts)
-    except (ArithmeticError, ValueError):
+    except (ArithmeticError, KeyError, ValueError):
         return None
     return vs if all(map(math.isfinite, vs)) else None
 
@@ -803,14 +793,15 @@ def _jet(e: Expr, t: float, side: int = 0) -> tuple[float, float]:
     value from it is evaluate's own. Where it raises or its value is not
     finite, evaluate(e, t) replays the point and then the pass runs again:
     every DomainError (message, node, t) is evaluate's. side is 0 for the
-    two-sided slope, +1 or -1 for a one-sided one; it matters only at a zero
-    of abs (slope side * |u'|), sqrt or a non-integer power (_root_slope). A
+    two-sided slope, +1 or -1 for a one-sided one; it matters only where a
+    function's slope rule has one-sided slopes (a kink at 0, a root at 0 by
+    _root_slope) and at a zero base of a non-integer power (_root_slope). A
     node with no slope gives NaN, which later nodes propagate; that, or an
     overflow, raises NotDifferentiable.
     """
     try:
         v, s = e._jet(t, side)
-    except (ArithmeticError, ValueError):
+    except (ArithmeticError, KeyError, ValueError):
         v = math.nan
     if not math.isfinite(v):
         v = evaluate(e, t)

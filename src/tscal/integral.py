@@ -67,6 +67,11 @@ _BATCH_SIZE = 4096
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """est_error adds up what each cell reports: on a continuum segment, each
+    final panel's G7K15 estimate, at least its roundoff floor 50*eps*int|g|;
+    on the q-series from 0, the observed geometric tail; on a run of jumps,
+    0.0, though the rounding of the run's sum is not 0 and is not counted. No
+    path counts the error of evaluating f itself."""
     value: float
     est_error: float
     cells_used: int

@@ -342,6 +342,8 @@ def test_readme_command_in_fresh_interpreter():
     assert proc.stdout == (GOLDEN / "readme_deriv_higher.json").read_bytes()
 
 
+FUNCS_EXPR = "log(t+1)*sqrt(t) + abs(t-2.5) + exp(-t)*sin(t)*cos(t)"
+
 # derivative tables; on R every row of the order-2.1 table takes f' from the
 # jet and f'' and f''' from the same parsed tree, on hZ the rows are forward
 # quotients
@@ -378,6 +380,16 @@ TABLE_COMMANDS = {
     "table_R13_edges_order3.csv": ["deriv", "--scale", "R[1,3]", "--expr",
                                    "exp(0.5*t)*sin(t) + t^4", "--alpha", "3.5",
                                    "--points", "1,2,3", "--output", "csv"],
+    # every function of the grammar in one tree, at Pab's dense points, a
+    # block end and a block start; at order 1.6 without abs, whose symbolic
+    # derivative is refused; both were written before each function's rules
+    # were gathered into one record
+    "table_Pab_funcs.csv": ["deriv", "--scale", "Pab(a=1,b=1)", "--expr", FUNCS_EXPR,
+                            "--alpha", "0.7", "--points", "0.25,1,2,2.75,6.1",
+                            "--output", "csv"],
+    "table_Pab_funcs_higher.csv": ["deriv", "--scale", "Pab(a=1,b=1)", "--expr",
+                                   FUNCS_EXPR.replace(" + abs(t-2.5)", ""), "--alpha", "1.6",
+                                   "--points", "0.25,1,2,2.75,6.1", "--output", "csv"],
 }
 
 
@@ -397,6 +409,19 @@ def test_lattice_integral_matches_golden_output():
     code, out, _ = run_cli(LATTICE_INTEG)
     assert code == 0
     assert out.encode() == (GOLDEN / "integ_hZ_lattice.json").read_bytes()
+
+
+# the tree with every function over 10,000 lattice steps: its walks give it
+# compiled code; the golden was written before each function's rules were
+# gathered into one record
+FUNCS_INTEG = ["integ", "--scale", "hZ(h=0.01)", "--expr", FUNCS_EXPR, "--alpha", "0.8",
+               "--from", "1", "--to", "101"]
+
+
+def test_every_function_integral_matches_golden_output():
+    code, out, _ = run_cli(FUNCS_INTEG)
+    assert code == 0
+    assert out.encode() == (GOLDEN / "integ_hZ_funcs.json").read_bytes()
 
 
 # 200 Pab blocks, so one call evaluates every block's first G7K15 panel in a

@@ -1,11 +1,12 @@
-"""Property contracts (hypothesis): decompose and cauchy on all six shapes,
-cauchy's one walk per call against its cells in order, the one-sided jets
-against mpmath, a tree's compiled code against its nodes, the limit at 0
-against mpmath or the extrapolation, and a right-dense start of the delta
-chain against the whole chain; and the typed errors of outside inputs."""
+"""Property contracts (hypothesis): decompose, nearest and site, and cauchy
+on all six shapes, cauchy's one walk per call against its cells in order, the
+one-sided jets against mpmath, a tree's compiled code against its nodes, the
+limit at 0 against mpmath or the extrapolation, and a right-dense start of the
+delta chain against the whole chain; and the typed errors of outside inputs."""
 
 import importlib
 import math
+import sys
 from unittest import mock
 
 import mpmath
@@ -120,6 +121,55 @@ def test_cells_telescope_from_lo_to_hi(case):
         assert nxt_start == cur_end
     for cur, nxt in zip(cells, cells[1:]):  # runs are maximal
         assert not (isinstance(cur, Jumps) and isinstance(nxt, Jumps))
+
+
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal float range
+_REALS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scales_and_reals(draw):
+    """A scale of one of the six shapes with extreme but valid parameters, and
+    a real x to snap onto it. x stays where the scale's points are distinct
+    floats with room around them: within 2**50 steps of hZ, where k h rounds
+    by at most an eighth of h, between q times the smallest normal float
+    and the largest over q**2 on a geometric lattice, and below 2**40 a on
+    Pab, where a block spans thousands of ulps of t."""
+    shape = draw(st.sampled_from(["R", "hZ", "qZbar", "qN0", "Pab", "finite"]))
+    if shape == "R":
+        lo, hi = sorted(draw(st.lists(_REALS, min_size=2, max_size=2, unique=True)))
+        ts = draw(st.sampled_from([RealInterval(), RealInterval(lo, hi)]))
+        x = draw(_REALS)
+    elif shape == "hZ":
+        ts = UniformLattice(draw(st.floats(1e-300, 1e290)))
+        x = draw(st.floats(-2.0 ** 50, 2.0 ** 50)) * ts.h
+    elif shape in ("qZbar", "qN0"):
+        q = draw(st.floats(1.0 + 1e-6, 1e6))
+        ts = QLatticeClosure(q) if shape == "qZbar" else QPowers(q)
+        x = draw(st.floats(q * _TINY, _HUGE / q ** 2) | st.floats(-_HUGE, 0.0))
+    elif shape == "Pab":
+        ts = PeriodicUnion(draw(st.floats(1e-6, 1e6)), draw(st.floats(1e-6, 1e6)))
+        x = draw(st.floats(-ts.period, 2.0 ** 40 * ts.a))
+    else:
+        ts = FiniteSet(tuple(sorted(set(draw(st.lists(_REALS, min_size=1, max_size=60))))))
+        x = draw(_REALS)
+    return ts, x
+
+
+@CONTRACT
+@given(scales_and_reals())
+def test_a_nearest_point_is_a_site_whose_jump_is_one_step(case):
+    ts, x = case
+    s = ts.nearest(x)
+    assert ts.contains(s)
+    site = ts.site(s)
+    assert site.t == s and (ts.sigma(s), ts.mu(s)) == (site.sigma, site.mu)
+    assert site.sigma >= s and ts.contains(site.sigma)
+    # mu is each shape's closed form of sigma - t, to the rounding of both
+    assert abs(site.mu - (site.sigma - s)) <= 4.0 * math.ulp(site.sigma)
+    assert (site.mu > 0.0) == (site.sigma > s)
+    if site.sigma > s:  # right-scattered: the cells from s to sigma are that step
+        assert ts.decompose(s, site.sigma) == [Jumps((s, site.sigma))]
 
 
 @CONTRACT

@@ -227,6 +227,17 @@ def test_higher_order_paths_agree():
             assert rel(primary, cross) <= 1e-9
 
 
+@pytest.mark.parametrize("t", [1e4, 1e6, 1e8])
+def test_the_dense_cross_path_halves_until_its_step_resolves_the_period(t):
+    # the first step, 1e-3 t, spans about 16,000 periods of sin at t = 1e8,
+    # where the corners settle only at the 23rd quotient
+    f, order = parse("sin(t)"), AlphaOrder(1.5)
+    primary, cross = t_alpha_higher_paths(f, R, t, order)
+    assert rel(primary, -math.sin(t) * t ** 0.5) <= 1e-12
+    assert rel(primary, cross) <= 1e-9
+    assert t_alpha_higher(f, R, t, order) == primary
+
+
 def test_higher_order_abs_fails_on_dense_points_only():
     f = parse("abs(t-3)")
     # the dense point needs f'' from the symbolic derivative, which rejects

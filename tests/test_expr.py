@@ -30,6 +30,7 @@ from tscal.expr import (
     Sub,
     Var,
     _CODE_AT,
+    _FUNCTIONS,
     _compile,
     _evaluate_many,
     _evaluator,
@@ -295,8 +296,16 @@ def test_nan_input_raises_at_the_root():
 
 
 def test_malformed_nodes_are_rejected():
-    err = _domain_error(Apply("tan", Var()), 1.0)
-    assert str(err) == "unknown function 'tan' at t=1.0"
+    # a name outside the function table: every interpreter refuses it
+    tan = Apply("tan", Var())
+    err = _domain_error(tan, 1.0)
+    assert str(err) == "unknown function 'tan' at t=1.0" and err.expr is tan
+    assert _evaluate_many(tan, [1.0, 2.0]) is None
+    with pytest.raises(DomainError, match=r"^unknown function 'tan' at t=1\.0$"):
+        _jet(tan, 1.0)
+    with pytest.raises(NotDifferentiable, match=r"^cannot differentiate tan$"):
+        derivative(tan)
+    assert _compile(tan) is None
     with pytest.raises(TypeError):
         evaluate(Add(Var(), Expr()), 1.0)
     for rule in (fold, derivative, render, lambda e: substitute(e, Var())):
@@ -645,3 +654,63 @@ def test_a_failing_walk_on_a_tree_with_code_replays_for_the_first_error():
     with pytest.raises(DomainError, match=r"^division by zero at t=50\.0$") as info:
         cauchy(e, UniformLattice(0.01), 1.0, 101.0, 0.8)
     assert info.value.expr is e and info.value.t == 50.0
+
+
+# Points at which every function of the table is read, as its argument t
+# itself: outside a domain, at a kink or a root, beyond an overflow, infinite.
+_FUNCTION_POINTS = (-math.inf, -1e300, -2.0, -0.5, -0.0, 0.0, 0.25, 1.0, 3.0, 710.0, 1e300,
+                    math.inf)
+
+
+@pytest.mark.parametrize("name", list(_FUNCTIONS))
+def test_every_function_of_the_table_agrees_across_its_interpreters(name):
+    # a new record is covered here; _MP must give it an mpmath reference
+    record, plain, coded = _FUNCTIONS[name], Apply(name, Var()), _with_code(Apply(name, Var()))
+    inside, outside = [], []
+    for t in _FUNCTION_POINTS:
+        try:
+            value = evaluate(plain, t)
+        except DomainError as exc:
+            outside.append(t)
+            assert exc.expr is plain and exc.t == t, (name, t)
+            # a walk fails whole, and the code and the jet raise evaluate's
+            # error at the same node
+            assert _evaluate_many(plain, [1.0, t]) is None
+            assert _evaluate_many(coded, [1.0, t]) is None
+            for rule, node in ((_evaluator(coded), coded), (partial(_jet, plain), plain)):
+                with pytest.raises(DomainError) as again:
+                    rule(t)
+                assert str(again.value) == str(exc) and again.value.expr is node, (name, t)
+            continue
+        inside.append(t)
+        walk = _evaluate_many(plain, [t])
+        # an absorbing function's walk refuses an infinite argument
+        assert walk == [value] or (record.absorbing and math.isinf(t) and walk is None)
+        assert _evaluator(coded)(t).hex() == value.hex(), (name, t)
+        assert _evaluate_many(coded, [t]) == walk
+        slopes = {}
+        for side in (0, 1, -1):
+            try:
+                v, slopes[side] = _jet(plain, t, side)
+            except NotDifferentiable:
+                continue
+            assert v.hex() == value.hex(), (name, t, side)
+        if 0 not in slopes:  # no two-sided slope: a kink or a root
+            continue
+        assert slopes[1] == slopes[-1] == slopes[0], (name, t)
+        if math.isfinite(t):
+            with mpmath.workdps(30 + max(0, int(math.log10(abs(t) + 1.0)))):  # past t's digits
+                reference = float(mpmath.diff(_MP[name], mpmath.mpf(t)))
+            assert _slopes_agree(slopes[0], reference, value), (name, t, slopes[0], reference)
+        try:
+            tree = evaluate(derivative(plain), t)
+        except NotDifferentiable as exc:  # the record refuses a symbolic derivative
+            assert str(exc) == f"{name} is not differentiable at 0"
+        else:
+            assert _slopes_agree(slopes[0], tree, value), (name, t, slopes[0], tree)
+    # the record's own DomainError is raised somewhere unless its error is none;
+    # every other refusal is the root's check of an infinite value
+    messages = {str(_domain_error(plain, t)).rsplit(" at t=", 1)[0] for t in outside}
+    assert messages - {"evaluation produced an infinite value"} == (
+        {record.message} if record.error != () else set())
+    assert record.absorbing == any(math.isinf(t) for t in inside)

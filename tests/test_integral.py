@@ -329,7 +329,8 @@ def test_ftc_examples():
 
 def test_ftc_unsettled_dense_quotient_is_a_failure(monkeypatch):
     # local integrals that alternate between 0 and twice the width never let
-    # the Richardson corners settle: the point fails after 20 halvings
+    # the Richardson corners settle: the point fails once the step has shrunk
+    # to LIMIT_RTOL times the first, after 30 quotients
     calls = []
 
     def alternating(f, ts, lo, hi, alpha, quad_tol=None):
@@ -340,8 +341,16 @@ def test_ftc_unsettled_dense_quotient_is_a_failure(monkeypatch):
     rep = ftc_check(parse("t"), R, [2.0], 1.0)
     assert rep.entries == ()
     assert rep.failures == ((2.0, "LimitDiverged: difference quotient did not "
-                                  "stabilize in 20 steps at t=2.0"),)
-    assert len(calls) == 20
+                                  "stabilize in 30 steps at t=2.0"),)
+    assert len(calls) == 30
+
+
+@pytest.mark.parametrize("t", [1e4, 1e6])
+def test_ftc_halves_until_its_step_resolves_the_period(t):
+    # the first local integrals, 2e-3 t wide, span about 320 periods of sin
+    # at t = 1e6, where the corners settle at the 16th quotient
+    rep = ftc_check(parse("sin(t)"), R, [t], 0.5)
+    assert rep.passed and rep.failures == () and rep.max_rel_deviation <= 1e-10
 
 
 def test_ftc_aggregates_bad_points_without_raising():
