@@ -1,11 +1,12 @@
 """Expression trees for real functions of t.
 
 Provides a small recursive-descent parser, exact evaluation with domain
-checking (and without, over many points in one walk; a tree walked often gets
-compiled code for both), one- or two-sided first-order jets (value and exact
-slope), constant folding and exact symbolic differentiation, each on its node
-class; what each function of the grammar contributes to them is one record of
-_FUNCTIONS, whose keys are the identifiers the parser accepts. Grammar:
+checking (a tree walked often gets compiled code, which evaluates it over many
+points in one walk and at one point), one- or two-sided first-order jets
+(value and exact slope), constant folding and exact symbolic differentiation,
+each on its node class; what each function of the grammar contributes to them
+is one record of _FUNCTIONS, whose keys are the identifiers the parser
+accepts. Grammar:
 
     expr   := term (("+"|"-") term)*
     term   := factor (("*"|"/") factor)*
@@ -21,7 +22,6 @@ derivative exact for every accepted input.
 from __future__ import annotations
 
 import math
-import operator
 import re
 import weakref
 from dataclasses import dataclass
@@ -63,47 +63,43 @@ class Expr:
     """Base node of the expression tree; each rule lives on the node class.
 
     _eval(t) raises DomainError at the first node that leaves the real domain
-    or overflows (evaluate() rejects NaN at the root). _eval_many(ts) is the
-    same arithmetic at every t of a list in one walk, without _eval's checks:
-    a value that leaves the domain stays inf or NaN, or the walk raises. Only
-    three operands could turn such a value back into a finite result, and
-    their nodes raise unless every value is finite: a Div's denominator
-    (x/inf), a Pow's base under a negative or fractional exponent (inf**-c;
-    a fractional power also raises on a negative base, which would give a
-    complex number) and an absorbing function's argument (e^-inf == 0). _jet(t,
-    side) gives _eval's value and the slope from side (0: both), NaN where
-    there is none, in one walk. It raises a bare ArithmeticError or ValueError
-    at every node where _eval raises, through _eval's own overflow checks, so
-    a finite value from it is evaluate()'s; expr._jet replays any other point
-    with evaluate() for its error. (_eval_many's guards would not do: they
+    or overflows (evaluate() rejects NaN at the root). _jet(t, side) gives
+    _eval's value and the slope from side (0: both), NaN where there is none,
+    in one walk. It raises a bare ArithmeticError or ValueError at every node
+    where _eval raises, through _eval's own overflow checks, so a finite value
+    from it is evaluate()'s; expr._jet replays any other point with
+    evaluate() for its error. (A compiled walk's guards would not do: they
     also refuse an inf that a constant such as 1e999 holds, as in t/1e999,
     which evaluate() takes.) _fold, _d, _substitute and _render back fold,
     derivative, substitute and render. Apply takes each rule for its function
     from the function's _FUNCTIONS record; a name outside the table is a
-    KeyError to a walk, a jet and the renderer, which refuse it as they
-    refuse any node they cannot take, and evaluate() raises DomainError.
+    KeyError to a jet and the renderer, which refuse it as they refuse any
+    node they cannot take, and evaluate() raises DomainError.
 
-    Once a tree's walks have covered _CODE_AT points in total, _code renders
-    it into one Python source, compiled once and kept on the node object (as
-    derivative's memo is, so ==, hash and repr do not change): a walk that
-    gives _eval_many's values, and a scalar function that gives evaluate()'s
-    value, or asks evaluate() itself wherever its arithmetic raises or leaves
-    the finite floats; _evaluator hands it out. Values and errors are
-    unchanged; only a walk makes a tree get code. _eval itself is never
-    replaced on a node: a method name in one node's __dict__ slows that
-    method's lookup on every node of the class. The code is not read through
-    __dict__, which gives a node a dict of its own (Python 3.11+) and slows
-    its attribute lookups. Pickling and copying keep the fields alone.
+    Once a tree's walks have been offered _CODE_AT points in total, _code
+    renders it into one Python source, compiled once and kept on the node
+    object (as derivative's memo is, so ==, hash and repr do not change): a
+    walk that gives evaluate()'s values at a list of points where all of them
+    pass (see _SOURCE), and a scalar function that gives evaluate()'s value,
+    or asks evaluate() itself wherever its arithmetic raises or leaves the
+    finite floats; _evaluator hands it out. Values and errors are unchanged;
+    only a walk makes a tree get code, and a tree without code is evaluated
+    point by point. _eval itself is never replaced on a node: a method name
+    in one node's __dict__ slows that method's lookup on every node of the
+    class. The code is not read through __dict__, which gives a node a dict
+    of its own (Python 3.11+) and slows its attribute lookups. Pickling and
+    copying keep the fields alone.
     """
 
-    # a tree's code, kept on its root: the points walked so far, then the
-    # compiled walk (None if the renderer refused the tree); the scalar function
+    # a tree's code, kept on its root: the points offered to its walks so far,
+    # then the compiled walk (None if the renderer refused the tree); the
+    # scalar function
     _walk, _one = 0, None
 
     def _eval(self, *args):
         raise TypeError(f"not an expression node: {self!r}")
 
-    _eval_many = _jet = _fold = _d = _substitute = _render = _code = _eval
+    _jet = _fold = _d = _substitute = _render = _code = _eval
 
     def __getstate__(self) -> dict:
         # the memos (derivative, code, points walked) are rebuilt on use, and
@@ -117,9 +113,6 @@ class Const(Expr):
 
     def _eval(self, t: float) -> float:
         return self.value
-
-    def _eval_many(self, ts: list[float]) -> list[float]:
-        return [self.value] * len(ts)
 
     def _jet(self, t: float, side: int) -> tuple[float, float]:
         return self.value, 0.0
@@ -152,9 +145,6 @@ class Var(Expr):
     def _eval(self, t: float) -> float:
         return float(t)
 
-    def _eval_many(self, ts: list[float]) -> list[float]:
-        return list(map(float, ts))
-
     def _jet(self, t: float, side: int) -> tuple[float, float]:
         return float(t), 1.0
 
@@ -180,9 +170,6 @@ class _Binary(Expr):
     left: Expr
     right: Expr
 
-    def _eval_many(self, ts: list[float]) -> list[float]:
-        return list(map(self._op, self.left._eval_many(ts), self.right._eval_many(ts)))
-
     def _fold(self) -> Expr:
         left, right = self.left._fold(), self.right._fold()
         if isinstance(left, Const) and isinstance(right, Const):
@@ -203,7 +190,7 @@ class _Binary(Expr):
 
 @dataclass(frozen=True)
 class Add(_Binary):
-    _symbol, _op = "+", operator.add
+    _symbol = "+"
 
     def _eval(self, t: float) -> float:
         v = self.left._eval(t) + self.right._eval(t)
@@ -228,7 +215,7 @@ class Add(_Binary):
 
 @dataclass(frozen=True)
 class Sub(_Binary):
-    _symbol, _op = "-", operator.sub
+    _symbol = "-"
 
     def _eval(self, t: float) -> float:
         v = self.left._eval(t) - self.right._eval(t)
@@ -253,7 +240,7 @@ class Sub(_Binary):
 
 @dataclass(frozen=True)
 class Mul(_Binary):
-    _symbol, _op = "*", operator.mul
+    _symbol = "*"
 
     def _eval(self, t: float) -> float:
         v = self.left._eval(t) * self.right._eval(t)
@@ -290,10 +277,6 @@ class Div(_Binary):
         if math.isinf(v):
             raise DomainError("overflow", self, t)
         return v
-
-    def _eval_many(self, ts: list[float]) -> list[float]:
-        den = _finite(self.right._eval_many(ts))  # x / inf == 0.0
-        return list(map(operator.truediv, self.left._eval_many(ts), den))
 
     def _jet(self, t: float, side: int) -> tuple[float, float]:
         den, dden = self.right._jet(t, side)
@@ -339,15 +322,6 @@ class Pow(Expr):
         if math.isinf(v):
             raise DomainError("overflow", self, t)
         return v
-
-    def _eval_many(self, ts: list[float]) -> list[float]:
-        base, c = self.base._eval_many(ts), self.exponent.value
-        if not _is_whole(c):  # a negative base gives a complex number
-            if min(_finite(base)) < 0.0:
-                raise ArithmeticError("negative base with fractional exponent")
-        elif c <= 0.0:  # inf**-c == 0.0
-            _finite(base)
-        return [b ** c for b in base]
 
     def _jet(self, t: float, side: int) -> tuple[float, float]:
         base, dbase = self.base._jet(t, side)
@@ -405,10 +379,6 @@ class Apply(Expr):
             return f.call(x)
         except f.error:
             raise DomainError(f.message, self, t) from None
-
-    def _eval_many(self, ts: list[float]) -> list[float]:
-        xs, f = self.arg._eval_many(ts), _FUNCTIONS[self.func]
-        return list(map(f.call, _finite(xs) if f.absorbing else xs))
 
     def _jet(self, t: float, side: int) -> tuple[float, float]:
         x, dx = self.arg._jet(t, side)
@@ -622,29 +592,25 @@ def _is_whole(x: float) -> bool:
     return isinstance(x, int) or x.is_integer()
 
 
-def _finite(xs: list[float]) -> list[float]:
-    """xs if every value is finite: the operand of a node whose finite result
-    could hide an inf or NaN."""
-    if not all(map(math.isfinite, xs)):
-        raise ArithmeticError("an operand is not finite")
-    return xs
-
-
-# Points a tree's walks cover, in total, before it gets code. On five trees
-# from t^3 - 2*t to exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1) (Python 3.11.7),
-# compiling took 170-420 us, and code saved 0.07-0.27 us a walked point and
-# 0.3-1.3 us a scalar evaluation: a tree repays its code over 1,400-2,400
-# walked points, sooner with the scalar evaluations that follow. No tree in the
-# benchmark's law_verify and cli_readme workloads is walked over more than 109
-# points in all, so a fresh tree integrated a few times pays for no code.
-# Scalar evaluations are not counted: counting them costs every fresh tree.
+# Points offered to a tree's walks, in total, before it gets code. On five
+# trees from t^3 - 2*t to exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1) (Python
+# 3.11.7), compiling took 210-380 us, and code saved 0.65-1.6 us a walked
+# point and 0.6-1.5 us a scalar evaluation against evaluate: a tree repays its
+# code over 210-320 walked points. No tree in the benchmark's law_verify and
+# cli_readme workloads is offered more than 109 points in all, so a fresh
+# tree integrated a few times pays for no code. Scalar evaluations are not
+# counted: counting them costs every fresh tree.
 _CODE_AT = 1024
 
 # A tree's code. one(t) gives evaluate's value wherever the arithmetic stays
 # finite and asks evaluate itself (_slow) wherever it raises or does not:
 # evaluate decides every error, so any exception is handed to it, even one
 # that float(t) raises before a node evaluate would refuse first. walk(ts)
-# gives _eval_many's values or raises. {body} is the tree's source from
+# gives evaluate's values where every point passes, and elsewhere raises or
+# gives a value that is not finite: it has none of evaluate's checks, only
+# _Code's guards on the operands whose finite result could hide an inf or
+# NaN (x/inf, inf**-c, e^-inf) and on a negative base under a fractional
+# power, which would give a complex number. {body} is the tree's source from
 # _code, which holds only t, operators, parentheses and the names that
 # {binds} binds.
 _SOURCE = """\
@@ -745,23 +711,25 @@ def _evaluator(e: Expr) -> Callable[[float], float]:
 
 
 def _evaluate_many(e: Expr, ts: list[float]) -> list[float] | None:
-    """[evaluate(e, t) for t in ts] in one walk, or None if any of them raises.
+    """[evaluate(e, t) for t in ts] from e's compiled walk, or None.
 
-    None means some point left the domain or overflowed; the caller replays
-    the points with evaluate, in order, for the first error and its message.
-    The walk is each node's _eval_many until e's walks reach _CODE_AT points
-    in total, and e's compiled walk from then on, with the same values.
+    None means e has no code, or some point left the domain or overflowed:
+    the caller evaluates the points one by one through _evaluator, in order,
+    for their values or the first error and its message. The points offered
+    to a tree without code count toward _CODE_AT, at which it gets code; a
+    tree the renderer refuses has none for good.
     """
     walk = e._walk
-    if walk.__class__ is int:  # the points walked so far: e has no code yet
+    if walk.__class__ is int:  # the points offered so far: e has no code yet
         if walk + len(ts) < _CODE_AT:
             object.__setattr__(e, "_walk", walk + len(ts))
-            walk = None
-        else:
-            walk = _compile(e)
+            return None
+        walk = _compile(e)
+    if walk is None:
+        return None
     try:
-        vs = e._eval_many(ts) if walk is None else walk(ts)
-    except (ArithmeticError, KeyError, ValueError):
+        vs = walk(ts)
+    except (ArithmeticError, ValueError):
         return None
     return vs if all(map(math.isfinite, vs)) else None
 

@@ -14,12 +14,13 @@ observed geometric tail estimate.
 cauchy is one loop over walks of the other two kinds of cell. In cell order,
 each run's steps and each segment's 15 first-panel nodes are packed into
 walks of f's tree of at most _BATCH_SIZE points, a longer run cut into pieces,
-and a walk is taken from _BATCH_MIN points. Each cell of a walk is then
+and a walk is offered from _BATCH_MIN points. A walk is f's compiled code,
+which a tree gets once its walks have been offered expr._CODE_AT points; the
+code also serves its evaluations point by point. Each cell of a walk is then
 integrated where it stands, from the walk's values. Refinement panels are
-evaluated point by point, and every cell of a walk that fails or is not taken
+evaluated point by point, and every cell of a walk that fails or does not run
 is integrated alone, in order, so values and the first error are identical to
-evaluating each point on its own. A tree walked over expr._CODE_AT points gets
-compiled code, which serves its walks and its evaluations point by point.
+evaluating each point on its own.
 """
 
 from __future__ import annotations
@@ -50,15 +51,11 @@ __all__ = [
 
 QUAD_TOL = 1e-10
 _MAX_SUBDIVISIONS = 1 << 20
-# Fewest points in a walk of the tree that is taken. Before a tree has code
-# (expr._CODE_AT), one walk ran at this speed against one evaluate per point,
-# on five trees from t+1 to exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1) (Python
-# 3.11.7): 0.24-0.35x at 1 point, 0.68-0.78x at 4, 0.88-1.18x at 8 and
-# 1.06-1.58x at 16. A segment's 15 nodes clear it: a lone segment of
-# exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1) took 12-15 % less time walked than
-# node by node, one of 3*t^2 + 2*t - 1 about the same. With code for both, on
-# three of those trees: 0.52-0.54x at 1 point, 0.93-1.06x at 4, 1.05-1.30x at
-# 8 and 1.28-2.11x at 16, so the same floor serves.
+# Fewest points in a walk of the tree that is offered. On three trees from t+1
+# to exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1) (Python 3.11.7), each with code,
+# one walk ran at this speed against one evaluation of the code per point:
+# 0.52-0.54x at 1 point, 0.93-1.06x at 4, 1.05-1.30x at 8 and 1.28-2.11x at
+# 16. A segment's 15 nodes clear it.
 _BATCH_MIN = 8
 # Most points evaluated in one walk, so a walk's lists stay small however many
 # steps or segments the call has.
@@ -238,8 +235,9 @@ def _walks(cells: list[Cell]) -> list[tuple[list[Cell], int]]:
 
 def _walk_values(f: Expr, walk: list[Cell], size: int, alpha: float) -> list[float] | None:
     """f at each run's step starts and at each segment's 15 first-panel nodes
-    t = u**(1/alpha), cell by cell, from one walk of f's tree over its size
-    points; None below _BATCH_MIN points or if any point fails."""
+    t = u**(1/alpha), cell by cell, from one walk of f's compiled code over
+    its size points; None below _BATCH_MIN points, while f has no code (the
+    points still count toward it) or if any point fails."""
     if size < _BATCH_MIN:
         return None
     inv = 1.0 / alpha

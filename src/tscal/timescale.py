@@ -233,7 +233,10 @@ def _q_index(q: float, t: float, k_min: float) -> int | None:
     if not 0.0 < t < math.inf:
         return None
     k = _q_exponent(q, t)
-    return k if k >= k_min and abs(t - q ** k) <= MEMBERSHIP_RTOL * t else None
+    try:
+        return k if k >= k_min and abs(t - q ** k) <= MEMBERSHIP_RTOL * t else None
+    except OverflowError:  # q**k is beyond the largest float: no point
+        return None
 
 
 def _q_site(ts: QLatticeClosure | QPowers, t: float, k_min: float) -> Site:
@@ -243,7 +246,27 @@ def _q_site(ts: QLatticeClosure | QPowers, t: float, k_min: float) -> Site:
     if k is None:
         raise ts._outside(t)
     # q**(k+1), the point decompose steps to; t + mu can round elsewhere
-    return Site(t, ts.q ** (k + 1), (ts.q - 1.0) * t, 0.0, 0.0, k > k_min, k == k_min)
+    try:
+        sigma = ts.q ** (k + 1)
+    except OverflowError:
+        raise NotRepresentable(
+            f"the point after {t!r} in {ts!r} is beyond the largest float") from None
+    return Site(t, sigma, (ts.q - 1.0) * t, 0.0, 0.0, k > k_min, k == k_min)
+
+
+def _q_nearest(ts: QLatticeClosure | QPowers, t: float, k_min: float) -> float:
+    """The point q**k, k >= k_min, nearest t > 0; a power beyond the largest
+    float is none."""
+    if not t < math.inf:  # inf, or NaN
+        raise NotRepresentable(f"{t!r} has no nearest point in {ts!r}")
+    k = _q_exponent(ts.q, t)
+    cands = []
+    for j in (k - 1, k, k + 1):
+        try:
+            cands.append(ts.q ** max(j, k_min))
+        except OverflowError:  # so would every later power
+            break
+    return min(cands, key=lambda c: abs(c - t))
 
 
 def _q_run(q: float, lo: float, hi: float) -> list[Cell]:
@@ -278,9 +301,7 @@ class QLatticeClosure(TimeScale):
     def nearest(self, t: float) -> float:
         if t <= 0.0:
             return 0.0
-        k = _q_exponent(self.q, t)
-        cands = [0.0, self.q ** (k - 1), self.q ** k, self.q ** (k + 1)]
-        return min(cands, key=lambda c: abs(c - t))
+        return min(0.0, _q_nearest(self, t, -math.inf), key=lambda c: abs(c - t))
 
     def decompose(self, lo, hi):
         self._check_bounds(lo, hi)
@@ -307,9 +328,7 @@ class QPowers(TimeScale):
     def nearest(self, t: float) -> float:
         if t <= 1.0:
             return 1.0
-        k = _q_exponent(self.q, t)
-        cands = [self.q ** max(k - 1, 0), self.q ** max(k, 0), self.q ** (k + 1)]
-        return min(cands, key=lambda c: abs(c - t))
+        return _q_nearest(self, t, 0)
 
     def decompose(self, lo, hi):
         self._check_bounds(lo, hi)

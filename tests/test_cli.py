@@ -511,12 +511,24 @@ def test_order_above_one_at_zero_is_a_usage_error():
     # the forward quotient (1.5e308 - -1.5e308) / 1 overflows; it printed inf
     ["deriv", "--scale", "hZ(h=1)", "--expr", "1.5e308*cos(3.141592653589793*t)",
      "--alpha", "1", "--at", "1"],
-], ids=["integ_overflow", "hZ_1e-16", "hZ_1e-300", "quotient_overflow"])
+    # 2**1023, whose sigma 2**1024 is beyond the largest float
+    ["deriv", "--scale", "qN0(q=2)", "--expr", "t", "--alpha", "1", "--at",
+     "8.98846567431158e307"],
+], ids=["integ_overflow", "hZ_1e-16", "hZ_1e-300", "quotient_overflow", "qN0_top"])
 def test_unrepresentable_results_exit_3_without_output(args):
     code, out, err = run_cli(args)
     assert (code, out) == (3, "")
     assert err.startswith("tscal: NotRepresentable: ")
 
+
+
+def test_a_point_off_a_q_lattice_near_the_top_names_its_nearest_point():
+    # nearest skips the candidate q**53, beyond the largest float
+    code, out, err = run_cli(["deriv", "--scale", "qN0(q=668436.0070224546)", "--expr", "t",
+                              "--alpha", "1", "--at", "1e300"])
+    assert (code, out) == (3, "")
+    assert err.startswith("tscal: TscalError: 1e+300 is not in the scale (nearest point "
+                          "1.1968828613977262e+297, ")
 
 
 def test_sin_of_an_infinite_constant_exits_3_with_a_domain_error():

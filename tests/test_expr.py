@@ -476,11 +476,11 @@ def test_infinite_exponent_is_not_an_integer_and_never_overflows():
     # a literal above 1.8e308 parses to Const(inf); round(inf) would raise
     with pytest.raises(DomainError, match=r"^negative base with fractional exponent at t=1\.0$"):
         evaluate(parse("(t-5)^1e400"), 1.0)
-    assert _evaluate_many(parse("(t-5)^1e400"), [1.0, 2.0]) is None
+    assert _evaluate_many(_with_code(parse("(t-5)^1e400")), [1.0, 2.0]) is None
     assert evaluate(parse("(t-5)^1e400"), 5.5) == 0.0
     assert _jet(parse("(t-3)^1e400"), 3.0, 1) == (0.0, 0.0)
     # a hand-built exponent may be an int, which has no is_integer before 3.12
-    square = Pow(Sub(Var(), Const(5)), Const(2))
+    square = _with_code(Pow(Sub(Var(), Const(5)), Const(2)))
     assert evaluate(square, 1.0) == 16.0
     assert _evaluate_many(square, [1.0, 2.0]) == [16.0, 9.0]
     assert _jet(square, 5.0) == (0.0, 0.0)
@@ -503,7 +503,9 @@ def test_an_infinite_root_value_raises(src):
     # check is what refuses them; parse leaves them unfolded
     with pytest.raises(DomainError, match=r"^evaluation produced an infinite value at t=1\.0$"):
         evaluate(parse(src), 1.0)
-    assert _evaluate_many(parse(src), [1.0, 2.0]) is None
+    e = parse(src)
+    assert (_compile(e) is None) == (src == "1e999")  # a lone leaf gets no code
+    assert _evaluate_many(e, [1.0, 2.0]) is None
 
 
 @pytest.mark.parametrize("func", ["sin", "cos"])
@@ -536,7 +538,7 @@ def test_only_walks_give_a_tree_code_and_it_changes_no_value():
     before = [evaluate(e, t) for t in points]
     assert [_evaluator(e)(t) for t in points] == before
     assert "_walk" not in e.__dict__ and "_one" not in e.__dict__  # scalars count nothing
-    assert _evaluate_many(e, points[:-1]) == before[:-1]
+    assert _evaluate_many(e, points[:-1]) is None  # without code: no walk
     assert e.__dict__["_walk"] == _CODE_AT - 1 and "_one" not in e.__dict__
     assert _evaluate_many(e, points[-1:]) == before[-1:]  # the _CODE_AT-th point
     assert callable(e.__dict__["_walk"]) and "_one" in e.__dict__
@@ -546,6 +548,18 @@ def test_only_walks_give_a_tree_code_and_it_changes_no_value():
     assert "_eval" not in e.__dict__
     # the code is no field: equality, hash and repr are unchanged
     assert e == plain and (hash(e), repr(e)) == (hash(plain), repr(plain))
+
+
+def test_a_tree_without_code_is_never_walked():
+    # a walk offered to a tree without code returns None, whether its points
+    # pass or fail, and counts them toward _CODE_AT; the caller evaluates them
+    # one by one (a refused tree: test_the_renderer_refuses_what_it_does_not_know)
+    e = parse("1/(t-2)")
+    assert _evaluate_many(e, [1.0, 3.0]) is None and e.__dict__["_walk"] == 2
+    assert _evaluate_many(e, [1.0, 2.0, 3.0]) is None and e.__dict__["_walk"] == 5
+    assert "_one" not in e.__dict__
+    assert _evaluate_many(e, [4.0] * (_CODE_AT - 5)) == [0.5] * (_CODE_AT - 5)
+    assert callable(e.__dict__["_walk"])
 
 
 def test_a_tree_with_code_pickles_and_copies_without_it():
@@ -572,8 +586,6 @@ def test_a_tree_and_its_code_go_with_its_last_reference():
 
 def test_the_renderer_refuses_what_it_does_not_know():
     class Rsub(Sub):  # right - left: a class of its own, though it is a Sub
-        _op = staticmethod(lambda a, b: b - a)
-
         def _eval(self, t):
             return self.right._eval(t) - self.left._eval(t)
 
@@ -584,9 +596,10 @@ def test_the_renderer_refuses_what_it_does_not_know():
               Add(Var(), Const("1")), Add(Var(), Add(Const(1), Const(2))),
               Mul(Var(), Pow(Const(2), Const(-1))), Apply("abs", Const(-2)), huge):
         assert _compile(e) is None and "_one" not in e.__dict__, e
-        assert e.__dict__["_walk"] is None, e  # refused once: later walks keep _eval_many
+        assert e.__dict__["_walk"] is None, e  # refused once: never walked
     e = Add(Var(), Rsub(Var(), Const(1.0)))
-    assert _evaluate_many(e, [2.0] * _CODE_AT) == [evaluate(e, 2.0)] * _CODE_AT == [1.0] * _CODE_AT
+    assert _evaluate_many(e, [2.0] * _CODE_AT) is None and _evaluate_many(e, [2.0]) is None
+    assert _evaluator(e)(2.0) == evaluate(e, 2.0) == 1.0  # point by point for good
     with pytest.raises(DomainError, match=r"^unknown function 'foo' at t=1\.0$"):
         _evaluator(Apply("foo", Var()))(1.0)
     with pytest.raises(OverflowError):
@@ -601,7 +614,7 @@ def test_int_constants_and_points_still_give_floats_with_code():
             got = _evaluator(e)(t)
             assert type(got) is float and got.hex() == evaluate(e, t).hex()
         assert [v.hex() for v in _evaluate_many(e, [1, 2 ** 60 + 1])] == \
-            [v.hex() for v in e._eval_many([1, 2 ** 60 + 1])]
+            [evaluate(e, t).hex() for t in (1, 2 ** 60 + 1)]
 
 
 def test_domain_errors_name_the_failing_node_on_trees_with_code():
@@ -675,7 +688,6 @@ def test_every_function_of_the_table_agrees_across_its_interpreters(name):
             assert exc.expr is plain and exc.t == t, (name, t)
             # a walk fails whole, and the code and the jet raise evaluate's
             # error at the same node
-            assert _evaluate_many(plain, [1.0, t]) is None
             assert _evaluate_many(coded, [1.0, t]) is None
             for rule, node in ((_evaluator(coded), coded), (partial(_jet, plain), plain)):
                 with pytest.raises(DomainError) as again:
@@ -683,11 +695,10 @@ def test_every_function_of_the_table_agrees_across_its_interpreters(name):
                 assert str(again.value) == str(exc) and again.value.expr is node, (name, t)
             continue
         inside.append(t)
-        walk = _evaluate_many(plain, [t])
+        walk = _evaluate_many(coded, [t])
         # an absorbing function's walk refuses an infinite argument
         assert walk == [value] or (record.absorbing and math.isinf(t) and walk is None)
         assert _evaluator(coded)(t).hex() == value.hex(), (name, t)
-        assert _evaluate_many(coded, [t]) == walk
         slopes = {}
         for side in (0, 1, -1):
             try:

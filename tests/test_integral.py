@@ -26,7 +26,7 @@ from tscal.integral import (
     monotonicity_check,
     single_grain,
 )
-from tscal.expr import Add, Apply, Const, Expr, Mul, Var, evaluate, parse
+from tscal.expr import Add, Apply, Const, Expr, Mul, Var, _compile, evaluate, parse
 from tscal.timescale import (
     FiniteSet,
     Jumps,
@@ -751,10 +751,19 @@ def test_segment_first_panels_match_pinned_sums(segments, alpha, expected):
     assert (res.value, res.est_error, res.cells_used) == expected
 
 
-def _walked_segments(text, lo, hi, alpha, ts=P11):
-    """For each segment of cauchy's walks, whether its first panel comes from
-    its walk: False where the walk failed or was not taken."""
+def _coded(text):
+    """text's tree, given its code as a walk of _CODE_AT points would give it:
+    a tree without code is never walked."""
     f = parse(text)
+    assert _compile(f) is not None
+    return f
+
+
+def _walked_segments(text, lo, hi, alpha, ts=P11):
+    """For each segment of cauchy's walks on text's tree with code, whether its
+    first panel comes from its walk: False where the walk failed or was not
+    taken."""
+    f = _coded(text)
     return [values is not None
             for walk, size in integral_module._walks(ts.decompose(lo, hi))
             for values in [integral_module._walk_values(f, walk, size, alpha)]
@@ -782,7 +791,7 @@ def test_a_refinement_panel_failing_after_every_first_panel_passed(alpha, t):
     text = "sqrt(abs(t - 20.55) - 0.02)"
     assert all(_walked_segments(text, 0.5, 30.5, alpha))
     with pytest.raises(DomainError) as info:
-        cauchy(parse(text), P11, 0.5, 30.5, alpha)
+        cauchy(_coded(text), P11, 0.5, 30.5, alpha)
     assert (str(info.value), info.value.t) == (f"sqrt of a negative value at t={t!r}", t)
 
 
@@ -792,18 +801,18 @@ def test_a_refinement_failing_before_a_later_step_of_its_walk_raises_first(alpha
     # 25; the cells then go alone, in order, and [20, 21]'s refinement fails first
     text = "sqrt(abs(t - 20.55) - 0.02) + 1/(t - 25)"
     [(walk, size)] = integral_module._walks(P11.decompose(0.5, 30.5))
-    assert integral_module._walk_values(parse(text), walk, size, alpha) is None
+    assert integral_module._walk_values(_coded(text), walk, size, alpha) is None
     with pytest.raises(DomainError) as info:
-        cauchy(parse(text), P11, 0.5, 30.5, alpha)
+        cauchy(_coded(text), P11, 0.5, 30.5, alpha)
     assert (str(info.value), info.value.t) == (f"sqrt of a negative value at t={t!r}", t)
     assert info.value.expr == parse("sqrt(abs(t - 20.55) - 0.02)")
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.75])
 def test_a_lone_segment_is_the_same_walked_or_alone(monkeypatch, alpha):
-    # 15 nodes clear _BATCH_MIN, so a lone R segment is walked; a floor of 16
-    # integrates it alone
-    f, bounds = parse(SMOOTH), ((0.5, 1.0), (0.0, 3.7), (1.0, 40.0))
+    # 15 nodes clear _BATCH_MIN, so a lone R segment of a tree with code is
+    # walked; a floor of 16 integrates it alone
+    f, bounds = _coded(SMOOTH), ((0.5, 1.0), (0.0, 3.7), (1.0, 40.0))
     assert [_walked_segments(SMOOTH, lo, hi, alpha, R) for lo, hi in bounds] == [[True]] * 3
     walked = [cauchy(f, R, lo, hi, alpha) for lo, hi in bounds]
     monkeypatch.setattr(integral_module, "_BATCH_MIN", 16)

@@ -394,3 +394,29 @@ def test_uniform_lattice_beyond_float_resolution_raises(h):
     with pytest.raises(NotRepresentable):
         ts.nearest(1e300)  # t / h overflows to inf
     assert ts.sigma(2.0 ** 52 * h) == (2.0 ** 52 + 1) * h
+
+
+@pytest.mark.parametrize("ts", [QPowers(2.0), QLatticeClosure(2.0)], ids=["qN0", "qZbar"])
+def test_a_q_lattice_at_the_top_of_the_float_range_raises(ts):
+    # 2**1023 is a point whose sigma 2**1024 is no float, as hZ's sigma is none
+    # from 2**53 steps; near it, a power beyond the largest float is no point
+    top = 2.0 ** 1023
+    assert ts.contains(top) and ts.sigma(top / 2) == top
+    for primitive in (ts.site, ts.sigma, ts.mu):
+        with pytest.raises(NotRepresentable):
+            primitive(top)
+    assert not ts.contains(1.7e308)  # q**k is 2**1024 there, beyond the largest float
+    assert ts.nearest(1.7e308) == top
+    for t in (math.inf, math.nan):
+        with pytest.raises(NotRepresentable):
+            ts.nearest(t)
+
+
+@pytest.mark.parametrize("ts", [QPowers(668436.0070224546), QLatticeClosure(663503.4180028834)],
+                         ids=["qN0", "qZbar"])
+def test_a_q_lattice_nearest_skips_a_candidate_beyond_the_largest_float(ts):
+    # 1e300 lies between q**51 and q**52; the candidate q**53 is no float
+    with pytest.raises(OverflowError):
+        ts.q ** 53
+    assert ts.q ** 51 < 1e300 < ts.q ** 52
+    assert ts.nearest(1e300) == ts.q ** 51 and ts.contains(ts.q ** 51)
