@@ -1,8 +1,9 @@
 """Expression trees for real functions of t.
 
 Provides a small recursive-descent parser, exact evaluation with domain
-checking (a tree walked often gets compiled code, which evaluates it over many
-points in one walk and at one point), one- or two-sided first-order jets
+checking (_evaluate_many decides every walk of a tree over many points; a
+tree walked often gets compiled code, which runs its walks and evaluates it
+at one point), one- or two-sided first-order jets
 (value and exact slope), constant folding and exact symbolic differentiation,
 each on its node class; what each function of the grammar contributes to them
 is one record of _FUNCTIONS, whose keys are the identifiers the parser
@@ -77,14 +78,14 @@ class Expr:
     node they cannot take, and evaluate() raises DomainError.
 
     Once a tree's walks have been offered _CODE_AT points in total, _code
-    renders it into one Python source, compiled once and kept on the node
-    object (as derivative's memo is, so ==, hash and repr do not change): a
-    walk that gives evaluate()'s values at a list of points where all of them
-    pass (see _SOURCE), and a scalar function that gives evaluate()'s value,
-    or asks evaluate() itself wherever its arithmetic raises or leaves the
-    finite floats; _evaluator hands it out. Values and errors are unchanged;
-    only a walk makes a tree get code, and a tree without code is evaluated
-    point by point. _eval itself is never replaced on a node: a method name
+    renders it (a lone leaf too) into one Python source, compiled once and
+    kept on the node object (as derivative's memo is, so ==, hash and repr do
+    not change): a walk that gives evaluate()'s values at a list of points
+    where all of them pass (see _SOURCE), and a scalar function that gives
+    evaluate()'s value, or asks evaluate() itself wherever its arithmetic
+    raises or leaves the finite floats; _evaluator hands it out. Values and
+    errors are unchanged; only a walk makes a tree get code, and a tree
+    without code is evaluated point by point. _eval itself is never replaced on a node: a method name
     in one node's __dict__ slows that method's lookup on every node of the
     class. The code is not read through __dict__, which gives a node a dict
     of its own (Python 3.11+) and slows its attribute lookups. Pickling and
@@ -601,6 +602,12 @@ def _is_whole(x: float) -> bool:
 # tree integrated a few times pays for no code. Scalar evaluations are not
 # counted: counting them costs every fresh tree.
 _CODE_AT = 1024
+# Fewest points in a walk that runs. On three trees from t+1 to
+# exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1) (Python 3.11.7), each with code, one
+# walk ran at this speed against one evaluation of the code per point:
+# 0.52-0.54x at 1 point, 0.93-1.06x at 4, 1.05-1.30x at 8 and 1.28-2.11x at
+# 16. A segment's 15 first-panel nodes clear it.
+_BATCH_MIN = 8
 
 # A tree's code. one(t) gives evaluate's value wherever the arithmetic stays
 # finite and asks evaluate itself (_slow) wherever it raises or does not:
@@ -676,20 +683,16 @@ class _Code:
 
 def _compile(e: Expr) -> Callable[[list[float]], list[float]] | None:
     """Render e into code once and keep it on e: its walk, which is returned,
-    and its scalar function, which _evaluator hands out. None, kept as e's
-    walk, if the renderer refuses e: a lone leaf, which has no call to save,
-    an unknown node class or function, a constant that is not a float or an
-    int, or a tree too deep to compile."""
-    program = None
-    if type(e) not in (Const, Var):
-        code = _Code()
-        try:
-            body, = code.of(e)
-            binds = ", ".join(f"{name}={name}" for name in code.names)
-            program = compile(_SOURCE.format(body=body, binds=binds), "<tscal tree>", "exec")
-        except (TypeError, KeyError, RecursionError, SyntaxError):
-            pass
-    if program is None:
+    and its scalar function, which _evaluator hands out; a lone t or constant
+    gets code as any tree does. None, kept as e's walk, if the renderer
+    refuses e: an unknown node class or function, a constant that is not a
+    float or an int, a lone int constant, or a tree too deep to compile."""
+    code = _Code()
+    try:
+        body, = code.of(e)
+        binds = ", ".join(f"{name}={name}" for name in code.names)
+        program = compile(_SOURCE.format(body=body, binds=binds), "<tscal tree>", "exec")
+    except (TypeError, KeyError, RecursionError, SyntaxError):
         object.__setattr__(e, "_walk", None)
         return None
     # no reference cycle: e's code reaches e weakly, and the functions leave
@@ -710,25 +713,31 @@ def _evaluator(e: Expr) -> Callable[[float], float]:
     return e._one or MethodType(evaluate, e)
 
 
-def _evaluate_many(e: Expr, ts: list[float]) -> list[float] | None:
-    """[evaluate(e, t) for t in ts] from e's compiled walk, or None.
+def _evaluate_many(e: Expr, n: int, points: Callable[[], list[float]]) -> list[float] | None:
+    """[evaluate(e, t) for t in points()] from e's compiled walk, or None:
+    every walk of a tree, of the n points that points() builds, is decided
+    here, and points() is called only when a compiled walk runs.
 
-    None means e has no code, or some point left the domain or overflowed:
-    the caller evaluates the points one by one through _evaluator, in order,
-    for their values or the first error and its message. The points offered
-    to a tree without code count toward _CODE_AT, at which it gets code; a
-    tree the renderer refuses has none for good.
+    None means the walk did not run or failed: it has fewer than _BATCH_MIN
+    points, e has no code, or building or walking the points raised or gave
+    a value that is not finite. The caller evaluates the points one by one
+    through _evaluator, in order, for their values or the first error and
+    its message. A walk of _BATCH_MIN points or more offered to a tree
+    without code counts them toward _CODE_AT, at which it gets code; a tree
+    the renderer refuses has none for good.
     """
+    if n < _BATCH_MIN:
+        return None
     walk = e._walk
     if walk.__class__ is int:  # the points offered so far: e has no code yet
-        if walk + len(ts) < _CODE_AT:
-            object.__setattr__(e, "_walk", walk + len(ts))
+        if walk + n < _CODE_AT:
+            object.__setattr__(e, "_walk", walk + n)
             return None
         walk = _compile(e)
     if walk is None:
         return None
     try:
-        vs = walk(ts)
+        vs = walk(points())
     except (ArithmeticError, ValueError):
         return None
     return vs if all(map(math.isfinite, vs)) else None

@@ -14,8 +14,8 @@ observed geometric tail estimate.
 cauchy is one loop over walks of the other two kinds of cell. In cell order,
 each run's steps and each segment's 15 first-panel nodes are packed into
 walks of f's tree of at most _BATCH_SIZE points, a longer run cut into pieces,
-and a walk is offered from _BATCH_MIN points. A walk is f's compiled code,
-which a tree gets once its walks have been offered expr._CODE_AT points; the
+and each walk is offered to expr._evaluate_many, which decides whether it
+runs and builds its points only if it does. A walk is f's compiled code; the
 code also serves its evaluations point by point. Each cell of a walk is then
 integrated where it stands, from the walk's values. Refinement panels are
 evaluated point by point, and every cell of a walk that fails or does not run
@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .errors import (
@@ -51,12 +52,6 @@ __all__ = [
 
 QUAD_TOL = 1e-10
 _MAX_SUBDIVISIONS = 1 << 20
-# Fewest points in a walk of the tree that is offered. On three trees from t+1
-# to exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1) (Python 3.11.7), each with code,
-# one walk ran at this speed against one evaluation of the code per point:
-# 0.52-0.54x at 1 point, 0.93-1.06x at 4, 1.05-1.30x at 8 and 1.28-2.11x at
-# 16. A segment's 15 nodes clear it.
-_BATCH_MIN = 8
 # Most points evaluated in one walk, so a walk's lists stay small however many
 # steps or segments the call has.
 _BATCH_SIZE = 4096
@@ -233,24 +228,17 @@ def _walks(cells: list[Cell]) -> list[tuple[list[Cell], int]]:
     return walks
 
 
-def _walk_values(f: Expr, walk: list[Cell], size: int, alpha: float) -> list[float] | None:
-    """f at each run's step starts and at each segment's 15 first-panel nodes
-    t = u**(1/alpha), cell by cell, from one walk of f's compiled code over
-    its size points; None below _BATCH_MIN points, while f has no code (the
-    points still count toward it) or if any point fails."""
-    if size < _BATCH_MIN:
-        return None
+def _walk_points(walk: list[Cell], alpha: float) -> list[float]:
+    """The points of one walk, cell by cell: each run's step starts and each
+    segment's 15 first-panel nodes t = u**(1/alpha)."""
     inv = 1.0 / alpha
     points: list[float] = []
-    try:
-        for c in walk:
-            if isinstance(c, Jumps):
-                points += c.points[:-1]
-            else:
-                points += [u ** inv for u in _gk15_nodes(c.lo ** alpha, c.hi ** alpha)]
-    except OverflowError:  # its segment raises it alone, in order
-        return None
-    return _evaluate_many(f, points)
+    for c in walk:
+        if isinstance(c, Jumps):
+            points += c.points[:-1]
+        else:
+            points += [u ** inv for u in _gk15_nodes(c.lo ** alpha, c.hi ** alpha)]
+    return points
 
 
 # The series from 0 stops at q**-Q_ENUM_FLOOR, its enumeration cutoff.
@@ -342,7 +330,7 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
         err_parts: list[float] = []
         w, inv = alpha - 1.0, 1.0 / alpha
         for walk, size in _walks(cells):
-            values = _walk_values(f, walk, size, alpha)
+            values = _evaluate_many(f, size, partial(_walk_points, walk, alpha))
             i = 0  # the cell's first value
             for cell in walk:
                 if isinstance(cell, Jumps):

@@ -110,7 +110,8 @@ class TimeScale:
         raise NotImplementedError
 
     def nearest(self, t: float) -> float:
-        """The scale point closest to an arbitrary real t."""
+        """The scale point closest to an arbitrary real t; at +-inf the scale's
+        end, where it has one, and NotRepresentable at NaN and elsewhere."""
         raise NotImplementedError
 
     def decompose(self, lo: float, hi: float) -> list[Cell]:
@@ -123,6 +124,9 @@ class TimeScale:
 
     def _outside(self, t: float) -> NotInScale:
         return NotInScale(f"{t!r} is not a point of {self!r}")
+
+    def _no_nearest(self, t: float) -> NotRepresentable:
+        return NotRepresentable(f"{t!r} has no nearest point in {self!r}")
 
     def _check_bounds(self, lo: float, hi: float) -> None:
         for t in (lo, hi):
@@ -172,7 +176,10 @@ class RealInterval(TimeScale):
                     False, t - lo <= tol, hi - t <= tol)
 
     def nearest(self, t: float) -> float:
-        return min(max(t, self.lo), self.hi)
+        p = min(max(t, self.lo), self.hi)  # NaN stays NaN
+        if not math.isfinite(p):
+            raise self._no_nearest(t)
+        return p
 
     def decompose(self, lo, hi):
         self._check_bounds(lo, hi)
@@ -211,6 +218,8 @@ class UniformLattice(TimeScale):
         return Site(t, (self._step(t) + 1) * self.h, self.h, 0.0, 0.0, True)
 
     def nearest(self, t: float) -> float:
+        if not math.isfinite(t):
+            raise self._no_nearest(t)
         return self._step(t) * self.h
 
     def decompose(self, lo, hi):
@@ -258,7 +267,7 @@ def _q_nearest(ts: QLatticeClosure | QPowers, t: float, k_min: float) -> float:
     """The point q**k, k >= k_min, nearest t > 0; a power beyond the largest
     float is none."""
     if not t < math.inf:  # inf, or NaN
-        raise NotRepresentable(f"{t!r} has no nearest point in {ts!r}")
+        raise ts._no_nearest(t)
     k = _q_exponent(ts.q, t)
     cands = []
     for j in (k - 1, k, k + 1):
@@ -381,6 +390,8 @@ class PeriodicUnion(TimeScale):
     def nearest(self, t: float) -> float:
         if t <= 0.0:
             return 0.0
+        if not t < math.inf:  # inf, or NaN
+            raise self._no_nearest(t)
         p = self.period
         k = math.floor(t / p)
         r = t - k * p
@@ -459,6 +470,8 @@ class FiniteSet(TimeScale):
         return Site(t, nxt, nxt - pts[i], 0.0, 0.0, i > 0, i == 0, i == last)
 
     def nearest(self, t: float) -> float:
+        if math.isnan(t):
+            raise self._no_nearest(t)
         i = bisect_left(self.points, t)
         cands = [self.points[j] for j in (i - 1, i) if 0 <= j < len(self.points)]
         return min(cands, key=lambda c: abs(c - t))

@@ -411,6 +411,17 @@ def test_lattice_integral_matches_golden_output():
     assert out.encode() == (GOLDEN / "integ_hZ_lattice.json").read_bytes()
 
 
+# a lone constant or t over the same 10,000 steps: its first walk of 4,096
+# points gives the leaf compiled code; the goldens were written when a lone
+# leaf got no code and every step was evaluated alone
+@pytest.mark.parametrize("expr,name", [("2", "integ_hZ_const.json"), ("t", "integ_hZ_t.json")])
+def test_lone_leaf_lattice_integral_matches_golden_output(expr, name):
+    code, out, _ = run_cli(["integ", "--scale", "hZ(h=0.01)", "--expr", expr, "--alpha", "0.8",
+                            "--from", "1", "--to", "101"])
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
 # the tree with every function over 10,000 lattice steps: its walks give it
 # compiled code; the golden was written before each function's rules were
 # gathered into one record

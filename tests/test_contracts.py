@@ -41,8 +41,8 @@ from tscal.expr import (
     Pow,
     Sub,
     Var,
+    _BATCH_MIN,
     _compile,
-    _evaluate_many,
     _evaluator,
     _jet,
     evaluate,
@@ -64,7 +64,7 @@ from tscal.timescale import (
     Series,
     UniformLattice,
 )
-from test_expr import _mp_jet, _random_tree, _slopes_agree  # the evaluation tests' helpers
+from test_expr import _mp_jet, _random_tree, _slopes_agree, _walk  # the evaluation tests' helpers
 
 CONTRACT = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 ONE = parse("1")
@@ -228,7 +228,7 @@ def batched_sums(draw):
     """A random tree and lo < hi at least _BATCH_MIN steps apart on one of the
     six shapes; on R, which has no steps, a segment."""
     f = _random_tree(draw(st.randoms(use_true_random=False)))
-    steps = draw(st.integers(integral_module._BATCH_MIN, 40))
+    steps = draw(st.integers(_BATCH_MIN, 40))
     shape = draw(st.sampled_from(["R", "hZ", "qZbar", "qN0", "Pab", "finite"]))
     if shape == "R":
         ts = RealInterval()
@@ -456,16 +456,16 @@ def _scalar_outcome(call):
 def test_a_tree_with_code_equals_its_nodes(case):
     # the scalar function against evaluate, which is each node's _eval and the
     # root check: the same value and type bit for bit, or the same error (type,
-    # message, node and point); the walk: None wherever a point raises, else
-    # evaluate's values, or None on a lone leaf, which has no code, and where
-    # the guards refuse an inf that only a constant holds (t/1e999, which
-    # evaluate takes)
+    # message, node and point); the walk (of ts repeated up to _BATCH_MIN
+    # points): None wherever a point raises, else evaluate's values, or None
+    # where the guards refuse an inf that only a constant holds (t/1e999,
+    # which evaluate takes). Every tree gets code, a lone leaf too.
     e, ts = case
-    assert (_compile(e) is None) == isinstance(e, (Const, Var)), render(e)  # a lone leaf: none
+    assert _compile(e) is not None, render(e)
     for t in ts:
         got = _scalar_outcome(lambda: _evaluator(e)(t))
         assert got == _scalar_outcome(lambda: evaluate(e, t)), (render(e), t)
-    walk = _evaluate_many(e, ts)
+    walk = _walk(e, ts)
     try:
         want = [evaluate(e, t) for t in ts]
     except Exception:  # noqa: BLE001 - any error fails the walk
@@ -473,7 +473,7 @@ def test_a_tree_with_code_equals_its_nodes(case):
         return
     if walk is None:
         # render writes an infinite constant as 1e999
-        assert isinstance(e, (Const, Var)) or "1e999" in render(e), (render(e), ts)
+        assert "1e999" in render(e), (render(e), ts)
     else:
         assert [(type(v), v.hex()) for v in walk] == \
             [(type(v), v.hex()) for v in want], (render(e), ts)

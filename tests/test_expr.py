@@ -29,6 +29,7 @@ from tscal.expr import (
     Pow,
     Sub,
     Var,
+    _BATCH_MIN,
     _CODE_AT,
     _FUNCTIONS,
     _compile,
@@ -300,7 +301,7 @@ def test_malformed_nodes_are_rejected():
     tan = Apply("tan", Var())
     err = _domain_error(tan, 1.0)
     assert str(err) == "unknown function 'tan' at t=1.0" and err.expr is tan
-    assert _evaluate_many(tan, [1.0, 2.0]) is None
+    assert _walk(tan, [1.0, 2.0]) is None
     with pytest.raises(DomainError, match=r"^unknown function 'tan' at t=1\.0$"):
         _jet(tan, 1.0)
     with pytest.raises(NotDifferentiable, match=r"^cannot differentiate tan$"):
@@ -476,13 +477,13 @@ def test_infinite_exponent_is_not_an_integer_and_never_overflows():
     # a literal above 1.8e308 parses to Const(inf); round(inf) would raise
     with pytest.raises(DomainError, match=r"^negative base with fractional exponent at t=1\.0$"):
         evaluate(parse("(t-5)^1e400"), 1.0)
-    assert _evaluate_many(_with_code(parse("(t-5)^1e400")), [1.0, 2.0]) is None
+    assert _walk(_with_code(parse("(t-5)^1e400")), [1.0, 2.0]) is None
     assert evaluate(parse("(t-5)^1e400"), 5.5) == 0.0
     assert _jet(parse("(t-3)^1e400"), 3.0, 1) == (0.0, 0.0)
     # a hand-built exponent may be an int, which has no is_integer before 3.12
     square = _with_code(Pow(Sub(Var(), Const(5)), Const(2)))
     assert evaluate(square, 1.0) == 16.0
-    assert _evaluate_many(square, [1.0, 2.0]) == [16.0, 9.0]
+    assert _walk(square, [1.0, 2.0]) == [16.0, 9.0]
     assert _jet(square, 5.0) == (0.0, 0.0)
 
 
@@ -504,8 +505,8 @@ def test_an_infinite_root_value_raises(src):
     with pytest.raises(DomainError, match=r"^evaluation produced an infinite value at t=1\.0$"):
         evaluate(parse(src), 1.0)
     e = parse(src)
-    assert (_compile(e) is None) == (src == "1e999")  # a lone leaf gets no code
-    assert _evaluate_many(e, [1.0, 2.0]) is None
+    assert _compile(e) is not None  # a lone leaf too
+    assert _walk(e, [1.0, 2.0]) is None
 
 
 @pytest.mark.parametrize("func", ["sin", "cos"])
@@ -531,6 +532,18 @@ def _with_code(e):
     return e
 
 
+def _walk(e, ts):
+    """e's walk over ts, repeated up to _BATCH_MIN points so that a walk of
+    them is never refused for its size: e's values at ts, or None."""
+    points = (ts * _BATCH_MIN)[:max(len(ts), _BATCH_MIN)]
+    vs = _evaluate_many(e, len(points), lambda: points)
+    return None if vs is None else vs[:len(ts)]
+
+
+def _unbuilt():
+    raise AssertionError("the points of a walk that does not run were built")
+
+
 def test_only_walks_give_a_tree_code_and_it_changes_no_value():
     src = "exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1)"
     e, plain = parse(src), parse(src)
@@ -538,11 +551,13 @@ def test_only_walks_give_a_tree_code_and_it_changes_no_value():
     before = [evaluate(e, t) for t in points]
     assert [_evaluator(e)(t) for t in points] == before
     assert "_walk" not in e.__dict__ and "_one" not in e.__dict__  # scalars count nothing
-    assert _evaluate_many(e, points[:-1]) is None  # without code: no walk
-    assert e.__dict__["_walk"] == _CODE_AT - 1 and "_one" not in e.__dict__
-    assert _evaluate_many(e, points[-1:]) == before[-1:]  # the _CODE_AT-th point
+    # without code: no walk, and its points are counted, not built
+    assert _evaluate_many(e, _CODE_AT - _BATCH_MIN, _unbuilt) is None
+    assert e.__dict__["_walk"] == _CODE_AT - _BATCH_MIN and "_one" not in e.__dict__
+    # the walk that reaches _CODE_AT points
+    assert _walk(e, points[-_BATCH_MIN:]) == before[-_BATCH_MIN:]
     assert callable(e.__dict__["_walk"]) and "_one" in e.__dict__
-    assert _evaluate_many(e, points) == before
+    assert _walk(e, points) == before
     assert [_evaluator(e)(t) for t in points] == before
     # _eval is never replaced on a node: its lookup stays fast on every node
     assert "_eval" not in e.__dict__
@@ -555,11 +570,14 @@ def test_a_tree_without_code_is_never_walked():
     # pass or fail, and counts them toward _CODE_AT; the caller evaluates them
     # one by one (a refused tree: test_the_renderer_refuses_what_it_does_not_know)
     e = parse("1/(t-2)")
-    assert _evaluate_many(e, [1.0, 3.0]) is None and e.__dict__["_walk"] == 2
-    assert _evaluate_many(e, [1.0, 2.0, 3.0]) is None and e.__dict__["_walk"] == 5
+    assert _walk(e, [1.0, 3.0]) is None and e.__dict__["_walk"] == 8
+    assert _walk(e, [1.0, 2.0, 3.0]) is None and e.__dict__["_walk"] == 16
     assert "_one" not in e.__dict__
-    assert _evaluate_many(e, [4.0] * (_CODE_AT - 5)) == [0.5] * (_CODE_AT - 5)
+    # a walk below _BATCH_MIN points never runs: nothing is built or counted
+    assert _evaluate_many(e, _BATCH_MIN - 1, _unbuilt) is None and e.__dict__["_walk"] == 16
+    assert _walk(e, [4.0] * (_CODE_AT - 16)) == [0.5] * (_CODE_AT - 16)
     assert callable(e.__dict__["_walk"])
+    assert _evaluate_many(e, _BATCH_MIN - 1, _unbuilt) is None  # with code too
 
 
 def test_a_tree_with_code_pickles_and_copies_without_it():
@@ -569,7 +587,7 @@ def test_a_tree_with_code_pickles_and_copies_without_it():
     for other in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e), copy.copy(e)):
         assert other == e and not any(k.startswith("_") for k in other.__dict__)
         assert _evaluator(other)(2.5).hex() == _evaluator(e)(2.5).hex()
-        assert _evaluate_many(other, points) == _evaluate_many(e, points)
+        assert _walk(other, points) == _walk(e, points)
         assert callable(other.__dict__["_walk"])  # compiled again on its own
 
 
@@ -590,15 +608,21 @@ def test_the_renderer_refuses_what_it_does_not_know():
             return self.right._eval(t) - self.left._eval(t)
 
     # 10**400 / 10**399 is 10.0 in ints; _eval raises where 10**400 meets a float check
+    # a lone t or float constant is rendered, and walks as evaluate does, bit
+    # for bit; a lone int constant is not (an int neither rounds nor overflows)
+    for e in (Var(), Const(2.0), Const(-0.0)):
+        assert _compile(e) is not None, e
+        assert [v.hex() for v in _walk(e, [1.0, 2.5, 3])] == \
+            [evaluate(e, t).hex() for t in (1.0, 2.5, 3)], e
     huge = Mul(Var(), Div(Pow(Const(10), Const(400)), Pow(Const(10), Const(399))))
-    for e in (Var(), Const(2.0), Apply("foo", Var()), Add(Var(), Rsub(Var(), Const(1.0))),
+    for e in (Const(2),Apply("foo", Var()), Add(Var(), Rsub(Var(), Const(1.0))),
               Mul(Var(), Expr()),
               Add(Var(), Const("1")), Add(Var(), Add(Const(1), Const(2))),
               Mul(Var(), Pow(Const(2), Const(-1))), Apply("abs", Const(-2)), huge):
         assert _compile(e) is None and "_one" not in e.__dict__, e
         assert e.__dict__["_walk"] is None, e  # refused once: never walked
     e = Add(Var(), Rsub(Var(), Const(1.0)))
-    assert _evaluate_many(e, [2.0] * _CODE_AT) is None and _evaluate_many(e, [2.0]) is None
+    assert _walk(e, [2.0] * _CODE_AT) is None and _walk(e, [2.0]) is None
     assert _evaluator(e)(2.0) == evaluate(e, 2.0) == 1.0  # point by point for good
     with pytest.raises(DomainError, match=r"^unknown function 'foo' at t=1\.0$"):
         _evaluator(Apply("foo", Var()))(1.0)
@@ -607,14 +631,15 @@ def test_the_renderer_refuses_what_it_does_not_know():
 
 
 def test_int_constants_and_points_still_give_floats_with_code():
-    assert type(_evaluator(Var())(2)) is float  # a lone leaf gets no code
-    for e in (_with_code(Pow(Sub(Var(), Const(5)), Const(2))), _with_code(Mul(Const(1), Var())),
-              _with_code(Mul(Var(), Var())), _with_code(Add(Const(2), Mul(Const(3), Var())))):
+    assert type(_evaluator(Var())(2)) is float  # no code yet
+    for e in (_with_code(Var()), _with_code(Pow(Sub(Var(), Const(5)), Const(2))),
+              _with_code(Mul(Const(1), Var())), _with_code(Mul(Var(), Var())),
+              _with_code(Add(Const(2), Mul(Const(3), Var())))):
         for t in (1, 3, 2 ** 60 + 1):
             got = _evaluator(e)(t)
             assert type(got) is float and got.hex() == evaluate(e, t).hex()
-        assert [v.hex() for v in _evaluate_many(e, [1, 2 ** 60 + 1])] == \
-            [evaluate(e, t).hex() for t in (1, 2 ** 60 + 1)]
+        assert [(type(v), v.hex()) for v in _walk(e, [1, 2 ** 60 + 1])] == \
+            [(float, evaluate(e, t).hex()) for t in (1, 2 ** 60 + 1)]
 
 
 def test_domain_errors_name_the_failing_node_on_trees_with_code():
@@ -629,7 +654,7 @@ def test_domain_errors_name_the_failing_node_on_trees_with_code():
 def test_the_rules_every_walk_keeps_hold_on_trees_with_code():
     # an inf that only a constant holds is taken: x / inf is 0.0 ...
     e = _with_code(parse("t/1e999"))
-    assert _evaluator(e)(1.0) == 0.0 and _evaluate_many(e, [1.0, 2.0]) is None
+    assert _evaluator(e)(1.0) == 0.0 and _walk(e, [1.0, 2.0]) is None
     # ... but an inf from an overflow raises at its node, never through x/inf,
     # inf**-c or exp(-inf)
     for src, path in (("1/(t*1e300)", "right"), ("(t*1e300)^-2", "base"),
@@ -638,32 +663,32 @@ def test_the_rules_every_walk_keeps_hold_on_trees_with_code():
         with pytest.raises(DomainError, match=r"^overflow at t=10000000000\.0$") as info:
             _evaluator(e)(1e10)
         assert info.value.expr is getattr(e, path), src
-        assert _evaluate_many(e, [1.0, 1e10]) is None, src
+        assert _walk(e, [1.0, 1e10]) is None, src
     # a negative base under a fractional exponent raises, and no complex
     # number is made
     e = _with_code(parse("(t-5)^0.5"))
     with pytest.raises(DomainError, match=r"^negative base with fractional exponent at t=4\.0$"):
         _evaluator(e)(4.0)
-    assert _evaluate_many(e, [6.0, 4.0]) is None and _evaluator(e)(9.0) == 2.0
+    assert _walk(e, [6.0, 4.0]) is None and _evaluator(e)(9.0) == 2.0
     # test_infinite_exponent_is_not_an_integer_and_never_overflows, with code
     e = _with_code(parse("(t-5)^1e400"))
     with pytest.raises(DomainError, match=r"^negative base with fractional exponent at t=1\.0$"):
         _evaluator(e)(1.0)
-    assert _evaluate_many(e, [1.0, 2.0]) is None
+    assert _walk(e, [1.0, 2.0]) is None
     assert _evaluator(e)(5.5) == 0.0
     # math.pow(-0.5, inf) is 0.0: the base's sign is checked, not left to math
     with pytest.raises(DomainError, match=r"^negative base with fractional exponent at t=4\.5$"):
         _evaluator(e)(4.5)
-    assert _evaluate_many(e, [4.5, 5.5]) is None
+    assert _walk(e, [4.5, 5.5]) is None
     square = _with_code(Pow(Sub(Var(), Const(5)), Const(2)))
     assert _evaluator(square)(1.0) == 16.0
-    assert _evaluate_many(square, [1.0, 2.0]) == [16.0, 9.0]
+    assert _walk(square, [1.0, 2.0]) == [16.0, 9.0]
 
 
 def test_a_failing_walk_on_a_tree_with_code_replays_for_the_first_error():
     e = parse("1/(t-50)")
     points = [k * 0.01 for k in range(4000, 8096)]  # 50.0 is the 1,001st
-    assert _evaluate_many(e, points) is None and callable(e.__dict__["_walk"])
+    assert _walk(e, points) is None and callable(e.__dict__["_walk"])
     with pytest.raises(DomainError, match=r"^division by zero at t=50\.0$") as info:
         cauchy(e, UniformLattice(0.01), 1.0, 101.0, 0.8)
     assert info.value.expr is e and info.value.t == 50.0
@@ -688,14 +713,14 @@ def test_every_function_of_the_table_agrees_across_its_interpreters(name):
             assert exc.expr is plain and exc.t == t, (name, t)
             # a walk fails whole, and the code and the jet raise evaluate's
             # error at the same node
-            assert _evaluate_many(coded, [1.0, t]) is None
+            assert _walk(coded, [1.0, t]) is None
             for rule, node in ((_evaluator(coded), coded), (partial(_jet, plain), plain)):
                 with pytest.raises(DomainError) as again:
                     rule(t)
                 assert str(again.value) == str(exc) and again.value.expr is node, (name, t)
             continue
         inside.append(t)
-        walk = _evaluate_many(coded, [t])
+        walk = _walk(coded, [t])
         # an absorbing function's walk refuses an infinite argument
         assert walk == [value] or (record.absorbing and math.isinf(t) and walk is None)
         assert _evaluator(coded)(t).hex() == value.hex(), (name, t)

@@ -8,6 +8,7 @@ from functools import partial
 import mpmath
 import pytest
 
+import tscal.expr as expr_module
 import tscal.integral as integral_module
 from tscal.errors import (
     DomainError,
@@ -23,10 +24,13 @@ from tscal.integral import (
     cauchy,
     ftc_check,
     indefinite,
+    _walk_points,
     monotonicity_check,
     single_grain,
 )
-from tscal.expr import Add, Apply, Const, Expr, Mul, Var, _compile, evaluate, parse
+from tscal.expr import (
+    Add, Apply, Const, Expr, Mul, Var, _compile, _evaluate_many, evaluate, parse,
+)
 from tscal.timescale import (
     FiniteSet,
     Jumps,
@@ -576,7 +580,7 @@ def test_jump_runs_raise_the_pinned_first_error(text, ts, lo, hi, alpha, message
     assert (str(info.value), info.value.t) == (message, t)
 
 
-# A walk of _BATCH_MIN points or more evaluates a call's steps in one pass
+# A walk of expr._BATCH_MIN points or more evaluates a call's steps in one pass
 # over the tree; below it, and wherever a step fails, the cells go one by one
 # in order. Each row was computed when every step was evaluated on its own.
 SMOOTH = "exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1)"
@@ -605,7 +609,7 @@ BATCH_FLOOR_SUMS = [  # (scale, lo, hi, steps, alpha, (value, est_error, cells_u
 @pytest.mark.parametrize("ts,lo,hi,steps,alpha,expected", BATCH_FLOOR_SUMS)
 def test_sums_either_side_of_the_batch_floor_match_pinned_sums(ts, lo, hi, steps, alpha,
                                                                expected):
-    assert integral_module._BATCH_MIN == 8
+    assert expr_module._BATCH_MIN == 8
     cells = ts.decompose(lo, hi)
     assert sum(len(c.points) - 1 for c in cells if isinstance(c, Jumps)) == steps
     res = cauchy(parse(SMOOTH), ts, lo, hi, alpha)
@@ -766,7 +770,7 @@ def _walked_segments(text, lo, hi, alpha, ts=P11):
     f = _coded(text)
     return [values is not None
             for walk, size in integral_module._walks(ts.decompose(lo, hi))
-            for values in [integral_module._walk_values(f, walk, size, alpha)]
+            for values in [_evaluate_many(f, size, partial(_walk_points, walk, alpha))]
             for c in walk if isinstance(c, Segment)]
 
 
@@ -801,7 +805,7 @@ def test_a_refinement_failing_before_a_later_step_of_its_walk_raises_first(alpha
     # 25; the cells then go alone, in order, and [20, 21]'s refinement fails first
     text = "sqrt(abs(t - 20.55) - 0.02) + 1/(t - 25)"
     [(walk, size)] = integral_module._walks(P11.decompose(0.5, 30.5))
-    assert integral_module._walk_values(_coded(text), walk, size, alpha) is None
+    assert _evaluate_many(_coded(text), size, partial(_walk_points, walk, alpha)) is None
     with pytest.raises(DomainError) as info:
         cauchy(_coded(text), P11, 0.5, 30.5, alpha)
     assert (str(info.value), info.value.t) == (f"sqrt of a negative value at t={t!r}", t)
@@ -810,17 +814,38 @@ def test_a_refinement_failing_before_a_later_step_of_its_walk_raises_first(alpha
 
 @pytest.mark.parametrize("alpha", [1.0, 0.75])
 def test_a_lone_segment_is_the_same_walked_or_alone(monkeypatch, alpha):
-    # 15 nodes clear _BATCH_MIN, so a lone R segment of a tree with code is
-    # walked; a floor of 16 integrates it alone
+    # 15 nodes clear expr._BATCH_MIN, so a lone R segment of a tree with code
+    # is walked; a floor of 16 integrates it alone
     f, bounds = _coded(SMOOTH), ((0.5, 1.0), (0.0, 3.7), (1.0, 40.0))
     assert [_walked_segments(SMOOTH, lo, hi, alpha, R) for lo, hi in bounds] == [[True]] * 3
     walked = [cauchy(f, R, lo, hi, alpha) for lo, hi in bounds]
-    monkeypatch.setattr(integral_module, "_BATCH_MIN", 16)
+    monkeypatch.setattr(expr_module, "_BATCH_MIN", 16)
     assert [_walked_segments(SMOOTH, lo, hi, alpha, R) for lo, hi in bounds] == [[False]] * 3
     alone = [cauchy(f, R, lo, hi, alpha) for lo, hi in bounds]
     assert [struct.pack("<2d", r.value, r.est_error) for r in walked] == \
         [struct.pack("<2d", r.value, r.est_error) for r in alone]
     assert [r.cells_used for r in walked] == [r.cells_used for r in alone] == [1, 1, 1]
+
+
+def test_a_walk_builds_its_points_only_when_it_runs(monkeypatch):
+    built, nodes = [], integral_module._gk15_nodes
+    monkeypatch.setattr(integral_module, "_gk15_nodes",
+                        lambda a, b: built.append((a, b)) or nodes(a, b))
+    # a fresh tree has no code, so the walk of its R segment is counted, and
+    # its 15 first-panel nodes are built once, for the panel evaluated alone
+    f = parse("t^2 + 1")
+    first = cauchy(f, R, 1.0, 2.0, 0.75)
+    assert len(built) == 1 and f.__dict__["_walk"] == 15
+    # with code, once, for the walk, whose values give the panel
+    again = cauchy(_coded("t^2 + 1"), R, 1.0, 2.0, 0.75)
+    assert len(built) == 2 and again == first
+    # a walk below expr._BATCH_MIN points (7 steps) builds none and counts none
+    walked, points = [], integral_module._walk_points
+    monkeypatch.setattr(integral_module, "_walk_points",
+                        lambda walk, alpha: walked.append(walk) or points(walk, alpha))
+    g = parse("t^2 + 1")
+    assert cauchy(g, HZ1, 1.0, 8.0, 0.75) == cauchy(_coded("t^2 + 1"), HZ1, 1.0, 8.0, 0.75)
+    assert walked == [] and "_walk" not in g.__dict__
 
 
 @pytest.mark.parametrize("text,hi,alpha,panels", [

@@ -420,3 +420,28 @@ def test_a_q_lattice_nearest_skips_a_candidate_beyond_the_largest_float(ts):
         ts.q ** 53
     assert ts.q ** 51 < 1e300 < ts.q ** 52
     assert ts.nearest(1e300) == ts.q ** 51 and ts.contains(ts.q ** 51)
+
+
+# the nearest point to nan, inf and -inf: a scale's end where it has one that
+# way, else NotRepresentable (None below), never a bare error or a non-point
+NON_FINITE_NEAREST = {
+    "R": (RealInterval(), None, None),
+    "R[0,4]": (RealInterval(0.0, 4.0), 4.0, 0.0),
+    "hZ": (UniformLattice(1.0), None, None),
+    "qZbar": (QLatticeClosure(2.0), None, 0.0),
+    "qN0": (QPowers(2.0), None, 1.0),
+    "Pab": (PeriodicUnion(1.0, 1.0), None, 0.0),
+    "finite": (FiniteSet((0.0, 1.0, 2.0)), 2.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", list(NON_FINITE_NEAREST))
+def test_nearest_of_a_non_finite_point_is_an_end_or_not_representable(name, t):
+    ts, at_inf, at_minus_inf = NON_FINITE_NEAREST[name]
+    want = None if math.isnan(t) else at_inf if t > 0.0 else at_minus_inf
+    if want is None:
+        with pytest.raises(NotRepresentable, match=r" has no nearest point in "):
+            ts.nearest(t)
+    else:
+        assert ts.nearest(t) == want and ts.contains(want)
