@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import json
 import math
 import sys
 
 from . import __version__
 from .derivative import LIMIT_RTOL, AlphaOrder, _chain_witness, t_alpha, \
     t_alpha_at_zero, t_alpha_higher
-from .errors import ExprSyntaxError, ScaleSpecError, TscalError, UnknownLaw
+from .errors import ExprSyntaxError, NotRepresentable, ScaleSpecError, TscalError, UnknownLaw
 from .expr import parse as parse_expr
 from .integral import QUAD_TOL, cauchy
 from .laws import LAWS, run_law_suite
@@ -68,8 +69,7 @@ def _json(value, indent: int = 0) -> str:
         return str(value)
     if value is None:
         return "null"
-    escaped = str(value).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return json.dumps(str(value), ensure_ascii=False)  # control characters too
 
 
 def _meta(args, quad_tol: float = QUAD_TOL) -> dict:
@@ -116,7 +116,10 @@ def _resolve_points(args) -> list[float]:
 
 
 def _point_row(ts: TimeScale, t: float, snap: float) -> dict:
-    site = ts.site(t)
+    try:
+        site = ts.site(t)
+    except NotRepresentable:  # sigma(t) is beyond the largest float
+        return {"t": t, "sigma": None, "mu": None, "class": None, "snap": snap}
     return {"t": t, "sigma": site.sigma, "mu": site.mu,
             "class": site.label, "snap": snap}
 
@@ -124,12 +127,13 @@ def _point_row(ts: TimeScale, t: float, snap: float) -> dict:
 def _emit(doc: dict, rows: list[dict], args) -> None:
     if args.output == "csv":
         cols = list(dict.fromkeys(key for row in rows for key in row))
-        # csv quotes only the fields that need it, such as the label "rd-ld,min"
+        # csv quotes only the fields that need it, such as the label "rd-ld,min",
+        # and writes None (a missing or null field) as ""
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(cols)
         for row in rows:
-            writer.writerow(_fmt(v) if isinstance(v, float) else str(v)
-                            for v in (row.get(key, "") for key in cols))
+            writer.writerow(_fmt(v) if isinstance(v, float) else v
+                            for v in (row.get(key) for key in cols))
     else:
         print(_json(doc))
 

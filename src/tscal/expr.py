@@ -2,12 +2,11 @@
 
 Provides a small recursive-descent parser, exact evaluation with domain
 checking (_evaluate_many decides every walk of a tree over many points; a
-tree walked often gets compiled code, which runs its walks and evaluates it
-at one point), one- or two-sided first-order jets
-(value and exact slope), constant folding and exact symbolic differentiation,
-each on its node class; what each function of the grammar contributes to them
-is one record of _FUNCTIONS, whose keys are the identifiers the parser
-accepts. Grammar:
+tree walked often gets compiled code, which runs its walks), one- or
+two-sided first-order jets (value and exact slope), constant folding and
+exact symbolic differentiation, each on its node class; what each function of
+the grammar contributes to them is one record of _FUNCTIONS, whose keys are
+the identifiers the parser accepts. Grammar:
 
     expr   := term (("+"|"-") term)*
     term   := factor (("*"|"/") factor)*
@@ -24,9 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-import weakref
 from dataclasses import dataclass
-from types import MethodType
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -70,32 +67,30 @@ class Expr:
     where _eval raises, through _eval's own overflow checks, so a finite value
     from it is evaluate()'s; expr._jet replays any other point with
     evaluate() for its error. (A compiled walk's guards would not do: they
-    also refuse an inf that a constant such as 1e999 holds, as in t/1e999,
-    which evaluate() takes.) _fold, _d, _substitute and _render back fold,
-    derivative, substitute and render. Apply takes each rule for its function
-    from the function's _FUNCTIONS record; a name outside the table is a
-    KeyError to a jet and the renderer, which refuse it as they refuse any
-    node they cannot take, and evaluate() raises DomainError.
+    also refuse an inf that evaluate() takes, one that a constant such as
+    1e999 holds, as in t/1e999, or an infinite point, as in t^-2 at inf.)
+    _fold, _d, _substitute and _render back fold, derivative, substitute and
+    render. Apply takes each rule for its function from the function's
+    _FUNCTIONS record; a name outside the table is a KeyError to a jet and
+    the renderer, which refuse it as they refuse any node they cannot take,
+    and evaluate() raises DomainError.
 
     Once a tree's walks have been offered _CODE_AT points in total, _code
     renders it (a lone leaf too) into one Python source, compiled once and
     kept on the node object (as derivative's memo is, so ==, hash and repr do
     not change): a walk that gives evaluate()'s values at a list of points
-    where all of them pass (see _SOURCE), and a scalar function that gives
-    evaluate()'s value, or asks evaluate() itself wherever its arithmetic
-    raises or leaves the finite floats; _evaluator hands it out. Values and
-    errors are unchanged; only a walk makes a tree get code, and a tree
-    without code is evaluated point by point. _eval itself is never replaced on a node: a method name
-    in one node's __dict__ slows that method's lookup on every node of the
-    class. The code is not read through __dict__, which gives a node a dict
-    of its own (Python 3.11+) and slows its attribute lookups. Pickling and
-    copying keep the fields alone.
+    where all of them pass (see _SOURCE). The code is a walk only: every
+    scalar evaluation is evaluate(), and a failed walk is replayed point by
+    point through it, so values and errors are unchanged. _eval itself is
+    never replaced on a node: a method name in one node's __dict__ slows
+    that method's lookup on every node of the class. The code is not read
+    through __dict__, which gives a node a dict of its own (Python 3.11+) and
+    slows its attribute lookups. Pickling and copying keep the fields alone.
     """
 
     # a tree's code, kept on its root: the points offered to its walks so far,
-    # then the compiled walk (None if the renderer refused the tree); the
-    # scalar function
-    _walk, _one = 0, None
+    # then the compiled walk (None if the renderer refused the tree)
+    _walk = 0
 
     def _eval(self, *args):
         raise TypeError(f"not an expression node: {self!r}")
@@ -596,41 +591,28 @@ def _is_whole(x: float) -> bool:
 # Points offered to a tree's walks, in total, before it gets code. On five
 # trees from t^3 - 2*t to exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1) (Python
 # 3.11.7), compiling took 210-380 us, and code saved 0.65-1.6 us a walked
-# point and 0.6-1.5 us a scalar evaluation against evaluate: a tree repays its
-# code over 210-320 walked points. No tree in the benchmark's law_verify and
-# cli_readme workloads is offered more than 109 points in all, so a fresh
-# tree integrated a few times pays for no code. Scalar evaluations are not
-# counted: counting them costs every fresh tree.
+# point against evaluate: a tree repays its code over 210-320 walked points.
+# No tree in the benchmark's law_verify and cli_readme workloads is offered
+# more than 109 points in all, so a fresh tree integrated a few times pays
+# for no code.
 _CODE_AT = 1024
 # Fewest points in a walk that runs. On three trees from t+1 to
 # exp(-0.5*t)*sin(2*t) + log(t+1)/(t^2+1) (Python 3.11.7), each with code, one
-# walk ran at this speed against one evaluation of the code per point:
-# 0.52-0.54x at 1 point, 0.93-1.06x at 4, 1.05-1.30x at 8 and 1.28-2.11x at
-# 16. A segment's 15 first-panel nodes clear it.
+# walk ran at this speed against evaluate at each point, not counting the
+# building of its points: 1.3-1.9x at 1 point, 1.5-3.6x at 4, 2.9-4.2x at 8
+# and 3.2-5.0x at 16. A segment's 15 first-panel nodes clear it.
 _BATCH_MIN = 8
 
-# A tree's code. one(t) gives evaluate's value wherever the arithmetic stays
-# finite and asks evaluate itself (_slow) wherever it raises or does not:
-# evaluate decides every error, so any exception is handed to it, even one
-# that float(t) raises before a node evaluate would refuse first. walk(ts)
-# gives evaluate's values where every point passes, and elsewhere raises or
-# gives a value that is not finite: it has none of evaluate's checks, only
-# _Code's guards on the operands whose finite result could hide an inf or
-# NaN (x/inf, inf**-c, e^-inf) and on a negative base under a fractional
-# power, which would give a complex number. {body} is the tree's source from
-# _code, which holds only t, operators, parentheses and the names that
-# {binds} binds.
+# A tree's code. walk(ts) gives evaluate's values where every point passes,
+# and elsewhere raises or gives a value that is not finite: it has none of
+# evaluate's checks, only _Code's guards on the operands whose finite result
+# could hide an inf or NaN (x/inf, inf**-c, e^-inf) and on a negative base
+# under a fractional power, which would give a complex number. A guard also
+# refuses an inf that evaluate takes, from a constant (t/1e999) or from a
+# point that is not finite (t^-2 at inf): callers walk finite points. {body}
+# is the tree's source from _code, which holds only t, operators, parentheses
+# and the names that {binds} binds.
 _SOURCE = """\
-def one(t0, _slow=_slow, {binds}):
-    try:
-        t = _float(t0)
-        v = {body}
-        if -1e999 < v < 1e999:
-            return v
-    except Exception:
-        pass
-    return _slow(t0)
-
 def walk(ts, {binds}):
     return [{body} for t in _map(_float, ts)]
 """
@@ -682,11 +664,11 @@ class _Code:
 
 
 def _compile(e: Expr) -> Callable[[list[float]], list[float]] | None:
-    """Render e into code once and keep it on e: its walk, which is returned,
-    and its scalar function, which _evaluator hands out; a lone t or constant
-    gets code as any tree does. None, kept as e's walk, if the renderer
-    refuses e: an unknown node class or function, a constant that is not a
-    float or an int, a lone int constant, or a tree too deep to compile."""
+    """Render e into its walk once, keep it on e and return it; a lone t or
+    constant gets code as any tree does. None, kept as e's walk, if the
+    renderer refuses e: an unknown node class or function, a constant that is
+    not a float or an int, a lone int constant, or a tree too deep to
+    compile."""
     code = _Code()
     try:
         body, = code.of(e)
@@ -695,22 +677,12 @@ def _compile(e: Expr) -> Callable[[list[float]], list[float]] | None:
     except (TypeError, KeyError, RecursionError, SyntaxError):
         object.__setattr__(e, "_walk", None)
         return None
-    # no reference cycle: e's code reaches e weakly, and the functions leave
-    # the scope that is their globals, so e and its code go when e's last
-    # reference does
-    ref = weakref.ref(e)
-    scope = dict(code.names, _slow=lambda t: evaluate(ref(), t))
-    exec(program, scope)
-    one, walk = scope.pop("one"), scope.pop("walk")
-    object.__setattr__(e, "_one", one)
+    # no reference cycle: the walk leaves the scope that is its globals, so
+    # e and its code go when e's last reference does
+    exec(program, code.names)
+    walk = code.names.pop("walk")
     object.__setattr__(e, "_walk", walk)
     return walk
-
-
-def _evaluator(e: Expr) -> Callable[[float], float]:
-    """evaluate with e bound: e's compiled scalar function once e has code,
-    else a bound method (cheaper to make and call than a partial)."""
-    return e._one or MethodType(evaluate, e)
 
 
 def _evaluate_many(e: Expr, n: int, points: Callable[[], list[float]]) -> list[float] | None:
@@ -721,7 +693,7 @@ def _evaluate_many(e: Expr, n: int, points: Callable[[], list[float]]) -> list[f
     None means the walk did not run or failed: it has fewer than _BATCH_MIN
     points, e has no code, or building or walking the points raised or gave
     a value that is not finite. The caller evaluates the points one by one
-    through _evaluator, in order, for their values or the first error and
+    through evaluate, in order, for their values or the first error and
     its message. A walk of _BATCH_MIN points or more offered to a tree
     without code counts them toward _CODE_AT, at which it gets code; a tree
     the renderer refuses has none for good.

@@ -15,12 +15,11 @@ cauchy is one loop over walks of the other two kinds of cell. In cell order,
 each run's steps and each segment's 15 first-panel nodes are packed into
 walks of f's tree of at most _BATCH_SIZE points, a longer run cut into pieces,
 and each walk is offered to expr._evaluate_many, which decides whether it
-runs and builds its points only if it does. A walk is f's compiled code; the
-code also serves its evaluations point by point. Each cell of a walk is then
-integrated where it stands, from the walk's values. Refinement panels are
-evaluated point by point, and every cell of a walk that fails or does not run
-is integrated alone, in order, so values and the first error are identical to
-evaluating each point on its own.
+runs and builds its points only if it does. A walk is f's compiled code. Each
+cell of a walk is then integrated where it stands, from the walk's values.
+Refinement panels are evaluated point by point through evaluate, and every
+cell of a walk that fails or does not run is integrated alone, in order, so
+values and the first error are identical to evaluating each point on its own.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
+from types import MethodType
 from typing import Callable
 
 from .errors import (
@@ -41,7 +41,7 @@ from .errors import (
     ReversedBounds,
 )
 from .derivative import _EPS, _check_alpha, _richardson, _weight, _weight_overflow, t_alpha
-from .expr import Expr, _evaluate_many, _evaluator, evaluate
+from .expr import Expr, _evaluate_many, evaluate
 from .timescale import MEMBERSHIP_RTOL, Cell, Jumps, Series, Site, TimeScale
 
 __all__ = [
@@ -190,11 +190,11 @@ def _segment_piece(f: Expr, alpha: float, lo: float, hi: float, quad_tol: float,
     over [lo**alpha, hi**alpha] with u = t**alpha; at alpha = 1 the substitution
     is the identity bit for bit. first is the first panel, if a walk has
     evaluated it."""
-    inv, f_at = 1.0 / alpha, _evaluator(f)
+    inv = 1.0 / alpha
 
     def integrand(u: float) -> float:
         try:
-            return f_at(u ** inv) * inv
+            return evaluate(f, u ** inv) * inv
         except DomainError:
             if u > 0.0 and u ** inv == 0.0:
                 raise EndpointSingularity(
@@ -259,14 +259,14 @@ def _q_series_from_zero(f: Expr, cell: Series, alpha: float,
     q, hi = cell.q, cell.hi
     cutoff = q ** -Q_ENUM_FLOOR
     r_theory, r_floor = q ** -alpha, q ** -(alpha + 8.0)
-    w, q1, f_at = alpha - 1.0, q - 1.0, _evaluator(f)
+    w, q1 = alpha - 1.0, q - 1.0
     k_top = round(math.log(hi) / math.log(q))
     terms: list[float] = []
     prev_mag, tail = 0.0, math.inf
     j = k_top - 1
     while True:
         t_j = q ** j
-        term = f_at(t_j) * t_j ** w * (q1 * t_j)
+        term = evaluate(f, t_j) * t_j ** w * (q1 * t_j)
         terms.append(term)
         mag = abs(term)
         ratio = mag / prev_mag if prev_mag > 0.0 else 0.0
@@ -336,7 +336,7 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
                 if isinstance(cell, Jumps):
                     p = cell.points
                     n = len(p) - 1
-                    vs = map(_evaluator(f), p[:-1]) if values is None else values[i:i + n]
+                    vs = map(MethodType(evaluate, f), p[:-1]) if values is None else values[i:i + n]
                     i += n
                     try:
                         contributions += [v * t ** w * (s - t) for v, t, s in zip(vs, p, p[1:])]

@@ -470,6 +470,40 @@ def test_qzbar_series_integral_matches_golden_output():
     assert code == 0
     assert out.encode() == (GOLDEN / "integ_qZbar_series.json").read_bytes()
 
+# the top point of qN0(q=2), 2**1023, has no representable sigma: the integral
+# up to it exists, and its row reports sigma, mu and class as null
+QN0_TOP_INTEG = ["integ", "--scale", "qN0(q=2)", "--expr", "1/t", "--alpha", "1",
+                 "--from", "1", "--to", "8.98846567431158e307"]
+
+
+def test_an_integral_to_a_point_without_sigma_reports_null_sigma():
+    code, out, _ = run_cli(QN0_TOP_INTEG)
+    assert code == 0
+    assert out.encode() == (GOLDEN / "integ_qN0_top.json").read_bytes()
+    row = json.loads(out)["results"][0]
+    assert row["value"] == 1023.0 and row["sigma"] is row["mu"] is row["class"] is None
+    code, out, _ = run_cli(QN0_TOP_INTEG + ["--output", "csv"])
+    assert code == 0
+    row, = csv.DictReader(io.StringIO(out))
+    assert (row["sigma"], row["mu"], row["class"], row["cells_used"]) == ("", "", "", "1023")
+
+
+@pytest.mark.parametrize("args", [
+    ["deriv", "--scale", "R", "--expr", "t\t+ 1", "--alpha", "1", "--at", "2"],
+    ["deriv", "--scale", "R\n", "--expr", "t", "--alpha", "1", "--at", "2"],
+    ["witness", "--scale", "qN0(q=2)", "--f", "t^2\n", "--g", "\tt", "--alpha", "0.5",
+     "--at", "4"],
+], ids=["expr_tab", "scale_newline", "witness_f_g"])
+def test_json_escapes_control_characters_in_echoed_strings(args):
+    # the parsers take tabs and newlines between tokens; the echo must stay JSON
+    code, out, _ = run_cli(args)
+    assert code == 0
+    doc = json.loads(out)
+    for key in ("scale", "expr", "f", "g"):
+        if f"--{key}" in args:
+            assert doc[key] == args[args.index(f"--{key}") + 1], key
+
+
 def test_snap_is_echoed(tmp_path):
     # 2**-3 typed as decimal text snaps onto the lattice point exactly
     code, out, _ = run_cli(["deriv", "--scale", "qZbar(q=2)", "--expr", "t",

@@ -2,9 +2,13 @@
 on all six shapes, cauchy's one walk per call against its cells in order, the
 one-sided jets against mpmath, a tree's compiled code against its nodes, the
 limit at 0 against mpmath or the extrapolation, and a right-dense start of the
-delta chain against the whole chain; and the typed errors of outside inputs."""
+delta chain against the whole chain; the typed errors of outside inputs; and
+every command-line run's exit code and output."""
 
+import csv
 import importlib
+import io
+import json
 import math
 import sys
 from unittest import mock
@@ -43,7 +47,6 @@ from tscal.expr import (
     Var,
     _BATCH_MIN,
     _compile,
-    _evaluator,
     _jet,
     evaluate,
     nth_derivative,
@@ -64,6 +67,7 @@ from tscal.timescale import (
     Series,
     UniformLattice,
 )
+from test_cli import run_cli
 from test_expr import _mp_jet, _random_tree, _slopes_agree, _walk  # the evaluation tests' helpers
 
 CONTRACT = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -453,18 +457,17 @@ def _scalar_outcome(call):
 
 @settings(derandomize=True, database=None, max_examples=600, deadline=None)
 @given(code_cases())
+@example((Pow(Var(), Const(-2.0)), [math.inf]))  # evaluate gives 0.0
+@example((Div(Const(1.0), Apply("sqrt", Var())), [2.0, math.inf]))  # 1/inf
 def test_a_tree_with_code_equals_its_nodes(case):
-    # the scalar function against evaluate, which is each node's _eval and the
-    # root check: the same value and type bit for bit, or the same error (type,
-    # message, node and point); the walk (of ts repeated up to _BATCH_MIN
-    # points): None wherever a point raises, else evaluate's values, or None
-    # where the guards refuse an inf that only a constant holds (t/1e999,
-    # which evaluate takes). Every tree gets code, a lone leaf too.
+    # the walk (of ts repeated up to _BATCH_MIN points) against evaluate,
+    # which is each node's _eval and the root check: None wherever a point
+    # raises, else evaluate's values and type bit for bit, or None where the
+    # guards refuse an inf that evaluate takes: one a constant holds
+    # (t/1e999) or a point that is not finite brings in (t^-2 at inf). Every
+    # tree gets code, a lone leaf too.
     e, ts = case
     assert _compile(e) is not None, render(e)
-    for t in ts:
-        got = _scalar_outcome(lambda: _evaluator(e)(t))
-        assert got == _scalar_outcome(lambda: evaluate(e, t)), (render(e), t)
     walk = _walk(e, ts)
     try:
         want = [evaluate(e, t) for t in ts]
@@ -472,8 +475,8 @@ def test_a_tree_with_code_equals_its_nodes(case):
         assert walk is None, (render(e), ts)
         return
     if walk is None:
-        # render writes an infinite constant as 1e999
-        assert "1e999" in render(e), (render(e), ts)
+        # render writes an infinite constant as 1e999; or a point is not finite
+        assert "1e999" in render(e) or not all(map(math.isfinite, ts)), (render(e), ts)
     else:
         assert [(type(v), v.hex()) for v in walk] == \
             [(type(v), v.hex()) for v in want], (render(e), ts)
@@ -619,3 +622,96 @@ def test_a_dense_start_gives_the_whole_chains_order_n(case):
     got = _scalar_outcome(lambda: _delta_table(e, ts, site, n)[1][0])
     assert got == _scalar_outcome(lambda: _chain_delta_table(e, ts, site, n)[1][0]), \
         (render(e), ts, t, n)
+
+
+# The command line: argv for deriv, integ and witness drawn from the grammar,
+# the scale specs, and points and orders at and past every edge. "FILE" stands
+# for the path of a finite scale's points.
+_CLI_SCALES = ("R[0,4]", "hZ(h=0.5)", "qZbar(q=2)", "qN0(q=2)", "Pab(a=1,b=1)", "finite(FILE)",
+               " R ")
+_CLI_POINTS = ("0", "0.5", "1", "2", "4")
+_CLI_EDGE_POINTS = ("3.3", "-1", "inf", "-inf", "nan", "5e-324")
+_CLI_TOP = "8.98846567431158e307"  # 2**1023, whose sigma on qN0(q=2) is beyond the floats
+_CLI_ALPHAS = ("0.25", "0.5", "1")
+_CLI_HIGHER_ALPHAS = ("1.5", "2.1", "3.5")
+_CLI_EDGE_ALPHAS = ("0", "-1", "nan", "inf")
+_CLI_NUMBERS = ("0", "1", "2", "0.5", "3e-2", "1e999")
+
+
+def _mostly(common, edges):
+    """One of common about three times in four, else one of edges."""
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(edges if k == 3 else common))
+
+
+def _grammar_tokens(draw, depth=0):
+    """The tokens of one expression of the grammar in expr's docstring; an
+    exponent that does not fold to a constant is a parse error."""
+    kind = draw(st.integers(0, 6 if depth < 3 else 1))
+    if kind < 2:
+        return ["t"] if kind == 0 else [draw(st.sampled_from(_CLI_NUMBERS))]
+    a = _grammar_tokens(draw, depth + 1)
+    if kind == 2:
+        return [draw(st.sampled_from(("log", "exp", "sin", "cos", "sqrt", "abs"))), "(", *a, ")"]
+    if kind == 3:
+        return ["-", *a] if draw(st.booleans()) else ["(", *a, ")"]
+    return [*a, draw(st.sampled_from("+-*/^")), *_grammar_tokens(draw, depth + 1)]
+
+
+@st.composite
+def cli_exprs(draw):
+    # a space, tab or newline between tokens and around them
+    space = st.sampled_from((" ", "\t", "\n"))
+    return draw(space) + "".join(tok + draw(space) for tok in _grammar_tokens(draw))
+
+
+@st.composite
+def cli_argvs(draw):
+    scale = draw(st.sampled_from(_CLI_SCALES))
+    edges = _CLI_EDGE_POINTS + ((_CLI_TOP,) if scale == "qN0(q=2)" else ())
+    points = _mostly(_CLI_POINTS, edges)
+    command = draw(st.sampled_from(("deriv", "integ", "witness")))
+    alphas = _CLI_ALPHAS + (_CLI_HIGHER_ALPHAS if command == "deriv" else ())
+    argv = [command, f"--scale={scale}", f"--alpha={draw(_mostly(alphas, _CLI_EDGE_ALPHAS))}"]
+    if command == "witness":
+        argv += [f"--f={draw(cli_exprs())}", f"--g={draw(cli_exprs())}"]
+        argv += [f"--at={p}" for p in draw(st.lists(points, min_size=1, max_size=2))]
+    else:
+        argv.append(f"--expr={draw(cli_exprs())}")
+        how = draw(st.sampled_from(("range", "at", "points") if command == "deriv" else ("range",)))
+        if how == "range":
+            argv += [f"--from={draw(points)}", f"--to={draw(points)}"]
+            if command == "deriv":
+                argv.append(f"--count={draw(_mostly(range(1, 7), (0, -1)))}")
+        elif how == "at":
+            argv += [f"--at={p}" for p in draw(st.lists(points, min_size=1, max_size=3))]
+        else:
+            argv.append("--points=" + ",".join(draw(st.lists(points, min_size=1, max_size=3))))
+    return argv + ["--output=csv"] if draw(st.booleans()) else argv
+
+
+@pytest.fixture(scope="module")
+def finite_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scale") / "points.txt"
+    path.write_text("0\n0.5\n1\n2\n4\n", encoding="utf-8")
+    return str(path)
+
+
+@CONTRACT
+@given(cli_argvs())
+# the top point of qN0(q=2) has no sigma, but the integral up to it exists
+@example(["integ", "--scale", "qN0(q=2)", "--expr", "1/t", "--alpha", "1", "--from", "1",
+          "--to", _CLI_TOP])
+@example(["deriv", "--scale", "R", "--expr", "t\t+ 1", "--alpha", "1", "--at", "2"])
+def test_every_cli_run_prints_valid_output_or_exits_with_its_code(finite_file, argv):
+    # exit 0 with JSON that parses, or CSV with one header and rows of its
+    # width; else a documented code, an empty stdout and a tscal: diagnostic
+    argv = [arg.replace("FILE", finite_file) for arg in argv]
+    code, out, err = run_cli(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    if code != 0:
+        assert out == "" and err.startswith("tscal:"), (argv, out, err)
+    elif "--output=csv" in argv:
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(row) == len(header) for row in rows), (argv, out)
+    else:
+        json.loads(out)

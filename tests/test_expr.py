@@ -34,7 +34,6 @@ from tscal.expr import (
     _FUNCTIONS,
     _compile,
     _evaluate_many,
-    _evaluator,
     _jet,
     derivative,
     evaluate,
@@ -528,7 +527,7 @@ def test_jet_slope_of_cancelling_terms_is_exact():
 
 def _with_code(e):
     """e, given its code as a walk of _CODE_AT points would give it."""
-    assert _compile(e) is not None and _evaluator(e) is e.__dict__["_one"]
+    assert _compile(e) is not None
     return e
 
 
@@ -549,16 +548,14 @@ def test_only_walks_give_a_tree_code_and_it_changes_no_value():
     e, plain = parse(src), parse(src)
     points = [1.0 + k / 64 for k in range(_CODE_AT)]
     before = [evaluate(e, t) for t in points]
-    assert [_evaluator(e)(t) for t in points] == before
-    assert "_walk" not in e.__dict__ and "_one" not in e.__dict__  # scalars count nothing
+    assert "_walk" not in e.__dict__  # evaluations count nothing
     # without code: no walk, and its points are counted, not built
     assert _evaluate_many(e, _CODE_AT - _BATCH_MIN, _unbuilt) is None
-    assert e.__dict__["_walk"] == _CODE_AT - _BATCH_MIN and "_one" not in e.__dict__
+    assert e.__dict__["_walk"] == _CODE_AT - _BATCH_MIN
     # the walk that reaches _CODE_AT points
     assert _walk(e, points[-_BATCH_MIN:]) == before[-_BATCH_MIN:]
-    assert callable(e.__dict__["_walk"]) and "_one" in e.__dict__
+    assert callable(e.__dict__["_walk"])
     assert _walk(e, points) == before
-    assert [_evaluator(e)(t) for t in points] == before
     # _eval is never replaced on a node: its lookup stays fast on every node
     assert "_eval" not in e.__dict__
     # the code is no field: equality, hash and repr are unchanged
@@ -572,7 +569,6 @@ def test_a_tree_without_code_is_never_walked():
     e = parse("1/(t-2)")
     assert _walk(e, [1.0, 3.0]) is None and e.__dict__["_walk"] == 8
     assert _walk(e, [1.0, 2.0, 3.0]) is None and e.__dict__["_walk"] == 16
-    assert "_one" not in e.__dict__
     # a walk below _BATCH_MIN points never runs: nothing is built or counted
     assert _evaluate_many(e, _BATCH_MIN - 1, _unbuilt) is None and e.__dict__["_walk"] == 16
     assert _walk(e, [4.0] * (_CODE_AT - 16)) == [0.5] * (_CODE_AT - 16)
@@ -586,18 +582,17 @@ def test_a_tree_with_code_pickles_and_copies_without_it():
     points = [1.0 + k / 64 for k in range(_CODE_AT)]
     for other in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e), copy.copy(e)):
         assert other == e and not any(k.startswith("_") for k in other.__dict__)
-        assert _evaluator(other)(2.5).hex() == _evaluator(e)(2.5).hex()
         assert _walk(other, points) == _walk(e, points)
         assert callable(other.__dict__["_walk"])  # compiled again on its own
 
 
 def test_a_tree_and_its_code_go_with_its_last_reference():
     e = _with_code(parse("exp(-t)/(1+t^2)"))
-    refs = [weakref.ref(x) for x in (e, e.__dict__["_one"], e.__dict__["_walk"])]
+    refs = [weakref.ref(x) for x in (e, e.__dict__["_walk"])]
     gc.disable()  # no cycle to collect: reference counts alone free them
     try:
         del e
-        assert [r() for r in refs] == [None, None, None]
+        assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
 
@@ -619,34 +614,32 @@ def test_the_renderer_refuses_what_it_does_not_know():
               Mul(Var(), Expr()),
               Add(Var(), Const("1")), Add(Var(), Add(Const(1), Const(2))),
               Mul(Var(), Pow(Const(2), Const(-1))), Apply("abs", Const(-2)), huge):
-        assert _compile(e) is None and "_one" not in e.__dict__, e
+        assert _compile(e) is None, e
         assert e.__dict__["_walk"] is None, e  # refused once: never walked
     e = Add(Var(), Rsub(Var(), Const(1.0)))
     assert _walk(e, [2.0] * _CODE_AT) is None and _walk(e, [2.0]) is None
-    assert _evaluator(e)(2.0) == evaluate(e, 2.0) == 1.0  # point by point for good
+    assert evaluate(e, 2.0) == 1.0  # point by point for good
     with pytest.raises(DomainError, match=r"^unknown function 'foo' at t=1\.0$"):
-        _evaluator(Apply("foo", Var()))(1.0)
+        evaluate(Apply("foo", Var()), 1.0)
     with pytest.raises(OverflowError):
-        _evaluator(huge)(1.0)
+        evaluate(huge, 1.0)
 
 
 def test_int_constants_and_points_still_give_floats_with_code():
-    assert type(_evaluator(Var())(2)) is float  # no code yet
     for e in (_with_code(Var()), _with_code(Pow(Sub(Var(), Const(5)), Const(2))),
               _with_code(Mul(Const(1), Var())), _with_code(Mul(Var(), Var())),
               _with_code(Add(Const(2), Mul(Const(3), Var())))):
-        for t in (1, 3, 2 ** 60 + 1):
-            got = _evaluator(e)(t)
-            assert type(got) is float and got.hex() == evaluate(e, t).hex()
         assert [(type(v), v.hex()) for v in _walk(e, [1, 2 ** 60 + 1])] == \
             [(float, evaluate(e, t).hex()) for t in (1, 2 ** 60 + 1)]
 
 
 def test_domain_errors_name_the_failing_node_on_trees_with_code():
+    # the walk fails whole, and evaluate, which replays it, names the node
     for src, t, message, path in _DOMAIN_CASES:
         e = _with_code(parse(src))
+        assert _walk(e, [1.0, t]) is None, src
         with pytest.raises(DomainError) as info:
-            _evaluator(e)(t)
+            evaluate(e, t)
         assert str(info.value) == f"{message} at t={t!r}", src
         assert info.value.t == t and info.value.expr is _node(e, path), src
 
@@ -654,34 +647,33 @@ def test_domain_errors_name_the_failing_node_on_trees_with_code():
 def test_the_rules_every_walk_keeps_hold_on_trees_with_code():
     # an inf that only a constant holds is taken: x / inf is 0.0 ...
     e = _with_code(parse("t/1e999"))
-    assert _evaluator(e)(1.0) == 0.0 and _walk(e, [1.0, 2.0]) is None
+    assert evaluate(e, 1.0) == 0.0 and _walk(e, [1.0, 2.0]) is None
     # ... but an inf from an overflow raises at its node, never through x/inf,
     # inf**-c or exp(-inf)
     for src, path in (("1/(t*1e300)", "right"), ("(t*1e300)^-2", "base"),
                       ("exp(-1e300*t)", "arg")):
         e = _with_code(parse(src))
         with pytest.raises(DomainError, match=r"^overflow at t=10000000000\.0$") as info:
-            _evaluator(e)(1e10)
+            evaluate(e, 1e10)
         assert info.value.expr is getattr(e, path), src
         assert _walk(e, [1.0, 1e10]) is None, src
     # a negative base under a fractional exponent raises, and no complex
     # number is made
     e = _with_code(parse("(t-5)^0.5"))
     with pytest.raises(DomainError, match=r"^negative base with fractional exponent at t=4\.0$"):
-        _evaluator(e)(4.0)
-    assert _walk(e, [6.0, 4.0]) is None and _evaluator(e)(9.0) == 2.0
+        evaluate(e, 4.0)
+    assert _walk(e, [6.0, 4.0]) is None and _walk(e, [9.0]) == [2.0]
     # test_infinite_exponent_is_not_an_integer_and_never_overflows, with code
     e = _with_code(parse("(t-5)^1e400"))
     with pytest.raises(DomainError, match=r"^negative base with fractional exponent at t=1\.0$"):
-        _evaluator(e)(1.0)
+        evaluate(e, 1.0)
     assert _walk(e, [1.0, 2.0]) is None
-    assert _evaluator(e)(5.5) == 0.0
+    assert _walk(e, [5.5]) == [0.0]
     # math.pow(-0.5, inf) is 0.0: the base's sign is checked, not left to math
     with pytest.raises(DomainError, match=r"^negative base with fractional exponent at t=4\.5$"):
-        _evaluator(e)(4.5)
+        evaluate(e, 4.5)
     assert _walk(e, [4.5, 5.5]) is None
     square = _with_code(Pow(Sub(Var(), Const(5)), Const(2)))
-    assert _evaluator(square)(1.0) == 16.0
     assert _walk(square, [1.0, 2.0]) == [16.0, 9.0]
 
 
@@ -711,19 +703,17 @@ def test_every_function_of_the_table_agrees_across_its_interpreters(name):
         except DomainError as exc:
             outside.append(t)
             assert exc.expr is plain and exc.t == t, (name, t)
-            # a walk fails whole, and the code and the jet raise evaluate's
-            # error at the same node
+            # a walk fails whole, and the jet raises evaluate's error at the
+            # same node
             assert _walk(coded, [1.0, t]) is None
-            for rule, node in ((_evaluator(coded), coded), (partial(_jet, plain), plain)):
-                with pytest.raises(DomainError) as again:
-                    rule(t)
-                assert str(again.value) == str(exc) and again.value.expr is node, (name, t)
+            with pytest.raises(DomainError) as again:
+                _jet(plain, t)
+            assert str(again.value) == str(exc) and again.value.expr is plain, (name, t)
             continue
         inside.append(t)
         walk = _walk(coded, [t])
         # an absorbing function's walk refuses an infinite argument
         assert walk == [value] or (record.absorbing and math.isinf(t) and walk is None)
-        assert _evaluator(coded)(t).hex() == value.hex(), (name, t)
         slopes = {}
         for side in (0, 1, -1):
             try:
