@@ -28,7 +28,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
-from types import MethodType
 from typing import Callable
 
 from .errors import (
@@ -336,7 +335,7 @@ def cauchy(f: Expr, ts: TimeScale, a: float, b: float, alpha: float,
                 if isinstance(cell, Jumps):
                     p = cell.points
                     n = len(p) - 1
-                    vs = map(MethodType(evaluate, f), p[:-1]) if values is None else values[i:i + n]
+                    vs = (evaluate(f, t) for t in p[:-1]) if values is None else values[i:i + n]
                     i += n
                     try:
                         contributions += [v * t ** w * (s - t) for v, t, s in zip(vs, p, p[1:])]

@@ -464,8 +464,9 @@ def test_a_tree_with_code_equals_its_nodes(case):
     # which is each node's _eval and the root check: None wherever a point
     # raises, else evaluate's values and type bit for bit, or None where the
     # guards refuse an inf that evaluate takes: one a constant holds
-    # (t/1e999) or a point that is not finite brings in (t^-2 at inf). Every
-    # tree gets code, a lone leaf too.
+    # (t/1e999) or a point that is not finite brings in (t^-2 at inf). A walk
+    # refused with such a point must still hold at the finite points alone.
+    # Every tree gets code, a lone leaf too.
     e, ts = case
     assert _compile(e) is not None, render(e)
     walk = _walk(e, ts)
@@ -474,9 +475,12 @@ def test_a_tree_with_code_equals_its_nodes(case):
     except Exception:  # noqa: BLE001 - any error fails the walk
         assert walk is None, (render(e), ts)
         return
-    if walk is None:
-        # render writes an infinite constant as 1e999; or a point is not finite
-        assert "1e999" in render(e) or not all(map(math.isfinite, ts)), (render(e), ts)
+    if walk is None and not all(map(math.isfinite, ts)):
+        want = [v for v, t in zip(want, ts) if math.isfinite(t)]
+        ts = [t for t in ts if math.isfinite(t)]
+        walk = _walk(e, ts) if ts else []
+    if walk is None:  # render writes an infinite constant as 1e999
+        assert "1e999" in render(e), (render(e), ts)
     else:
         assert [(type(v), v.hex()) for v in walk] == \
             [(type(v), v.hex()) for v in want], (render(e), ts)
