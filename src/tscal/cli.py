@@ -98,9 +98,12 @@ def _resolve_points(args) -> list[float]:
         return [float(x) for x in args.at]
     if args.points is not None:
         try:
-            return [float(x) for x in args.points.split(",") if x.strip()]
+            points = [float(x) for x in args.points.split(",") if x.strip()]
         except ValueError as exc:
             raise _UsageError(f"bad --points list: {exc}") from None
+        if not points:
+            raise _UsageError("--points lists no point")
+        return points
     if args.range_from is not None or args.range_to is not None:
         if args.range_from is None or args.range_to is None:
             raise _UsageError("--from and --to must be given together")

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-from types import MethodType
 from typing import Callable
 
 from .errors import (
@@ -180,13 +178,14 @@ def _dense_delta1(f: Expr, site: Site) -> float:
     return right
 
 
-def _t_alpha_at(f: Expr, site: Site, alpha: float, value: Callable[[float], float]) -> float:
+def _t_alpha_at(f: Expr, site: Site, alpha: float) -> float:
     """t_alpha at a located site t > 0, which must lie in T^kappa: the exact
-    forward quotient of value(x) = f(x) where right-scattered, else
-    _dense_delta1, times t**(1-alpha)."""
+    forward quotient of f where right-scattered, else _dense_delta1, times
+    t**(1-alpha)."""
     site.kappa()
     t = site.t
-    d = (value(site.sigma) - value(t)) / site.mu if site.mu > 0.0 else _dense_delta1(f, site)
+    d = (evaluate(f, site.sigma) - evaluate(f, t)) / site.mu if site.mu > 0.0 \
+        else _dense_delta1(f, site)
     d *= t ** (1.0 - alpha)
     if d - d != 0.0:  # inf or nan: the quotient or its weight overflowed
         raise _overflow(t)
@@ -201,8 +200,7 @@ def _t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float) -> tuple[float, Sit
             f"order-{alpha} derivative needs t > 0, got {t!r}; "
             "use t_alpha_at_zero for t = 0")
     site = ts.site(t)
-    # evaluate with f bound, as a bound method: cheaper to make and call than a partial
-    return _t_alpha_at(f, site, alpha, MethodType(evaluate, f)), site
+    return _t_alpha_at(f, site, alpha), site
 
 
 def t_alpha(f: Expr, ts: TimeScale, t: float, alpha: float) -> float:
@@ -258,8 +256,7 @@ def t_alpha_at_zero(f: Expr, ts: TimeScale, alpha: float) -> float:
     at alpha = 1 and to 0 below, so the right jet at 0 gives the limit
     exactly. Where that jet raises DomainError or NotDifferentiable, values
     are taken at scale points shrinking geometrically toward 0, each located
-    once and f evaluated once at each point its quotients use, and
-    extrapolated.
+    once, and extrapolated.
     """
     _check_alpha(alpha)
     zero = ts.site(0.0) if ts.contains(0.0) else None
@@ -277,8 +274,7 @@ def t_alpha_at_zero(f: Expr, ts: TimeScale, alpha: float) -> float:
     sites = _sites_toward_zero(ts, _ZERO_LIMIT_POINTS)
     if len(sites) < 3:
         raise LimitDiverged("too few scale points approaching 0+")
-    value = cache(MethodType(evaluate, f))  # neighbouring quotients share points
-    vals = [_t_alpha_at(f, site, alpha, value) for site in sites]
+    vals = [_t_alpha_at(f, site, alpha) for site in sites]
     if abs(vals[-1]) > 2.0 * abs(vals[0]) + 1.0:
         raise LimitDiverged("derivative values grow toward 0+; no finite limit")
     limit, err = _aitken_limit(vals)
@@ -287,23 +283,23 @@ def t_alpha_at_zero(f: Expr, ts: TimeScale, alpha: float) -> float:
     return limit
 
 
-def _delta_table(f: Expr, ts: TimeScale, site: Site, n: int) -> tuple[list[float], list[float]]:
-    """Levels n-1 and n of the nested forward-quotient triangle: entry i of a
-    level is the delta derivative of its order at the chain's i-th point.
+def _delta_table(f: Expr, ts: TimeScale, site: Site, n: int) -> float:
+    """The delta derivative of order n at site, the top of the nested
+    forward-quotient triangle: entry i of a level is the delta derivative of
+    its order at the chain's i-th point.
 
     The chain t, sigma(t), ... stops after n right-scattered points or at the
     first right-dense one, which answers each order k <= n - (its index) once:
     order 1 from _dense_delta1, as in t_alpha, higher ones symbolically. A
     right-dense start with continuum room answers order n alone, after
-    _dense_delta1 has checked f(t) as evaluate does, and gives an empty level
-    n-1: callers read it only at a right-scattered start. Where f^(n)(t)
-    raises, the whole chain runs, so the error is the lowest order's. A top
-    entry that overflows (the others feed it) raises NotRepresentable.
+    _dense_delta1 has checked f(t) as evaluate does. Where f^(n)(t) raises,
+    the whole chain runs, so the error is the lowest order's. A top entry
+    that overflows (the others feed it) raises NotRepresentable.
     """
     if site.mu == 0.0 and (site.left_room > 0.0 or site.right_room > 0.0):
         d1 = _dense_delta1(f, site)
         try:
-            return [], [d1 if n == 1 else evaluate(nth_derivative(f, n), site.t)]
+            return d1 if n == 1 else evaluate(nth_derivative(f, n), site.t)
         except (DomainError, NotDifferentiable):
             pass
     sites = [site]
@@ -317,20 +313,20 @@ def _delta_table(f: Expr, ts: TimeScale, site: Site, n: int) -> tuple[list[float
     elif end.left_room <= 0.0 and end.right_room <= 0.0:
         raise NotInKappa(f"{end.t!r} has no forward structure for a delta derivative")
     for k in range(1, n + 1):
-        below, level = level, [(b - a) / s.mu for s, a, b in zip(sites, level, level[1:])]
+        level = [(b - a) / s.mu for s, a, b in zip(sites, level, level[1:])]
         if dense and k <= n - (len(sites) - 1):
             level.append(_dense_delta1(f, end) if k == 1
                          else evaluate(nth_derivative(f, k), end.t))
     if level[0] - level[0] != 0.0:
         raise _overflow(site.t)
-    return below, level
+    return level[0]
 
 
 def delta_derivative_n(f: Expr, ts: TimeScale, t: float, n: int) -> float:
     """Iterated delta derivative of order n >= 1 at t."""
     if n < 1 or n != int(n):
         raise ValueError("n must be a positive integer")
-    return _delta_table(f, ts, ts.site(t), int(n))[1][0]
+    return _delta_table(f, ts, ts.site(t), int(n))
 
 
 def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float,
@@ -352,14 +348,12 @@ def t_alpha_higher_paths(f: Expr, ts: TimeScale, t: float,
     site = ts.kappa_site(t)
 
     factor = t ** (1.0 - beta)
-    below, top = _delta_table(f, ts, site, n + 1)
-    primary = factor * top[0]
+    primary = factor * _delta_table(f, ts, site, n + 1)
     if primary - primary != 0.0:
         raise _overflow(t)
-    if site.mu > 0.0:
-        cross = (below[1] - below[0]) / site.mu
-    else:
-        cross = _dense_limit(lambda x: _delta_table(f, ts, ts.site(x), n)[1][0], site)
+    if site.mu > 0.0:  # the quotient of the order-n entries is the primary's top entry
+        return primary, primary
+    cross = _dense_limit(lambda x: _delta_table(f, ts, ts.site(x), n), site)
     return primary, cross * factor
 
 

@@ -119,7 +119,7 @@ class TimeScale:
         per maximal run of isolated steps, one Segment per continuum piece and,
         from a point where isolated points accumulate, one Series, each
         starting where the one before ends. More than _MAX_CELLS steps and
-        segments raise ValueError."""
+        segments raise ValueError before any cell is built."""
         raise NotImplementedError
 
     def _outside(self, t: float) -> NotInScale:
@@ -401,32 +401,23 @@ class PeriodicUnion(TimeScale):
 
     def decompose(self, lo, hi):
         self._check_bounds(lo, hi)
-        if lo == hi:
-            return []
+        p, a = self.period, self.a
+        k, r, _ = self._locate(lo)
+        blocks = self._locate(hi)[0] - k
+        if 2 * blocks > _MAX_CELLS:
+            raise ValueError(f"decomposition would need about {2 * blocks} cells")
         cells: list[Cell] = []
         x = float(lo)
-        p = self.period
-        while len(cells) <= _MAX_CELLS:
-            k, r, _ = self._locate(x)
-            block_end = k * p + self.a
-            if r == self.a:
-                if hi <= x + _slack(x, self._gap):
-                    break
-                nxt = (k + 1) * p
-                cells.append(Jumps((x, nxt)))
-                x = nxt
-                continue
-            seg_hi = min(block_end, hi)
+        seg_hi = x if r == a else min(k * p + a, hi)  # from a block end, a jump comes first
+        while True:
             if seg_hi > x:
                 cells.append(Segment(x, seg_hi))
             if hi <= seg_hi + _slack(seg_hi, self._gap):
-                break
-            nxt = (k + 1) * p
-            cells.append(Jumps((seg_hi, nxt)))
-            x = nxt
-        else:
-            raise ValueError("decomposition exceeded the cell budget")
-        return cells
+                return cells
+            k += 1
+            x = k * p  # the next block's start, where site's sigma jumps
+            cells.append(Jumps((seg_hi, x)))
+            seg_hi = min(x + a, hi)
 
 
 @dataclass(frozen=True)

@@ -213,6 +213,10 @@ UNUSABLE_NUMBERS = {
     "tol_nan": INTEG_R + ["--tol", "nan"],
     "deriv_tol": DERIV_R + ["--at", "1", "--tol", "1e-6"],  # deriv reads no tolerance
     "points_not_a_number": DERIV_R + ["--points", "1,x"],
+    "points_empty": DERIV_R + ["--points", ""],
+    "points_empty_csv": DERIV_R + ["--points", "", "--output", "csv"],
+    "points_only_commas": DERIV_R + ["--points", ","],
+    "points_only_commas_csv": DERIV_R + ["--points", " , ,", "--output", "csv"],
     "from_without_to": DERIV_R + ["--from", "1"],
     "count_zero": DERIV_R + ["--from", "1", "--to", "3", "--count", "0"],
     "from_above_to": DERIV_R + ["--from", "3", "--to", "1"],

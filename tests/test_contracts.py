@@ -11,6 +11,7 @@ import io
 import json
 import math
 import sys
+import time
 from unittest import mock
 
 import mpmath
@@ -340,6 +341,16 @@ def test_one_sided_jets_match_mpmath(case):
 T2 = parse("t^2")
 R = RealInterval()
 
+
+def _within(seconds, call):
+    """call(), failing the test if it ran for seconds or longer."""
+    start = time.perf_counter()
+    try:
+        return call()
+    finally:
+        assert time.perf_counter() - start < seconds, "too slow"
+
+
 # outside inputs, each with the typed error it raises and that error's message
 PRECONDITIONS = {
     "higher_paths_at_0": (lambda: t_alpha_higher_paths(T2, R, 0.0, AlphaOrder(1.5)),
@@ -357,6 +368,10 @@ PRECONDITIONS = {
     # the cap is checked before the one Jumps run of 2**22 + 2 points is built
     "decompose_over_cap": (lambda: UniformLattice(1.0).decompose(0.0, 2.0 ** 22 + 1),
                            ValueError, "decomposition would need 4194305 cells"),
+    # refused from the block count, before any cell is built
+    "pab_decompose_over_cap": (lambda: _within(2.0, lambda: PeriodicUnion(1.0, 1.0)
+                                               .decompose(0.0, 1e300)),
+                               ValueError, "decomposition would need about "),
 }
 
 # a quad_tol that is not positive, NaN included, in each function that takes
@@ -623,7 +638,7 @@ def test_a_dense_start_gives_the_whole_chains_order_n(case):
     e, ts, t, n = case
     site = ts.site(t)
     assert site.mu == 0.0
-    got = _scalar_outcome(lambda: _delta_table(e, ts, site, n)[1][0])
+    got = _scalar_outcome(lambda: _delta_table(e, ts, site, n))
     assert got == _scalar_outcome(lambda: _chain_delta_table(e, ts, site, n)[1][0]), \
         (render(e), ts, t, n)
 
@@ -636,6 +651,8 @@ _CLI_SCALES = ("R[0,4]", "hZ(h=0.5)", "qZbar(q=2)", "qN0(q=2)", "Pab(a=1,b=1)", 
 _CLI_POINTS = ("0", "0.5", "1", "2", "4")
 _CLI_EDGE_POINTS = ("3.3", "-1", "inf", "-inf", "nan", "5e-324")
 _CLI_TOP = "8.98846567431158e307"  # 2**1023, whose sigma on qN0(q=2) is beyond the floats
+# far points: the top of qN0(q=2), and about 5e299 blocks of Pab(a=1,b=1)
+_CLI_FAR = {"qN0(q=2)": (_CLI_TOP,), "Pab(a=1,b=1)": ("1e300", "-1e300")}
 _CLI_ALPHAS = ("0.25", "0.5", "1")
 _CLI_HIGHER_ALPHAS = ("1.5", "2.1", "3.5")
 _CLI_EDGE_ALPHAS = ("0", "-1", "nan", "inf")
@@ -671,7 +688,7 @@ def cli_exprs(draw):
 @st.composite
 def cli_argvs(draw):
     scale = draw(st.sampled_from(_CLI_SCALES))
-    edges = _CLI_EDGE_POINTS + ((_CLI_TOP,) if scale == "qN0(q=2)" else ())
+    edges = _CLI_EDGE_POINTS + _CLI_FAR.get(scale, ())
     points = _mostly(_CLI_POINTS, edges)
     command = draw(st.sampled_from(("deriv", "integ", "witness")))
     alphas = _CLI_ALPHAS + (_CLI_HIGHER_ALPHAS if command == "deriv" else ())
@@ -706,6 +723,9 @@ def finite_file(tmp_path_factory):
 @example(["integ", "--scale", "qN0(q=2)", "--expr", "1/t", "--alpha", "1", "--from", "1",
           "--to", _CLI_TOP])
 @example(["deriv", "--scale", "R", "--expr", "t\t+ 1", "--alpha", "1", "--at", "2"])
+# too many blocks for decompose's budget: refused before any cell is built
+@example(["integ", "--scale", "Pab(a=1,b=1)", "--expr", "t", "--alpha", "0.5", "--from", "0",
+          "--to", "1e300"])
 def test_every_cli_run_prints_valid_output_or_exits_with_its_code(finite_file, argv):
     # exit 0 with JSON that parses, or CSV with one header and rows of its
     # width; else a documented code, an empty stdout and a tscal: diagnostic

@@ -347,6 +347,46 @@ def test_scale_primitives_match_golden():
     assert _site_rows() == golden
 
 
+# Block starts, block ends, interiors and points half the membership slack to
+# either side of a start or an end, near 0 and a million blocks out, on five
+# periodic unions; tests/golden/pab_cells.json holds the repr of decompose over
+# every ordered pair of them, lo == hi included, as recorded while decompose
+# located every block start it stepped to.
+PAB_CELL_SCALES = [(1.0, 1.0), (0.7, 0.4), (0.5, 1.5), (1e-3, 2.0), (2.5, 1e-3)]
+
+
+def _pab_cell_points(pab, blocks):
+    gap, pts = min(pab.a, pab.b), []
+    for k in blocks:
+        start, end = k * pab.period, k * pab.period + pab.a
+        pts.append(start + pab.a / 2)
+        for x in (start, end):
+            half = 0.5 * min(1e-12 * max(gap, abs(x)), 0.25 * gap)
+            pts += [x - half, x, x + half]
+    return pts
+
+
+def _pab_cell_rows():
+    rows = []
+    for a, b in PAB_CELL_SCALES:
+        pab = PeriodicUnion(a, b)
+        for blocks in ((0, 2), (10 ** 6, 10 ** 6 + 1)):
+            pts = _pab_cell_points(pab, blocks)
+            for i, lo in enumerate(pts):
+                for hi in pts[i:]:
+                    try:
+                        out = repr(pab.decompose(lo, hi))
+                    except Exception as exc:  # noqa: BLE001 - the golden records it
+                        out = type(exc).__name__
+                    rows.append([repr(pab), repr(lo), repr(hi), out])
+    return rows
+
+
+def test_pab_cells_match_golden():
+    golden = json.loads((GOLDEN / "pab_cells.json").read_text(encoding="utf-8"))
+    assert _pab_cell_rows() == golden
+
+
 def test_shapes_implement_only_the_four_primitives():
     derived = {"sigma", "mu", "_rho", "classify", "in_kappa", "continuum_reach",
                "minimum", "maximum", "_require"}
